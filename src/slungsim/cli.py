@@ -124,10 +124,17 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
 
 
 def _sweep_case(case):
+    """One sweep row; a case that raises becomes a flagged row of NaNs."""
     controller, m_L, base = case
-    cfg = replace(base, controller=controller, m_L=m_L)
-    log = run(cfg)
-    met = compute_run_metrics(log, trajectory=cfg.trajectory)
+    try:
+        cfg = replace(base, controller=controller, m_L=m_L)
+        log = run(cfg)
+        met = compute_run_metrics(log, trajectory=cfg.trajectory)
+    except Exception as exc:
+        print(f"sweep case {controller} m_L={m_L:g} failed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return (controller, m_L, math.nan, math.nan, math.nan, math.nan,
+                True)
     return (controller, m_L, met.e_max, met.phi_max, met.theta_max,
             met.t_smax, log.failed)
 
@@ -147,7 +154,7 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
         results = [_sweep_case(c) for c in cases]
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_sweep_case, cases)
+            results = pool.map(_sweep_case, cases, chunksize=1)
     results.sort(key=lambda r: (CONTROLLERS.index(r[0]), r[1]))
     return results
 

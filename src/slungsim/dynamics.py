@@ -23,8 +23,11 @@ The load mass is a parameter of the coupled derivative, not a state, and is
 never visible to the controllers.
 
 The coupled translational/load accelerations are mutually implicit: the five
-relations couple (x_dd, y_dd, z_dd, r_dd, s_dd).  They are assembled as one
-dense 5x5 linear system and solved by direct elimination each evaluation.
+relations couple (x_dd, y_dd, z_dd, r_dd, s_dd).  The three translational
+rows are the identity plus mu-weighted load terms, so eliminating x_dd, y_dd
+and z_dd leaves a 2x2 system in (r_dd, s_dd).  Its determinant
+(m_q/M)^2 L^2 zeta^2 is positive wherever the cable is taut, and each
+evaluation solves it in closed form by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -226,45 +229,6 @@ def _rotational_rates(phi_rate: float, theta_rate: float, psi_rate: float,
     return phi_dd, theta_dd, psi_dd
 
 
-def _solve5(A, b):
-    """Direct Gaussian elimination with partial pivoting on a 5x5 system.
-
-    A is a list of 5 row-lists, b a list of 5 floats; both are destroyed.
-    Hand-rolled to keep the per-evaluation cost scalar-only: this runs tens
-    of millions of times per parameter sweep.
-    """
-    for k in range(4):
-        piv = k
-        best = abs(A[k][k])
-        for i in range(k + 1, 5):
-            m = abs(A[i][k])
-            if m > best:
-                best = m
-                piv = i
-        if best == 0.0:
-            raise ArithmeticError("singular coupling matrix")
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            b[k], b[piv] = b[piv], b[k]
-        Ak = A[k]
-        akk = Ak[k]
-        for i in range(k + 1, 5):
-            Ai = A[i]
-            f = Ai[k] / akk
-            if f != 0.0:
-                for j in range(k + 1, 5):
-                    Ai[j] -= f * Ak[j]
-                b[i] -= f * b[k]
-    x = [0.0] * 5
-    for i in range(4, -1, -1):
-        Ai = A[i]
-        acc = b[i]
-        for j in range(i + 1, 5):
-            acc -= Ai[j] * x[j]
-        x[i] = acc / Ai[i]
-    return x
-
-
 def _coupled_accel(phi: float, theta: float, r: float, s: float,
                    vr: float, vs: float, m_L: float, U1: float,
                    p: VehicleParams):
@@ -285,43 +249,49 @@ def _coupled_accel(phi: float, theta: float, r: float, s: float,
                                                = s B + s g z^3
 
     where z = zeta and B = (L^2 - s^2) vr^2 + (L^2 - r^2) vs^2 + 2 r s vr vs.
+    Call the right-hand sides of the first three rows b1, b2, b3.
+
+    Substituting x_dd = b1 - mu r_dd, y_dd = b2 - mu s_dd and
+    z_dd = b3 - mu (r r_dd + s s_dd)/z into the last two rows and dividing
+    by z^2 leaves a 2x2 system in (r_dd, s_dd).  With k = 1 - mu = m_q / M,
+
+        a11 = -k (L^2 - s^2),  a22 = -k (L^2 - r^2),  a12 = a21 = -k r s,
+        c1 = r B/z^2 + r g z + z^2 b1 + r z b3,
+        c2 = s B/z^2 + s g z + z^2 b2 + s z b3.
+
+    Its determinant k^2 L^2 z^2 is positive wherever cable_offset accepts
+    (r, s), so Cramer's rule always applies:
+    r_dd = (r s c2 - (L^2 - r^2) c1) / (k L^2 z^2), and s_dd likewise.
     """
     L = p.L
-    g = p.g
     M = p.m_q + m_L
     mu = m_L / M
     zeta = cable_offset(r, s, L)
     z2 = zeta * zeta
-    z3 = z2 * zeta
-    z4 = z2 * z2
 
     cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    cth = math.cos(theta)
-    sth = math.sin(theta)
-
+    U1_M = U1 / M
     rvr_svs = r * vr + s * vs
-    vsq = vr * vr + vs * vs
-    B = ((L * L - s * s) * vr * vr + (L * L - r * r) * vs * vs
-         + 2.0 * r * s * vr * vs)
+    LL = L * L
+    Lr = LL - r * r
+    Ls = LL - s * s
+    B = Ls * vr * vr + Lr * vs * vs + 2.0 * r * s * vr * vs
 
-    A = [
-        [1.0, 0.0, 0.0, mu, 0.0],
-        [0.0, 1.0, 0.0, 0.0, mu],
-        [0.0, 0.0, 1.0, mu * r / zeta, mu * s / zeta],
-        [-z4, 0.0, -r * z3, (s * s - L * L) * z2, -r * s * z2],
-        [0.0, -z4, -s * z3, -r * s * z2, (r * r - L * L) * z2],
-    ]
-    b = [
-        cphi * sth * U1 / M,
-        -sphi * U1 / M,
-        (cphi * cth * U1 / M - mu * vsq / zeta
-         - mu * rvr_svs * rvr_svs / z3
-         - g * (m_L * zeta / L + p.m_q) / M),
-        r * B + r * g * z3,
-        s * B + s * g * z3,
-    ]
-    return _solve5(A, b)
+    b1 = cphi * math.sin(theta) * U1_M
+    b2 = -math.sin(phi) * U1_M
+    b3 = (cphi * math.cos(theta) * U1_M - mu * (vr * vr + vs * vs) / zeta
+          - mu * rvr_svs * rvr_svs / (z2 * zeta)
+          - p.g * (m_L * zeta / L + p.m_q) / M)
+
+    common = B / z2 + p.g * zeta + zeta * b3
+    c1 = r * common + z2 * b1
+    c2 = s * common + z2 * b2
+    rs = r * s
+    kdet = (p.m_q / M) * LL * z2
+    r_dd = (rs * c2 - Lr * c1) / kdet
+    s_dd = (rs * c1 - Ls * c2) / kdet
+    return [b1 - mu * r_dd, b2 - mu * s_dd,
+            b3 - mu * (r * r_dd + s * s_dd) / zeta, r_dd, s_dd]
 
 
 def coupled_accelerations(state: SystemState, U1: float,
@@ -394,10 +364,10 @@ def quad_derivative_array(y, u, params: VehicleParams) -> np.ndarray:
 
 def coupled_derivative_array(y, u, m_L: float,
                              params: VehicleParams) -> np.ndarray:
-    """Time derivative of the 16-element coupled state vector."""
+    """Time derivative of the 16-element coupled state (y, u: float arrays)."""
     (x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr,
-     lr, ls, lvr, lvs) = (float(v) for v in y)
-    U1, U2, U3, U4 = (float(v) for v in u)
+     lr, ls, lvr, lvs) = y.tolist()
+    U1, U2, U3, U4 = u.tolist()
     _check_attitude(phi, theta)
     ax, ay, az, ar, as_ = _coupled_accel(phi, theta, lr, ls, lvr, lvs,
                                          m_L, U1, params)

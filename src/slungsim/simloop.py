@@ -18,7 +18,8 @@ from .dynamics import (VehicleParams, QuadState, ControlInputs,
                        TautCableError, GimbalLockError,
                        coupled_derivative_array)
 from .trajectory import (ReferencePoint, square_reference,
-                         single_leg_reference, hover_reference)
+                         single_leg_reference, hover_reference,
+                         reference_window)
 from .controllers import PdController, SmcController, PdGains, SmcGains
 from .mpc import MpcController, MpcWeights
 
@@ -71,6 +72,19 @@ class SimConfig:
         if n < 1 or abs(n * self.dt_physics - self.dt_control) > 1e-12:
             raise ValueError("dt_control must be an integer multiple of "
                              "dt_physics")
+        n = self.n_ticks
+        if n < 1 or abs(n * self.dt_control - self.duration) > 1e-9:
+            raise ValueError("duration must be a positive integer multiple "
+                             "of dt_control")
+        # the last tick samples the reference at n * dt_control
+        window = reference_window(self.trajectory)
+        if n * self.dt_control > window:
+            raise ValueError(f"duration {self.duration} exceeds the "
+                             f"{self.trajectory} reference window "
+                             f"[0, {window}]")
+        if self.mpc_horizon is not None and self.mpc_horizon < 1:
+            raise ValueError(f"mpc.horizon must be >= 1, got "
+                             f"{self.mpc_horizon}")
 
     @property
     def n_sub(self) -> int:
@@ -78,11 +92,7 @@ class SimConfig:
 
     @property
     def n_ticks(self) -> int:
-        n = round(self.duration / self.dt_control)
-        if abs(n * self.dt_control - self.duration) > 1e-9:
-            raise ValueError("duration must be an integer multiple of "
-                             "dt_control")
-        return n
+        return round(self.duration / self.dt_control)
 
 
 @dataclass
@@ -146,9 +156,8 @@ def rk4_step(f: Callable, y: np.ndarray, u, dt: float) -> np.ndarray:
 def run(config: SimConfig) -> SimLog:
     """Simulate one scenario tick by tick.
 
-    A taut-cable or attitude singularity, a singular coupling solve, or a
-    non-finite state aborts the run; the rows logged so far are returned
-    with the failure marker set.
+    A taut-cable or attitude singularity or a non-finite state aborts the
+    run; the rows logged so far are returned with the failure marker set.
     """
     par = config.params
     ctrl = make_controller(config)

@@ -144,6 +144,13 @@ def hover_reference(t: float, pos_xyz=(0.0, 0.0, 1.5)) -> ReferencePoint:
                           vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
 
 
+def reference_window(trajectory: str) -> float:
+    """Latest time at which the named default trajectory can be sampled."""
+    if trajectory == "hover":
+        return math.inf
+    return N_STAGES * TrapezoidProfile().t_leg
+
+
 def stage_transition_times(profile: TrapezoidProfile = None,
                            trajectory: str = "square"):
     """Instants at which the trajectory switches stages.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import slungsim
+from slungsim import cli
 from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           TRACE_COLUMNS, main, read_sweep, read_trace,
                           run_sweep, write_sweep, write_trace)
@@ -195,6 +196,40 @@ class TestSweepCsv:
                          base=SimConfig(duration=2.0))
         assert run_sweep(spec, jobs=1) == run_sweep(spec, jobs=2)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_case_becomes_flagged_row(self, tmp_path, monkeypatch,
+                                              capfd, jobs):
+        spec = SweepSpec(masses=(0.1, 0.2, 0.3), controllers=("PD",),
+                         base=SimConfig(duration=1.0))
+        clean = run_sweep(spec, jobs=1)
+        real_run = cli.run
+
+        def run_or_raise(cfg):
+            if cfg.m_L == 0.2:
+                raise RuntimeError("injected failure")
+            return real_run(cfg)
+
+        # forked pool workers inherit the patched module attribute
+        monkeypatch.setattr(cli, "run", run_or_raise)
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text("duration = 1.0\nsweep.masses = 0.1, 0.2, 0.3\n"
+                       "sweep.controllers = PD\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == EXIT_OK
+        assert "RuntimeError: injected failure" in capfd.readouterr().err
+        rows = read_sweep(str(out / "sweep.csv"))
+        assert [(r["controller"], r["m_L"]) for r in rows] == [
+            ("PD", 0.1), ("PD", 0.2), ("PD", 0.3)]
+        bad = rows[1]
+        assert bad["failed"]
+        assert all(math.isnan(bad[k])
+                   for k in ("e_max", "phi_max", "theta_max", "t_smax"))
+        for row, ref in ((rows[0], clean[0]), (rows[2], clean[2])):
+            assert (row["controller"], row["m_L"], row["e_max"],
+                    row["phi_max"], row["theta_max"], row["t_smax"],
+                    row["failed"]) == ref
+
 
 class TestCliExitCodes:
     def test_simulate_ok(self, tmp_path, capsys):
@@ -213,6 +248,20 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["duration = 0.005", "duration = 76",
+                                      "mpc.horizon = 0"])
+    def test_invalid_run_rejected_before_running(self, tmp_path, capsys,
+                                                 line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"controller = MPC\n{line}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_abort_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -165,7 +165,7 @@ class TestCoupledAccelerations:
             accels = coupled_accelerations(state, U1, params)
             worst = max(worst, max(coupling_residuals(state, accels, U1,
                                                       params)))
-            # cross-check the elimination against numpy on the same rows
+            # cross-check the closed form against numpy on the same rows
             A, b = _assemble_np(state, U1, params)
             ref = np.linalg.solve(A, b)
             assert accels == pytest.approx(ref, rel=1e-9, abs=1e-12)
@@ -182,7 +182,7 @@ class TestCoupledAccelerations:
 
 
 def _assemble_np(state, U1, params):
-    """The same 5x5 system built with numpy, for cross-checking the solver."""
+    """The full 5x5 system in numpy, to cross-check the closed form."""
     q, ld = state.quad, state.load
     L, g = params.L, params.g
     M = params.m_q + ld.m_L

@@ -37,6 +37,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(dt_physics=3e-3, dt_control=1e-2)
 
+    @pytest.mark.parametrize("duration", [0.005, 1.005])
+    def test_partial_tick_rejected(self, duration):
+        with pytest.raises(ValueError, match="dt_control"):
+            SimConfig(duration=duration)
+
+    def test_duration_past_reference_window_rejected(self):
+        SimConfig(duration=75.0, trajectory="single_leg")
+        for trajectory in ("square", "single_leg"):
+            with pytest.raises(ValueError, match="reference window"):
+                SimConfig(duration=75.01, trajectory=trajectory)
+
+    def test_hover_has_no_window(self):
+        assert SimConfig(duration=200.0, trajectory="hover").n_ticks == 20000
+
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(controller="MPC", mpc_horizon=0)
+
     def test_factory_dispatch(self):
         assert isinstance(make_controller(SimConfig(controller="PD")),
                           PdController)
