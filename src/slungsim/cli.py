@@ -2,7 +2,7 @@
 thrust-budget queries.  All outputs are plain CSV; no plotting.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation abort,
-4 I/O error.
+4 I/O error or malformed trace.
 """
 
 from __future__ import annotations
@@ -85,15 +85,20 @@ class Trace:
                       failed=self.failed, failure_reason=self.reason)
 
 
+class TraceError(ValueError):
+    """Malformed trace file; the message names the file."""
+
+
 def read_trace(path: str) -> Trace:
+    n_cols = len(TRACE_COLUMNS)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if tuple(header.split(",")) != TRACE_COLUMNS:
-            raise ValueError(f"{path}: unexpected trace header")
+            raise TraceError(f"{path}: unexpected trace header")
         rows = []
         failed = False
         reason = ""
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -102,9 +107,18 @@ def read_trace(path: str) -> Trace:
                     failed = True
                     reason = line[len("# aborted:"):].strip()
                 continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows, dtype=float).reshape(len(rows),
-                                               len(TRACE_COLUMNS))
+            fields = line.split(",")
+            if len(fields) != n_cols:
+                raise TraceError(f"{path}:{lineno}: expected {n_cols} "
+                                 f"fields, got {len(fields)}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError:
+                raise TraceError(f"{path}:{lineno}: non-numeric "
+                                 f"field") from None
+    if not rows:
+        raise TraceError(f"{path}: no data rows")
+    data = np.array(rows, dtype=float)
     columns = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
     return Trace(columns=columns, failed=failed, reason=reason)
 
@@ -291,6 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

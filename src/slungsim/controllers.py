@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import ControlInputs, QuadState, VehicleParams
 from .trajectory import ReferencePoint
 
@@ -43,9 +41,6 @@ U1_FLOOR = 1e-3  # N; keeps the thrust demand positive for the tilt division
 # cannot choke the lateral channel entirely: the fraction bottoms out at
 # 1/DEMAND_CEILING instead of decaying toward zero.
 DEMAND_CEILING = 1.5
-
-# gain/surface ordering used by all 6-vectors here
-AXES = ("phi", "theta", "psi", "x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -145,14 +140,6 @@ def desired_angles(ax_des: float, ay_des: float, U1: float, m_q: float):
         theta_d = math.copysign(ANGLE_CAP, theta_d)
         clamped = True
     return phi_d, theta_d, clamped
-
-
-def sliding_surfaces(e, e_dot, lam):
-    """S_i = e_dot_i + lambda_i * e_i for the six tracked variables."""
-    e = np.asarray(e, dtype=float)
-    e_dot = np.asarray(e_dot, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return e_dot + lam * e
 
 
 def _switch(S: float, boundary_layer: float) -> float:

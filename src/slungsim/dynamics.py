@@ -67,16 +67,14 @@ class VehicleParams:
     I_y: float = 7.5e-3     # pitch inertia, kg m^2
     I_z: float = 1.3e-2     # yaw inertia, kg m^2
     l: float = 0.25         # rotor arm length, m
-    b: float = 3.13e-5      # rotor lift coefficient, N s^2
-    d: float = 7.5e-7       # rotor drag coefficient, N m s^2
     L: float = 0.5          # cable length, m
     M_max: float = 0.6      # maximum rated load mass, kg
     U1_max: float = 14.72   # collective thrust ceiling, N
     g: float = 9.81         # gravitational acceleration, m s^-2
 
     def __post_init__(self):
-        for name in ("m_q", "I_x", "I_y", "I_z", "l", "b", "d", "L",
-                     "M_max", "U1_max", "g"):
+        for name in ("m_q", "I_x", "I_y", "I_z", "l", "L", "M_max",
+                     "U1_max", "g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"VehicleParams.{name} must be positive")
 
@@ -168,41 +166,6 @@ class CableForce:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.Fcx, self.Fcy, self.Fcz])
-
-
-def rotor_forces(omega, params: VehicleParams):
-    """Per-rotor thrust F_i = b w_i^2 and drag torque Q_i = d w_i^2.
-
-    Args:
-        omega: four rotor speeds, rad/s, all >= 0.
-
-    Returns:
-        (F, Q) arrays of shape (4,).
-    """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("expected four rotor speeds")
-    if np.any(w < 0.0):
-        raise ValueError("rotor speeds must be non-negative")
-    return params.b * w * w, params.d * w * w
-
-
-def mix_rotors(F, Q) -> ControlInputs:
-    """Combine per-rotor thrusts/torques into the four control channels.
-
-    U1 = sum(F); U2 = -F1 + F3; U3 = -F2 + F4; U4 = Q1 - Q2 + Q3 - Q4
-    (rotor order: front, right, back, left; alternating spin directions).
-    """
-    F = np.asarray(F, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if F.shape != (4,) or Q.shape != (4,):
-        raise ValueError("expected four rotor thrusts and four torques")
-    return ControlInputs(
-        U1=float(F[0] + F[1] + F[2] + F[3]),
-        U2=float(-F[0] + F[2]),
-        U3=float(-F[1] + F[3]),
-        U4=float(Q[0] - Q[1] + Q[2] - Q[3]),
-    )
 
 
 def cable_offset(r: float, s: float, L: float) -> float:

@@ -1,9 +1,9 @@
 """Model-predictive position and attitude control.
 
 Two independent receding-horizon loops share one machinery: a linear
-discrete model, an output estimator with a steady-state Kalman gain, a
-stacked prediction over an N-step horizon, and an unconstrained
-least-squares solve penalizing tracking error and input moves.
+discrete model, a stacked prediction over an N-step horizon, and an
+unconstrained least-squares solve penalizing tracking error and input
+moves.
 
 The position loop models the translational states [x, vx, y, vy, z, vz]
 as three double integrators driven by (theta_d, phi_d, G), where small
@@ -12,14 +12,25 @@ y_dd ~ -g*phi) and G = g - U1/m_q is the vertical specific-force deficit
 (z_dd ~ -G).  The attitude loop models [phi, p, theta, q, psi, r] driven
 by the rotor difference channels (U2, U3, U4) through the inverse
 inertias.  Both models ignore the slung load and the angular cross
-terms; the estimators absorb the mismatch through the innovation.
+terms; the load acts on them only through the measured state, which
+every tick re-reads in full.
 
 Timing convention: the input applied during tick k is the one decided at
-tick k-1 (the first tick applies the hover input).  Each step first runs
-the estimator forward with the currently applied input, then solves for
-the input to apply next tick, with the move penalty anchored at the
+tick k-1 (the first tick applies the hover input).  Each step predicts
+the state one tick ahead under the currently applied input, then solves
+for the input to apply next tick, with the move penalty anchored at the
 currently applied value.  Saturated values (angle caps, thrust ceiling)
-are what the estimator is told was applied.
+are what the prediction is told was applied.
+
+With the reference held over the horizon, that solve is linear in the
+reference r, the measured state x and the applied input u, so each loop
+reduces to one constant gain computed at construction:
+u_next = K @ [r, x, u].  `mpc_solve` keeps the stacked problem as the
+reference that gain is tested against.
+
+The steady-state Riccati solution and Kalman gain (`solve_dare`,
+`kalman_gain`) are library functions for the numerical-core checks; the
+controller does not use them, because it measures the full state.
 """
 
 from __future__ import annotations
@@ -121,37 +132,28 @@ def discretize_rotational(dt: float, params: VehicleParams = None) -> DiscreteMo
 class EstimatorConfig:
     """Noise covariances shaping the steady-state estimator gain.
 
-    w and v scale identity process/measurement covariances; z scales the
-    cross term (kept in the algebra but zero for every loop here).
+    w and v scale identity process/measurement covariances.
     """
 
     w: float = 1e-4
     v: float = 1e-4
-    z: float = 0.0
 
     def covariances(self, model: DiscreteModel):
-        n, p = model.n_states, model.n_outputs
-        W = self.w * np.eye(n)
-        V = self.v * np.eye(p)
-        Z = self.z * np.eye(n, p)
-        return W, V, Z
+        return (self.w * np.eye(model.n_states),
+                self.v * np.eye(model.n_outputs))
 
 
 def solve_dare(model: DiscreteModel, cfg: EstimatorConfig,
                tol: float = 1e-12, max_iter: int = 100000) -> np.ndarray:
     """Steady-state predictive Riccati solution by fixed-point iteration.
 
-    P <- W + A P A' - (A P C' + Z)(C P C' + V)^-1 (Z' + C P A'),
+    P <- W + A P A' - A P C' (C P C' + V)^-1 C P A',
     started at P = W, symmetrized each sweep, stopping when the update
     falls below tol in max norm.
     """
-    A, C = model.A, model.C
-    W, V, Z = cfg.covariances(model)
-    P = W.copy()
+    P = cfg.covariances(model)[0]
     for _ in range(max_iter):
-        G = A @ P @ C.T + Z
-        S = C @ P @ C.T + V
-        P_next = W + A @ P @ A.T - G @ np.linalg.solve(S, G.T)
+        P_next = _riccati_sweep(model, cfg, P)
         P_next = 0.5 * (P_next + P_next.T)
         delta = np.max(np.abs(P_next - P))
         P = P_next
@@ -160,54 +162,26 @@ def solve_dare(model: DiscreteModel, cfg: EstimatorConfig,
     raise RuntimeError(f"Riccati iteration did not converge in {max_iter} sweeps")
 
 
+def _riccati_sweep(model: DiscreteModel, cfg: EstimatorConfig,
+                   P: np.ndarray) -> np.ndarray:
+    A, C = model.A, model.C
+    W, V = cfg.covariances(model)
+    G = A @ P @ C.T
+    S = C @ P @ C.T + V
+    return W + A @ P @ A.T - G @ np.linalg.solve(S, G.T)
+
+
 def dare_residual(model: DiscreteModel, cfg: EstimatorConfig, P: np.ndarray) -> float:
     """Max-norm defect of P under one more Riccati sweep."""
-    A, C = model.A, model.C
-    W, V, Z = cfg.covariances(model)
-    G = A @ P @ C.T + Z
-    S = C @ P @ C.T + V
-    P_next = W + A @ P @ A.T - G @ np.linalg.solve(S, G.T)
-    return float(np.max(np.abs(P_next - P)))
+    return float(np.max(np.abs(_riccati_sweep(model, cfg, P) - P)))
 
 
 def kalman_gain(model: DiscreteModel, P: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    """K = (A P C' + Z)(C P C' + V)^-1 for the predictive estimator form."""
+    """K = A P C' (C P C' + V)^-1 for the predictive estimator form."""
     A, C = model.A, model.C
-    _, V, Z = cfg.covariances(model)
-    G = A @ P @ C.T + Z
+    _, V = cfg.covariances(model)
     S = C @ P @ C.T + V
-    return np.linalg.solve(S.T, G.T).T
-
-
-@dataclass
-class KalmanModel:
-    """Steady-state estimator: gain plus the running state estimate."""
-
-    P: np.ndarray
-    K: np.ndarray
-    xhat: np.ndarray
-
-
-def make_estimator(model: DiscreteModel, cfg: EstimatorConfig = None) -> KalmanModel:
-    if cfg is None:
-        cfg = EstimatorConfig()
-    P = solve_dare(model, cfg)
-    K = kalman_gain(model, P, cfg)
-    return KalmanModel(P=P, K=K, xhat=np.zeros(model.n_states))
-
-
-def estimator_step(km: KalmanModel, model: DiscreteModel,
-                   u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One predictive update: xhat <- A xhat + B u + K (y - C xhat).
-
-    u is the input applied during the current tick, y the measurement
-    taken at it; the result predicts the state one tick ahead.
-    """
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    innov = y - model.C @ km.xhat
-    km.xhat = model.A @ km.xhat + model.B @ u + km.K @ innov
-    return km.xhat
+    return np.linalg.solve(S.T, (A @ P @ C.T).T).T
 
 
 @dataclass(frozen=True)
@@ -250,11 +224,16 @@ class MpcWeights:
     y: object = 1.0
     s: object = 0.05
 
+    def __post_init__(self):
+        for name in ("y", "s"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(v) & (v > 0.0)):
+                raise ValueError(f"MPC weights {name} must be positive and "
+                                 f"finite, got {getattr(self, name)}")
+
     def diagonals(self, p: int, m: int, N: int):
         yv = np.broadcast_to(np.asarray(self.y, dtype=float), (p,))
         sv = np.broadcast_to(np.asarray(self.s, dtype=float), (m,))
-        if np.any(yv <= 0.0) or np.any(sv <= 0.0):
-            raise ValueError("weights must be positive")
         return np.tile(yv, N), np.tile(sv, N)
 
 
@@ -305,46 +284,30 @@ def mpc_cost(pm: PredictionModel, weights: MpcWeights,
     return 0.5 * float(e @ (ybar * e) + dU @ (sbar * dU))
 
 
-class _LoopSolver:
-    """Estimator plus cached first-block solve for one receding loop."""
+def receding_gain(model: DiscreteModel, weights: MpcWeights,
+                  N: int) -> np.ndarray:
+    """Constant feedback of the receding-horizon law with the reference held.
 
-    def __init__(self, model: DiscreteModel, cfg: EstimatorConfig,
-                 weights: MpcWeights, N: int):
-        self.model = model
-        self.km = make_estimator(model, cfg)
-        self.pm = build_prediction(model, N)
-        m = model.n_inputs
-        p = model.n_outputs
-        ybar, sbar = weights.diagonals(p, m, N)
-        D, E = _move_operators(N, m)
-        Gam = self.pm.Gam
-        H = Gam.T @ (ybar[:, None] * Gam) + D.T @ (sbar[:, None] * D)
-        # first input block of H^-1 [Gam' Ybar, D' Sbar E]
-        M1 = np.linalg.solve(H, Gam.T * ybar)
-        M2 = np.linalg.solve(H, D.T @ (sbar[:, None] * E))
-        self._M1 = M1[:m]
-        self._M2 = M2[:m]
+    The solve starts from the one-step prediction A x + B u under the
+    applied input u and tracks r at every step of the horizon, so the
+    first block of the minimizer is linear in (r, x, u):
 
-    def reset(self):
-        self.km.xhat = np.zeros(self.model.n_states)
+        u_next = M1 (stack(r) - Lam (A x + B u)) + M2 u = K @ [r, x, u]
 
-    def advance(self, refs: np.ndarray, u_now: np.ndarray,
-                x_meas: np.ndarray) -> np.ndarray:
-        """Predict one tick ahead of the measured state, return the next input.
-
-        The estimate is re-anchored at the measured full state every tick
-        before the update, so the innovation is identically zero and the
-        estimator supplies the model-consistent one-step prediction that
-        compensates the one-tick input delay.  Letting the filter free-run
-        on position measurements instead leaves a steady velocity bias of
-        about one second times any unmodeled force; the optimizer leans
-        against that phantom velocity, the slung load leans back harder,
-        and the loop runs away for heavy loads.
-        """
-        self.km.xhat = np.asarray(x_meas, dtype=float)
-        y = self.model.C @ self.km.xhat
-        xhat = estimator_step(self.km, self.model, u_now, y)
-        return self._M1 @ (refs - self.pm.Lam @ xhat) + self._M2 @ u_now
+    with M1, M2 the first input block of H^-1 [Gam' Ybar, D' Sbar E].
+    Returns K of shape (n_inputs, n_outputs + n_states + n_inputs).
+    """
+    pm = build_prediction(model, N)
+    m, p = model.n_inputs, model.n_outputs
+    ybar, sbar = weights.diagonals(p, m, N)
+    D, E = _move_operators(N, m)
+    Gam = pm.Gam
+    H = Gam.T @ (ybar[:, None] * Gam) + D.T @ (sbar[:, None] * D)
+    M1 = np.linalg.solve(H, Gam.T * ybar)[:m]
+    M2 = np.linalg.solve(H, D.T @ (sbar[:, None] * E))[:m]
+    M1_Lam = M1 @ pm.Lam
+    held = np.tile(np.eye(p), (N, 1))
+    return np.hstack([M1 @ held, -M1_Lam @ model.A, M2 - M1_Lam @ model.B])
 
 
 class MpcController:
@@ -355,17 +318,20 @@ class MpcController:
     produces a tilt pair and a thrust deficit; the attitude loop tracks
     that tilt command the same way.  Both loops apply the input decided
     on the previous tick, so the very first tick flies the hover input.
+
+    Each loop predicts from the measured full state, which compensates
+    the one-tick input delay.  An output estimator free-running on
+    position measurements instead leaves a steady velocity bias of about
+    one second times any unmodeled force; the optimizer leans against
+    that phantom velocity, the slung load leans back harder, and the loop
+    runs away for heavy loads.
     """
 
     def __init__(self, params: VehicleParams = None, dt: float = 0.01,
                  horizon: int = HORIZON,
                  weights_pos: MpcWeights = None,
-                 weights_att: MpcWeights = None,
-                 est_cfg: EstimatorConfig = None):
+                 weights_att: MpcWeights = None):
         self.params = params if params is not None else VehicleParams()
-        self.dt = dt
-        self.horizon = horizon
-        cfg = est_cfg if est_cfg is not None else EstimatorConfig()
         # the G channel moves the velocity 1/g as far per unit input as the
         # tilt channels do, so its move weight is scaled by 1/g^2 to give
         # all three position inputs equal authority per unit penalty; a
@@ -381,18 +347,16 @@ class MpcController:
         wp = weights_pos if weights_pos is not None else MpcWeights(
             s=(0.4, 0.4, 0.05 / g ** 2))
         wa = weights_att if weights_att is not None else MpcWeights(s=0.0002)
-        self._pos = _LoopSolver(discretize_translational(dt, self.params),
-                                cfg, wp, horizon)
-        self._att = _LoopSolver(discretize_rotational(dt, self.params),
-                                cfg, wa, horizon)
-        self._u_pos = np.zeros(3)   # (theta_d, phi_d, G) applied this tick
-        self._u_att = np.zeros(3)   # (U2, U3, U4) applied this tick
+        # u_next = K @ [ref(3), x(6), u(3)] per loop
+        self.K_pos = receding_gain(discretize_translational(dt, self.params),
+                                   wp, horizon)
+        self.K_att = receding_gain(discretize_rotational(dt, self.params),
+                                   wa, horizon)
+        self.reset()
 
     def reset(self):
-        self._pos.reset()
-        self._att.reset()
-        self._u_pos = np.zeros(3)
-        self._u_att = np.zeros(3)
+        self._u_pos = np.zeros(3)   # (theta_d, phi_d, G) applied this tick
+        self._u_att = np.zeros(3)   # (U2, U3, U4) applied this tick
 
     def step(self, t: float, state: QuadState,
              ref: ReferencePoint) -> ControllerOutput:
@@ -415,21 +379,22 @@ class MpcController:
             U1 = par.U1_max
             saturated = True
         G_app = par.g - U1 / par.m_q
-        u_pos_now = np.array([theta_d, phi_d, G_app])
         U2, U3, U4 = self._u_att
 
-        # position loop: predict under the applied input, decide the next;
-        # the current reference point is held over the whole horizon
-        x_pos = np.array([state.x, state.vx, state.y, state.vy,
-                          state.z, state.vz])
-        refs_pos = np.tile(ref.pos[:3], self.horizon)
-        self._u_pos = self._pos.advance(refs_pos, u_pos_now, x_pos)
+        # position loop: the current reference point, held over the horizon,
+        # the measured state and the applied input decide the next input
+        rx, ry, rz = ref.pos[:3]
+        self._u_pos = self.K_pos @ np.array([
+            rx, ry, rz,
+            state.x, state.vx, state.y, state.vy, state.z, state.vz,
+            theta_d, phi_d, G_app])
 
         # attitude loop tracks this tick's applied tilt, held over the horizon
-        x_att = np.array([state.phi, state.p_rate, state.theta,
-                          state.q_rate, state.psi, state.r_rate])
-        refs_att = np.tile([phi_d, theta_d, 0.0], self.horizon)
-        self._u_att = self._att.advance(refs_att, self._u_att, x_att)
+        self._u_att = self.K_att @ np.array([
+            phi_d, theta_d, 0.0,
+            state.phi, state.p_rate, state.theta, state.q_rate,
+            state.psi, state.r_rate,
+            U2, U3, U4])
 
         cmd = AttitudeCommand(phi_d=phi_d, theta_d=theta_d, psi_d=0.0, U1=U1)
         # the attitude model decides torques; the roll/pitch channels of

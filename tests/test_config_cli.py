@@ -231,6 +231,9 @@ class TestSweepCsv:
                     row["failed"]) == ref
 
 
+HEADER = ",".join(TRACE_COLUMNS) + "\n"
+
+
 class TestCliExitCodes:
     def test_simulate_ok(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -250,7 +253,8 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["duration = 0.005", "duration = 76",
-                                      "mpc.horizon = 0"])
+                                      "mpc.horizon = 0", "mpc.move_att = -1",
+                                      "mpc.move_pos = 0.4, 0.4, 0"])
     def test_invalid_run_rejected_before_running(self, tmp_path, capsys,
                                                  line):
         cfg = tmp_path / "run.cfg"
@@ -309,6 +313,23 @@ class TestCliExitCodes:
         text = capsys.readouterr().out
         assert "e_max = " in text
         assert "t_smax = " in text
+
+    @pytest.mark.parametrize("text, reason", [
+        ("t,x,y\n0,0,0\n", "unexpected trace header"),
+        (HEADER, "no data rows"),
+        (HEADER + "0," * 10 + "0\n", "expected 27 fields, got 11"),
+        (HEADER + "0," * 26 + "zero\n", "non-numeric field"),
+    ], ids=["header", "no-rows", "short-row", "non-numeric"])
+    def test_analyze_malformed_trace(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        code = main(["analyze", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("trace error: ")
+        assert str(path) in err and reason in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_sweep_verb(self, tmp_path, capsys):
         cfg = tmp_path / "sw.cfg"

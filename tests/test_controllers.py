@@ -15,7 +15,6 @@ from slungsim.controllers import (
     SmcGains,
     _switch,
     desired_angles,
-    sliding_surfaces,
 )
 from slungsim.dynamics import QuadState, VehicleParams, quad_derivative_array
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
@@ -75,20 +74,6 @@ class TestDesiredAngles:
 def test_desired_angles_always_capped(ax, ay, U1):
     phi, theta, _ = desired_angles(ax, ay, U1, 1.0)
     assert abs(phi) <= ANGLE_CAP and abs(theta) <= ANGLE_CAP
-
-
-class TestSlidingSurfaces:
-    def test_zero(self):
-        S = sliding_surfaces(np.zeros(6), np.zeros(6), [0.5] * 6)
-        assert np.all(S == 0.0)
-
-    def test_arithmetic(self):
-        S = sliding_surfaces([0.1] * 6, [0.05] * 6, [0.5] * 6)
-        assert S == pytest.approx([0.1] * 6)
-
-    def test_on_surface(self):
-        S = sliding_surfaces([0.1] * 6, [-0.05] * 6, [0.5] * 6)
-        assert S == pytest.approx([0.0] * 6, abs=1e-15)
 
 
 class TestSwitch:
@@ -302,22 +287,23 @@ class TestClosedLoopNominal:
                                        start=(-0.5, 0.4, 1.2),
                                        ref_fn=hover_reference)
 
-        lam = gains.lam
+        lam = np.array(gains.lam)
         S_hist = []
         for t, state, ref, out in records:
-            e = [out.cmd.phi_d - state.phi,
-                 out.cmd.theta_d - state.theta,
-                 -state.psi,
-                 ref.pos[0] - state.x,
-                 ref.pos[1] - state.y,
-                 ref.pos[2] - state.z]
+            e = np.array([out.cmd.phi_d - state.phi,
+                          out.cmd.theta_d - state.theta,
+                          -state.psi,
+                          ref.pos[0] - state.x,
+                          ref.pos[1] - state.y,
+                          ref.pos[2] - state.z])
             # rates: command-side derivative unknown here; reaching is
             # evaluated on the measured-error part of each surface
-            ed = [-state.p_rate, -state.q_rate, -state.r_rate,
-                  ref.vel[0] - state.vx,
-                  ref.vel[1] - state.vy,
-                  ref.vel[2] - state.vz]
-            S_hist.append(sliding_surfaces(e, ed, lam))
+            ed = np.array([-state.p_rate, -state.q_rate, -state.r_rate,
+                           ref.vel[0] - state.vx,
+                           ref.vel[1] - state.vy,
+                           ref.vel[2] - state.vz])
+            # sliding surfaces S_i = e_dot_i + lambda_i * e_i
+            S_hist.append(ed + lam * e)
         S_hist = np.array(S_hist)
 
         band = max(0.01, gains.boundary_layer)

@@ -1,4 +1,4 @@
-"""Dynamics oracles: rotor mixing, coupled-system residuals, physical limits."""
+"""Dynamics oracles: coupled-system residuals, physical limits."""
 
 import math
 
@@ -21,12 +21,10 @@ from slungsim.dynamics import (
     coupled_accelerations,
     coupled_derivative,
     coupled_derivative_array,
-    mix_rotors,
     pendulum_accelerations,
     pendulum_energy,
     quad_derivative_array,
     quad_only_derivative,
-    rotor_forces,
     zeta_derivatives,
 )
 
@@ -80,41 +78,11 @@ def coupling_residuals(state, accels, U1, params):
     return [abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in pairs]
 
 
-class TestRotorMixing:
-    def test_zero_speeds(self, params):
-        F, Q = rotor_forces((0, 0, 0, 0), params)
-        assert np.all(F == 0.0) and np.all(Q == 0.0)
-
-    def test_thrust_at_500(self, params):
-        F, Q = rotor_forces((500, 500, 500, 500), params)
-        assert F == pytest.approx([7.825] * 4, rel=1e-12)
-        assert Q == pytest.approx([0.1875] * 4, rel=1e-12)
-
-    def test_negative_speed_rejected(self, params):
-        with pytest.raises(ValueError):
-            rotor_forces((100, -1, 100, 100), params)
-
-    def test_symmetric_hover_mix(self):
-        u = mix_rotors([2.5] * 4, [0.3] * 4)
-        assert (u.U1, u.U2, u.U3, u.U4) == (10.0, 0.0, 0.0, 0.0)
-
-    def test_mix_arithmetic(self):
-        u = mix_rotors([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4])
-        assert u.U1 == pytest.approx(10.0)
-        assert u.U2 == pytest.approx(2.0)
-        assert u.U3 == pytest.approx(2.0)
-        assert u.U4 == pytest.approx(-0.2)
-
-    def test_zero_mix(self):
-        u = mix_rotors([0.0] * 4, [0.0] * 4)
-        assert u.as_array() == pytest.approx([0, 0, 0, 0], abs=0.0)
-
-
 class TestVehicleParams:
     def test_defaults_positive(self, params):
         assert params.m_q == 1.0 and params.g == 9.81
 
-    @pytest.mark.parametrize("field", ["m_q", "I_x", "L", "g", "b"])
+    @pytest.mark.parametrize("field", ["m_q", "I_x", "L", "g", "l"])
     def test_nonpositive_rejected(self, field):
         with pytest.raises(ValueError):
             VehicleParams(**{field: 0.0})

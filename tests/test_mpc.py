@@ -1,4 +1,4 @@
-"""Predictive-control oracles: models, Riccati, prediction, solver, loop."""
+"""MPC oracles: models, Riccati, prediction, solver, gain, loop."""
 
 import math
 
@@ -17,9 +17,7 @@ from slungsim.mpc import (
     dare_residual,
     discretize_rotational,
     discretize_translational,
-    estimator_step,
     kalman_gain,
-    make_estimator,
     mpc_cost,
     mpc_solve,
     solve_dare,
@@ -108,43 +106,6 @@ class TestRiccati:
         K = kalman_gain(md, P, cfg)
         poles = np.linalg.eigvals(md.A - K @ md.C)
         assert np.max(np.abs(poles)) < 1.0
-
-
-class TestEstimator:
-    def test_zero_innovation_is_pure_prediction(self, params):
-        md = discretize_translational(0.01, params)
-        km = make_estimator(md)
-        km.xhat = np.array([0.3, -0.1, 0.2, 0.05, 1.5, 0.0])
-        u = np.array([0.01, -0.02, 0.1])
-        want = md.A @ km.xhat + md.B @ u
-        got = estimator_step(km, md, u, md.C @ km.xhat)
-        assert np.allclose(got, want, atol=1e-15)
-
-    def test_pure_innovation_is_gain_column(self, params):
-        md = discretize_translational(0.01, params)
-        km = make_estimator(md)
-        y = np.array([1.0, 0.0, 0.0])
-        got = estimator_step(km, md, np.zeros(3), y)
-        assert np.allclose(got, km.K @ y, atol=1e-15)
-
-    def test_converges_on_true_model(self, params):
-        md = discretize_rotational(0.01, params)
-        km = make_estimator(md)
-        x = np.array([0.1, -0.2, 0.05, 0.3, -0.02, 0.1])
-        err0 = np.max(np.abs(km.xhat - x))
-        rng = np.random.default_rng(7)
-        inputs = 0.01 * rng.standard_normal((2500, 3))
-        err500 = None
-        for k, u in enumerate(inputs):
-            y = md.C @ x
-            estimator_step(km, md, u, y)
-            x = md.A @ x + md.B @ u
-            if k == 499:
-                err500 = np.max(np.abs(km.xhat - x))
-        # xhat predicts one step ahead of the last measurement; the error
-        # contracts at the filter pole radius (about 0.99 per tick)
-        assert err500 < 0.01 * err0
-        assert np.max(np.abs(km.xhat - x)) < 1e-6
 
 
 class TestPrediction:
@@ -270,6 +231,46 @@ class TestSolver:
             last = u_next
             u = u_next
         assert np.allclose(md.C @ x, target, atol=1e-6)
+
+
+class TestRecedingGain:
+    """The constant gain reproduces the first block of the stacked solve.
+
+    The receding-horizon definition, mpc_solve from the one-step
+    prediction A x + B u with the reference held over the horizon, is the
+    reference the controller's collapsed law is checked against.
+    """
+
+    @pytest.mark.parametrize("horizon, weights_pos, weights_att", [
+        (HORIZON, None, None),
+        (7, MpcWeights(y=(2.0, 1.0, 0.5), s=(0.3, 0.6, 0.01)),
+         MpcWeights(y=0.7, s=(0.001, 0.0005, 0.002))),
+    ], ids=["default", "custom"])
+    def test_matches_first_block_of_solve(self, params, horizon,
+                                          weights_pos, weights_att):
+        ctrl = MpcController(params=params, horizon=horizon,
+                             weights_pos=weights_pos,
+                             weights_att=weights_att)
+        # the controller's defaults, restated
+        if weights_pos is None:
+            weights_pos = MpcWeights(s=(0.4, 0.4, 0.05 / params.g ** 2))
+            weights_att = MpcWeights(s=0.0002)
+        rng = np.random.default_rng(23)
+        for K, md, w in ((ctrl.K_pos, discretize_translational(0.01, params),
+                          weights_pos),
+                         (ctrl.K_att, discretize_rotational(0.01, params),
+                          weights_att)):
+            assert K.shape == (3, 12)
+            pm = build_prediction(md, horizon)
+            for _ in range(20):
+                ref = rng.standard_normal(3)
+                x = rng.standard_normal(6)
+                u = 0.1 * rng.standard_normal(3)
+                want = mpc_solve(pm, w, md.A @ x + md.B @ u,
+                                 np.tile(ref, horizon), u)[:3]
+                got = K @ np.concatenate([ref, x, u])
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want))
 
 
 class TestController:
