@@ -45,18 +45,21 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
+_TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
+
+
 def write_trace(log: SimLog, path: str, params: VehicleParams):
     """Emit the trace CSV; aborted runs get a trailing comment marker."""
     L = params.L
+    cols = (log.t, log.quad, log.load, log.u, log.ref, log.err, log.sat)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for k in range(log.n_rows):
-            q = log.quad[k]
-            r, s = log.load[k, 0], log.load[k, 1]
-            vals = [log.t[k], *q, r, s, cable_offset(r, s, L),
-                    *log.u[k], *log.ref[k], *log.err[k]]
-            fh.write(",".join(_fmt(v) for v in vals))
-            fh.write(",%d\n" % log.sat[k])
+        # rows go out as Python floats, a block at a time to bound memory
+        for k0 in range(0, log.n_rows, 64):
+            block = zip(*(a[k0:k0 + 64].tolist() for a in cols))
+            for t, q, (r, s, _, _), u, ref, err, sat in block:
+                fh.write(_TRACE_ROW % (t, *q, r, s, cable_offset(r, s, L),
+                                       *u, *ref, *err, sat))
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
 

@@ -11,7 +11,7 @@ Conventions used everywhere in this package:
   zeta = sqrt(L^2 - r^2 - s^2) >= 0, so the load sits at
   (x + r, y + s, z - zeta).
 
-Quadrotor-only state vector (QUAD_DIM = 12)::
+Quadrotor-only state vector (12 elements)::
 
     [x, y, z, vx, vy, vz, phi, theta, psi, p, q, r]
 
@@ -27,7 +27,9 @@ relations couple (x_dd, y_dd, z_dd, r_dd, s_dd).  The three translational
 rows are the identity plus mu-weighted load terms, so eliminating x_dd, y_dd
 and z_dd leaves a 2x2 system in (r_dd, s_dd).  Its determinant
 (m_q/M)^2 L^2 zeta^2 is positive wherever the cable is taut, and each
-evaluation solves it in closed form by Cramer's rule.
+evaluation solves it in closed form by Cramer's rule.  Evaluations are
+scalar float arithmetic, lists in and out, all in coupled_derivative_array;
+the array-returning helpers wrap it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUAD_DIM = 12
 COUPLED_DIM = 16
 
 # Fraction of cable length below which the vertical offset is considered
@@ -101,11 +102,6 @@ class QuadState:
                          self.phi, self.theta, self.psi,
                          self.p_rate, self.q_rate, self.r_rate])
 
-    @classmethod
-    def from_array(cls, a) -> "QuadState":
-        a = [float(v) for v in a]
-        return cls(*a[:QUAD_DIM])
-
 
 @dataclass
 class LoadState:
@@ -168,102 +164,35 @@ class CableForce:
         return np.array([self.Fcx, self.Fcy, self.Fcz])
 
 
+def _slack_error(r: float, s: float, L: float) -> TautCableError:
+    return TautCableError(
+        f"load offset (r={r:.4f}, s={s:.4f}) leaves the taut-cable "
+        f"regime (cable length {L})")
+
+
+def _attitude_error(phi: float, theta: float) -> GimbalLockError:
+    return GimbalLockError(
+        f"attitude out of range (phi={phi:.3f}, theta={theta:.3f})")
+
+
+_HALF_PI = math.pi / 2
+
+
 def cable_offset(r: float, s: float, L: float) -> float:
     """zeta = sqrt(L^2 - r^2 - s^2), guarded against the slack/flat limit."""
     zsq = L * L - r * r - s * s
     floor = ZETA_FLOOR_FRAC * L
     if zsq <= floor * floor:
-        raise TautCableError(
-            f"load offset (r={r:.4f}, s={s:.4f}) leaves the taut-cable "
-            f"regime (cable length {L})")
+        raise _slack_error(r, s, L)
     return math.sqrt(zsq)
-
-
-def _rotational_rates(phi_rate: float, theta_rate: float, psi_rate: float,
-                      U2: float, U3: float, U4: float,
-                      p: VehicleParams):
-    """Angular accelerations, shared verbatim by both models.
-
-    phi_dd = ((I_y - I_z)/I_x) theta_dot psi_dot + (l/I_x) U2, etc.
-    """
-    phi_dd = (p.I_y - p.I_z) / p.I_x * theta_rate * psi_rate + p.l / p.I_x * U2
-    theta_dd = (p.I_z - p.I_x) / p.I_y * phi_rate * psi_rate + p.l / p.I_y * U3
-    psi_dd = (p.I_x - p.I_y) / p.I_z * theta_rate * phi_rate + U4 / p.I_z
-    return phi_dd, theta_dd, psi_dd
-
-
-def _coupled_accel(phi: float, theta: float, r: float, s: float,
-                   vr: float, vs: float, m_L: float, U1: float,
-                   p: VehicleParams):
-    """Solve the five implicit acceleration relations of the coupled model.
-
-    Unknowns a = (x_dd, y_dd, z_dd, r_dd, s_dd).  With M = m_q + m_L and
-    mu = m_L / M the relations are (yaw = 0 in the translational rows):
-
-        x_dd + mu r_dd                         = cos(phi) sin(theta) U1 / M
-        y_dd + mu s_dd                         = -sin(phi) U1 / M
-        z_dd + mu (r/z) r_dd + mu (s/z) s_dd   = cos(phi) cos(theta) U1 / M
-                                                  - mu (vr^2 + vs^2)/z
-                                                  - mu (r vr + s vs)^2 / z^3
-                                                  - g (m_L z / L + m_q) / M
-        (s^2 - L^2) z^2 r_dd - z^4 x_dd - r z^3 z_dd - r s z^2 s_dd
-                                               = r B + r g z^3
-        (r^2 - L^2) z^2 s_dd - z^4 y_dd - s z^3 z_dd - r s z^2 r_dd
-                                               = s B + s g z^3
-
-    where z = zeta and B = (L^2 - s^2) vr^2 + (L^2 - r^2) vs^2 + 2 r s vr vs.
-    Call the right-hand sides of the first three rows b1, b2, b3.
-
-    Substituting x_dd = b1 - mu r_dd, y_dd = b2 - mu s_dd and
-    z_dd = b3 - mu (r r_dd + s s_dd)/z into the last two rows and dividing
-    by z^2 leaves a 2x2 system in (r_dd, s_dd).  With k = 1 - mu = m_q / M,
-
-        a11 = -k (L^2 - s^2),  a22 = -k (L^2 - r^2),  a12 = a21 = -k r s,
-        c1 = r B/z^2 + r g z + z^2 b1 + r z b3,
-        c2 = s B/z^2 + s g z + z^2 b2 + s z b3.
-
-    Its determinant k^2 L^2 z^2 is positive wherever cable_offset accepts
-    (r, s), so Cramer's rule always applies:
-    r_dd = (r s c2 - (L^2 - r^2) c1) / (k L^2 z^2), and s_dd likewise.
-    """
-    L = p.L
-    M = p.m_q + m_L
-    mu = m_L / M
-    zeta = cable_offset(r, s, L)
-    z2 = zeta * zeta
-
-    cphi = math.cos(phi)
-    U1_M = U1 / M
-    rvr_svs = r * vr + s * vs
-    LL = L * L
-    Lr = LL - r * r
-    Ls = LL - s * s
-    B = Ls * vr * vr + Lr * vs * vs + 2.0 * r * s * vr * vs
-
-    b1 = cphi * math.sin(theta) * U1_M
-    b2 = -math.sin(phi) * U1_M
-    b3 = (cphi * math.cos(theta) * U1_M - mu * (vr * vr + vs * vs) / zeta
-          - mu * rvr_svs * rvr_svs / (z2 * zeta)
-          - p.g * (m_L * zeta / L + p.m_q) / M)
-
-    common = B / z2 + p.g * zeta + zeta * b3
-    c1 = r * common + z2 * b1
-    c2 = s * common + z2 * b2
-    rs = r * s
-    kdet = (p.m_q / M) * LL * z2
-    r_dd = (rs * c2 - Lr * c1) / kdet
-    s_dd = (rs * c1 - Ls * c2) / kdet
-    return [b1 - mu * r_dd, b2 - mu * s_dd,
-            b3 - mu * (r * r_dd + s * s_dd) / zeta, r_dd, s_dd]
 
 
 def coupled_accelerations(state: SystemState, U1: float,
                           params: VehicleParams) -> np.ndarray:
     """Translational and load accelerations (x_dd, y_dd, z_dd, r_dd, s_dd)."""
-    q = state.quad
-    ld = state.load
-    return np.array(_coupled_accel(q.phi, q.theta, ld.r, ld.s,
-                                   ld.r_dot, ld.s_dot, ld.m_L, U1, params))
+    d = coupled_derivative_array(state.as_array(), (U1, 0.0, 0.0, 0.0),
+                                 state.load.m_L, params)
+    return np.array([d[3], d[4], d[5], d[14], d[15]])
 
 
 def zeta_derivatives(r: float, s: float, vr: float, vs: float,
@@ -299,17 +228,12 @@ def cable_force(state: SystemState, params: VehicleParams,
     )
 
 
-def _check_attitude(phi: float, theta: float):
-    if abs(phi) >= math.pi / 2 or abs(theta) >= math.pi / 2:
-        raise GimbalLockError(
-            f"attitude out of range (phi={phi:.3f}, theta={theta:.3f})")
-
-
 def quad_derivative_array(y, u, params: VehicleParams) -> np.ndarray:
     """Time derivative of the 12-element quadrotor-only state vector."""
     x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr = (float(v) for v in y)
     U1, U2, U3, U4 = (float(v) for v in u)
-    _check_attitude(phi, theta)
+    if abs(phi) >= _HALF_PI or abs(theta) >= _HALF_PI:
+        raise _attitude_error(phi, theta)
     p = params
     cphi = math.cos(phi)
     sphi = math.sin(phi)
@@ -320,24 +244,98 @@ def quad_derivative_array(y, u, params: VehicleParams) -> np.ndarray:
     ax = (cphi * sth * cpsi + sphi * spsi) * U1 / p.m_q
     ay = (cphi * sth * spsi - sphi * cpsi) * U1 / p.m_q
     az = cphi * cth * U1 / p.m_q - p.g
-    phi_dd, theta_dd, psi_dd = _rotational_rates(pr, qr, rr, U2, U3, U4, p)
+    # the rotational rows are the coupled model's, expression for expression
+    I_x, I_y, I_z, l = p.I_x, p.I_y, p.I_z, p.l
     return np.array([vx, vy, vz, ax, ay, az, pr, qr, rr,
-                     phi_dd, theta_dd, psi_dd])
+                     (I_y - I_z) / I_x * qr * rr + l / I_x * U2,
+                     (I_z - I_x) / I_y * pr * rr + l / I_y * U3,
+                     (I_x - I_y) / I_z * qr * pr + U4 / I_z])
 
 
-def coupled_derivative_array(y, u, m_L: float,
-                             params: VehicleParams) -> np.ndarray:
-    """Time derivative of the 16-element coupled state (y, u: float arrays)."""
-    (x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr,
-     lr, ls, lvr, lvs) = y.tolist()
-    U1, U2, U3, U4 = u.tolist()
-    _check_attitude(phi, theta)
-    ax, ay, az, ar, as_ = _coupled_accel(phi, theta, lr, ls, lvr, lvs,
-                                         m_L, U1, params)
-    phi_dd, theta_dd, psi_dd = _rotational_rates(pr, qr, rr, U2, U3, U4,
-                                                 params)
-    return np.array([vx, vy, vz, ax, ay, az, pr, qr, rr,
-                     phi_dd, theta_dd, psi_dd, lvr, lvs, ar, as_])
+def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
+    """Time derivative of the 16-element coupled state, as a list.
+
+    y and u are any 16- and 4-float sequences (lists on the run path,
+    arrays from tests and checks).  This is the one implementation of the
+    coupled physics: the attitude guard, the taut-cable floor, the coupled
+    translational/load solve and the rotational rows are all inline, so an
+    evaluation is scalar float arithmetic with no allocation beyond the
+    returned list.
+
+    Unknowns a = (x_dd, y_dd, z_dd, r_dd, s_dd).  With M = m_q + m_L and
+    mu = m_L / M the relations are (yaw = 0 in the translational rows):
+
+        x_dd + mu r_dd                         = cos(phi) sin(theta) U1 / M
+        y_dd + mu s_dd                         = -sin(phi) U1 / M
+        z_dd + mu (r/z) r_dd + mu (s/z) s_dd   = cos(phi) cos(theta) U1 / M
+                                                  - mu (vr^2 + vs^2)/z
+                                                  - mu (r vr + s vs)^2 / z^3
+                                                  - g (m_L z / L + m_q) / M
+        (s^2 - L^2) z^2 r_dd - z^4 x_dd - r z^3 z_dd - r s z^2 s_dd
+                                               = r B + r g z^3
+        (r^2 - L^2) z^2 s_dd - z^4 y_dd - s z^3 z_dd - r s z^2 r_dd
+                                               = s B + s g z^3
+
+    where z = zeta and B = (L^2 - s^2) vr^2 + (L^2 - r^2) vs^2 + 2 r s vr vs.
+    Call the right-hand sides of the first three rows b1, b2, b3.
+
+    Substituting x_dd = b1 - mu r_dd, y_dd = b2 - mu s_dd and
+    z_dd = b3 - mu (r r_dd + s s_dd)/z into the last two rows and dividing
+    by z^2 leaves a 2x2 system in (r_dd, s_dd).  With k = 1 - mu = m_q / M,
+
+        a11 = -k (L^2 - s^2),  a22 = -k (L^2 - r^2),  a12 = a21 = -k r s,
+        c1 = r B/z^2 + r g z + z^2 b1 + r z b3,
+        c2 = s B/z^2 + s g z + z^2 b2 + s z b3.
+
+    Its determinant k^2 L^2 z^2 is positive wherever the cable is taut, so
+    Cramer's rule always applies:
+    r_dd = (r s c2 - (L^2 - r^2) c1) / (k L^2 z^2), and s_dd likewise.
+    """
+    x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr, r, s, vr, vs = y
+    U1, U2, U3, U4 = u
+    if abs(phi) >= _HALF_PI or abs(theta) >= _HALF_PI:
+        raise _attitude_error(phi, theta)
+    L, m_q, g = params.L, params.m_q, params.g
+    M = m_q + m_L
+    mu = m_L / M
+    LL = L * L
+    Lr = LL - r * r
+    Ls = LL - s * s
+    zsq = Lr - s * s
+    floor = ZETA_FLOOR_FRAC * L
+    if zsq <= floor * floor:
+        raise _slack_error(r, s, L)
+    zeta = math.sqrt(zsq)
+    z2 = zeta * zeta
+
+    cphi = math.cos(phi)
+    U1_M = U1 / M
+    rvr_svs = r * vr + s * vs
+    B = Ls * vr * vr + Lr * vs * vs + 2.0 * r * s * vr * vs
+
+    b1 = cphi * math.sin(theta) * U1_M
+    b2 = -math.sin(phi) * U1_M
+    b3 = (cphi * math.cos(theta) * U1_M - mu * (vr * vr + vs * vs) / zeta
+          - mu * rvr_svs * rvr_svs / (z2 * zeta)
+          - g * (m_L * zeta / L + m_q) / M)
+
+    common = B / z2 + g * zeta + zeta * b3
+    c1 = r * common + z2 * b1
+    c2 = s * common + z2 * b2
+    rs = r * s
+    kdet = (m_q / M) * LL * z2
+    r_dd = (rs * c2 - Lr * c1) / kdet
+    s_dd = (rs * c1 - Ls * c2) / kdet
+
+    I_x, I_y, I_z, l = params.I_x, params.I_y, params.I_z, params.l
+    return [vx, vy, vz,
+            b1 - mu * r_dd, b2 - mu * s_dd,
+            b3 - mu * (r * r_dd + s * s_dd) / zeta,
+            pr, qr, rr,
+            (I_y - I_z) / I_x * qr * rr + l / I_x * U2,
+            (I_z - I_x) / I_y * pr * rr + l / I_y * U3,
+            (I_x - I_y) / I_z * qr * pr + U4 / I_z,
+            vr, vs, r_dd, s_dd]
 
 
 def quad_only_derivative(state: QuadState, u: ControlInputs,
@@ -350,12 +348,12 @@ def coupled_derivative(state: SystemState, u: ControlInputs,
                        params: VehicleParams) -> np.ndarray:
     """Coupled quadrotor + slung-load model.
 
-    The rotational rows are computed by the same code path as the
-    quadrotor-only model (the load acts at the centre of gravity and does
-    not torque the body), so the two agree bitwise.
+    The rotational rows repeat the quadrotor-only model's expressions (the
+    load acts at the centre of gravity and does not torque the body), so
+    the two agree bitwise.
     """
-    return coupled_derivative_array(state.as_array(), u.as_array(),
-                                    state.load.m_L, params)
+    return np.array(coupled_derivative_array(
+        state.as_array(), u.as_array(), state.load.m_L, params))
 
 
 def pendulum_accelerations(r: float, s: float, vr: float, vs: float,

@@ -142,15 +142,24 @@ def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
     return lambda t: hover_reference(t, START_POS)
 
 
-def rk4_step(f: Callable, y: np.ndarray, u, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(y, u) with u held constant."""
+def rk4_step(f: Callable, y, u, dt: float) -> list:
+    """One classical Runge-Kutta step of y' = f(y, u) with u held constant.
+
+    y and f's return values are float sequences of one length; the step
+    returns a new list.  Each element is formed in the order numpy uses for
+    y + (0.5*dt)*k and y + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so it matches
+    the vector form bit for bit.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    h = 0.5 * dt
     k1 = f(y, u)
-    k2 = f(y + 0.5 * dt * k1, u)
-    k3 = f(y + 0.5 * dt * k2, u)
-    k4 = f(y + dt * k3, u)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([a + h * b for a, b in zip(y, k1)], u)
+    k3 = f([a + h * b for a, b in zip(y, k2)], u)
+    k4 = f([a + dt * b for a, b in zip(y, k3)], u)
+    w = dt / 6.0
+    return [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def run(config: SimConfig) -> SimLog:
@@ -166,12 +175,12 @@ def run(config: SimConfig) -> SimLog:
     dt_p = config.dt_physics
     n_sub = config.n_sub
     n_ticks = config.n_ticks
+    m_L = config.m_L
 
     def deriv(y, u):
-        return coupled_derivative_array(y, u, config.m_L, par)
+        return coupled_derivative_array(y, u, m_L, par)
 
-    y = np.zeros(16)
-    y[0:3] = START_POS
+    y = [*START_POS] + [0.0] * 13
 
     n = n_ticks + 1
     t_col = np.empty(n)
@@ -188,9 +197,9 @@ def run(config: SimConfig) -> SimLog:
     for k in range(n):
         t = k * dt_c
         ref = ref_fn(t)
-        state = QuadState.from_array(y[:12])
-        out = ctrl.step(t, state, ref)
-        U1, U2, U3, U4 = out.u.as_array()
+        out = ctrl.step(t, QuadState(*y[:12]), ref)
+        u = out.u
+        U1, U2, U3, U4 = float(u.U1), float(u.U2), float(u.U3), float(u.U4)
         saturated = out.saturated
         # the loop enforces the physical thrust range regardless of what
         # the controller asked for
@@ -200,7 +209,7 @@ def run(config: SimConfig) -> SimLog:
         elif U1 > par.U1_max:
             U1 = par.U1_max
             saturated = True
-        u_vec = np.array([U1, U2, U3, U4])
+        u_vec = [U1, U2, U3, U4]
 
         t_col[rows] = t
         quad[rows] = y[:12]
@@ -216,7 +225,7 @@ def run(config: SimConfig) -> SimLog:
         try:
             for _ in range(n_sub):
                 y = rk4_step(deriv, y, u_vec, dt_p)
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise FloatingPointError("non-finite state")
         except (TautCableError, GimbalLockError, ArithmeticError,
                 FloatingPointError) as exc:

@@ -65,15 +65,11 @@ class TrapezoidProfile:
 
 
 # Square corners in traversal order; leg k runs corner[k] -> corner[k+1].
-_CORNERS = np.array([
-    [0.0, 0.0],
-    [1.0, 0.0],
-    [1.0, 1.0],
-    [0.0, 1.0],
-    [0.0, 0.0],
-])
+_CORNERS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 
 N_STAGES = 5
+
+_DEFAULT_PROFILE = TrapezoidProfile()
 
 
 def _check_time(t: float, duration: float):
@@ -89,27 +85,25 @@ def square_reference(t: float, profile: TrapezoidProfile = None,
     5 holds the start point.  Valid for t in [0, 5 * t_leg].
     """
     if profile is None:
-        profile = TrapezoidProfile()
+        profile = _DEFAULT_PROFILE
     t_leg = profile.t_leg
     _check_time(t, N_STAGES * t_leg)
     stage = min(int(t // t_leg), N_STAGES - 1)
 
-    pos = np.zeros(3)
-    vel = np.zeros(3)
-    acc = np.zeros(3)
-    pos[2] = z_hold
     if stage == N_STAGES - 1:
-        pos[:2] = _CORNERS[4]
-        return ReferencePoint(pos=pos, vel=vel, acc=acc, yaw=0.0)
+        x0, y0 = _CORNERS[4]
+        return ReferencePoint(pos=np.array([x0, y0, z_hold]),
+                              vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
 
     scale = profile.leg_length
-    start = _CORNERS[stage]
-    direction = (_CORNERS[stage + 1] - _CORNERS[stage]) / scale
+    x0, y0 = _CORNERS[stage]
+    x1, y1 = _CORNERS[stage + 1]
+    dx = (x1 - x0) / scale
+    dy = (y1 - y0) / scale
     d, v, a = profile.sample(t - stage * t_leg)
-    pos[:2] = start + direction * d
-    vel[:2] = direction * v
-    acc[:2] = direction * a
-    return ReferencePoint(pos=pos, vel=vel, acc=acc, yaw=0.0)
+    return ReferencePoint(pos=np.array([x0 + dx * d, y0 + dy * d, z_hold]),
+                          vel=np.array([dx * v, dy * v, 0.0]),
+                          acc=np.array([dx * a, dy * a, 0.0]), yaw=0.0)
 
 
 def single_leg_reference(t: float, profile: TrapezoidProfile = None,
@@ -120,22 +114,17 @@ def single_leg_reference(t: float, profile: TrapezoidProfile = None,
     scenarios share a simulation duration.
     """
     if profile is None:
-        profile = TrapezoidProfile()
+        profile = _DEFAULT_PROFILE
     t_leg = profile.t_leg
     _check_time(t, N_STAGES * t_leg)
 
-    pos = np.zeros(3)
-    vel = np.zeros(3)
-    acc = np.zeros(3)
-    pos[2] = z_hold
     if t >= t_leg:
-        pos[0] = profile.leg_length
-        return ReferencePoint(pos=pos, vel=vel, acc=acc, yaw=0.0)
+        return ReferencePoint(pos=np.array([profile.leg_length, 0.0, z_hold]),
+                              vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
     d, v, a = profile.sample(t)
-    pos[0] = d
-    vel[0] = v
-    acc[0] = a
-    return ReferencePoint(pos=pos, vel=vel, acc=acc, yaw=0.0)
+    return ReferencePoint(pos=np.array([d, 0.0, z_hold]),
+                          vel=np.array([v, 0.0, 0.0]),
+                          acc=np.array([a, 0.0, 0.0]), yaw=0.0)
 
 
 def hover_reference(t: float, pos_xyz=(0.0, 0.0, 1.5)) -> ReferencePoint:
@@ -148,7 +137,7 @@ def reference_window(trajectory: str) -> float:
     """Latest time at which the named default trajectory can be sampled."""
     if trajectory == "hover":
         return math.inf
-    return N_STAGES * TrapezoidProfile().t_leg
+    return N_STAGES * _DEFAULT_PROFILE.t_leg
 
 
 def stage_transition_times(profile: TrapezoidProfile = None,
@@ -161,7 +150,7 @@ def stage_transition_times(profile: TrapezoidProfile = None,
     times are measured from these instants.
     """
     if profile is None:
-        profile = TrapezoidProfile()
+        profile = _DEFAULT_PROFILE
     t_leg = profile.t_leg
     if trajectory == "square":
         return [k * t_leg for k in range(1, N_STAGES)]

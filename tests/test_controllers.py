@@ -255,7 +255,7 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
     records = []
     for k in range(int(round(duration / dt_c))):
         t = k * dt_c
-        state = QuadState.from_array(y)
+        state = QuadState(*y.tolist())
         ref = ref_fn(t)
         out = ctrl.step(t, state, ref)
         records.append((t, state, ref, out))

@@ -210,7 +210,7 @@ class TestCableForce:
         h = 1e-4
 
         def deriv(y):
-            return coupled_derivative_array(y, u, m_L, params)
+            return np.asarray(coupled_derivative_array(y, u, m_L, params))
 
         def rk4(y, dt):
             k1 = deriv(y)

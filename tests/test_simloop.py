@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from slungsim.dynamics import VehicleParams, quad_derivative_array
+from slungsim.dynamics import (VehicleParams, coupled_derivative_array,
+                               quad_derivative_array)
 from slungsim.simloop import SimConfig, SimLog, make_controller, rk4_step, run
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
@@ -100,6 +101,93 @@ class TestRk4Step:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             rk4_step(lambda y, u: y, np.zeros(2), None, 0.0)
+
+
+def _vector_derivative(y, u, m_L, p):
+    """Coupled derivative in its earlier ndarray form: the bitwise reference."""
+    (x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr,
+     r, s, vr, vs) = y.tolist()
+    U1, U2, U3, U4 = u.tolist()
+    L = p.L
+    M = p.m_q + m_L
+    mu = m_L / M
+    zeta = math.sqrt(L * L - r * r - s * s)
+    z2 = zeta * zeta
+    cphi = math.cos(phi)
+    U1_M = U1 / M
+    rvr_svs = r * vr + s * vs
+    LL = L * L
+    Lr = LL - r * r
+    Ls = LL - s * s
+    B = Ls * vr * vr + Lr * vs * vs + 2.0 * r * s * vr * vs
+    b1 = cphi * math.sin(theta) * U1_M
+    b2 = -math.sin(phi) * U1_M
+    b3 = (cphi * math.cos(theta) * U1_M - mu * (vr * vr + vs * vs) / zeta
+          - mu * rvr_svs * rvr_svs / (z2 * zeta)
+          - p.g * (m_L * zeta / L + p.m_q) / M)
+    common = B / z2 + p.g * zeta + zeta * b3
+    c1 = r * common + z2 * b1
+    c2 = s * common + z2 * b2
+    rs = r * s
+    kdet = (p.m_q / M) * LL * z2
+    r_dd = (rs * c2 - Lr * c1) / kdet
+    s_dd = (rs * c1 - Ls * c2) / kdet
+    phi_dd = (p.I_y - p.I_z) / p.I_x * qr * rr + p.l / p.I_x * U2
+    theta_dd = (p.I_z - p.I_x) / p.I_y * pr * rr + p.l / p.I_y * U3
+    psi_dd = (p.I_x - p.I_y) / p.I_z * qr * pr + U4 / p.I_z
+    return np.array([vx, vy, vz, b1 - mu * r_dd, b2 - mu * s_dd,
+                     b3 - mu * (r * r_dd + s * s_dd) / zeta, pr, qr, rr,
+                     phi_dd, theta_dd, psi_dd, vr, vs, r_dd, s_dd])
+
+
+def _vector_rk4(f, y, u, dt):
+    k1 = f(y, u)
+    k2 = f(y + 0.5 * dt * k1, u)
+    k3 = f(y + 0.5 * dt * k2, u)
+    k4 = f(y + dt * k3, u)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestScalarPhysics:
+    """The list-based integrator and derivative against the vector forms."""
+
+    @staticmethod
+    def _random_taut_states(n, seed):
+        rng = np.random.default_rng(seed)
+        L = VehicleParams().L
+        for _ in range(n):
+            rho = 0.9 * L * math.sqrt(rng.uniform())
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            y = np.concatenate([
+                rng.normal(size=3) + [0.0, 0.0, 1.5], rng.normal(size=3),
+                rng.uniform(-0.4, 0.4, size=3), rng.normal(size=3),
+                [rho * math.cos(ang), rho * math.sin(ang)],
+                rng.uniform(-1.0, 1.0, size=2)])
+            u = np.array([rng.uniform(0.0, 14.72), *rng.normal(0, 0.1, 3)])
+            yield y, u, rng.uniform(0.0, 0.6)
+
+    def test_ten_substeps_bitwise_equal_to_vector_rk4(self):
+        p = VehicleParams()
+        for y, u, m_L in self._random_taut_states(250, seed=20261018):
+            ys, ul = y.tolist(), u.tolist()
+            yv = y
+            for _ in range(10):
+                ys = rk4_step(
+                    lambda v, w: coupled_derivative_array(v, w, m_L, p),
+                    ys, ul, 1e-3)
+                yv = _vector_rk4(
+                    lambda v, w: _vector_derivative(v, w, m_L, p),
+                    yv, u, 1e-3)
+            assert ys == yv.tolist()
+
+    def test_array_and_list_inputs_agree(self):
+        p = VehicleParams()
+        for y, u, m_L in self._random_taut_states(50, seed=7):
+            from_list = coupled_derivative_array(y.tolist(), u.tolist(),
+                                                 m_L, p)
+            from_array = coupled_derivative_array(y, u, m_L, p)
+            assert from_list == [float(v) for v in from_array]
+            assert from_list == _vector_derivative(y, u, m_L, p).tolist()
 
 
 class TestRun:
