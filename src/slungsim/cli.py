@@ -99,6 +99,7 @@ def read_trace(path: str) -> Trace:
         if tuple(header.split(",")) != TRACE_COLUMNS:
             raise TraceError(f"{path}: unexpected trace header")
         rows = []
+        linenos = []
         failed = False
         reason = ""
         for lineno, line in enumerate(fh, start=2):
@@ -119,9 +120,18 @@ def read_trace(path: str) -> Trace:
             except ValueError:
                 raise TraceError(f"{path}:{lineno}: non-numeric "
                                  f"field") from None
+            linenos.append(lineno)
     if not rows:
         raise TraceError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
+    # write_trace emits only finite values and a 0/1 saturation flag
+    sat = data[:, -1]
+    bad = ~np.isfinite(data).all(axis=1) | ((sat != 0.0) & (sat != 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = ("non-finite field" if not np.isfinite(data[k]).all()
+                else "sat_flag must be 0 or 1")
+        raise TraceError(f"{path}:{linenos[k]}: {what}")
     columns = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
     return Trace(columns=columns, failed=failed, reason=reason)
 
@@ -248,10 +258,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_critical_mass(args) -> int:
-    if args.u1max <= 0.0:
-        raise ConfigError("--u1max must be positive")
-    if args.accel < 0.0:
-        raise ConfigError("--accel must be non-negative")
+    for flag, v in (("--u1max", args.u1max), ("--m-q", args.m_q),
+                    ("--g", args.g)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{flag} must be positive and finite")
+    if not (math.isfinite(args.accel) and args.accel >= 0.0):
+        raise ConfigError("--accel must be non-negative and finite")
     rep = critical_mass_report(args.u1max, args.accel, m_q=args.m_q,
                                g=args.g)
     state = "feasible" if rep.feasible else "infeasible"

@@ -13,13 +13,15 @@ Every key must be known; a typo is an error, not a silent default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
 from .mpc import MpcWeights
-from .simloop import CONTROLLERS, TRAJECTORIES, SimConfig
+from .simloop import (CONTROLLERS, TRAJECTORIES, SimConfig,
+                      make_controller)
 
 DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
                         0.3, 0.35, 0.4, 0.45, 0.5)
@@ -83,9 +85,12 @@ def parse_kv_file(path: str) -> dict:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return v
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -185,6 +190,13 @@ def build_sim_config(kv: dict) -> SimConfig:
             **top)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # a controller that cannot be built from these values fails here,
+    # before any output exists
+    try:
+        make_controller(cfg)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{cfg.controller} controller cannot be built "
+                          f"from this config: {type(exc).__name__}: {exc}")
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Rigid-body quadrotor dynamics, alone and coupled to a cable-slung load.
+"""Rigid-body quadrotor dynamics coupled to a cable-slung load.
 
 Conventions used everywhere in this package:
 
@@ -11,13 +11,10 @@ Conventions used everywhere in this package:
   zeta = sqrt(L^2 - r^2 - s^2) >= 0, so the load sits at
   (x + r, y + s, z - zeta).
 
-Quadrotor-only state vector (12 elements)::
+State vector (COUPLED_DIM = 16), the vehicle then the load::
 
-    [x, y, z, vx, vy, vz, phi, theta, psi, p, q, r]
-
-Coupled state vector (COUPLED_DIM = 16) appends the load::
-
-    [... quad ..., load_r, load_s, load_r_dot, load_s_dot]
+    [x, y, z, vx, vy, vz, phi, theta, psi, p, q, r,
+     load_r, load_s, load_r_dot, load_s_dot]
 
 The load mass is a parameter of the coupled derivative, not a state, and is
 never visible to the controllers.
@@ -28,14 +25,14 @@ rows are the identity plus mu-weighted load terms, so eliminating x_dd, y_dd
 and z_dd leaves a 2x2 system in (r_dd, s_dd).  Its determinant
 (m_q/M)^2 L^2 zeta^2 is positive wherever the cable is taut, and each
 evaluation solves it in closed form by Cramer's rule.  Evaluations are
-scalar float arithmetic, lists in and out, all in coupled_derivative_array;
-the array-returning helpers wrap it.
+scalar float arithmetic, lists in and out, all in coupled_derivative_array,
+the one entry point to the model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +73,14 @@ class VehicleParams:
     def __post_init__(self):
         for name in ("m_q", "I_x", "I_y", "I_z", "l", "L", "M_max",
                      "U1_max", "g"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"VehicleParams.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"VehicleParams.{name} must be positive "
+                                 f"and finite")
+        # the load hanging at rest must clear the taut-cable floor in floats
+        floor = ZETA_FLOOR_FRAC * self.L
+        if not floor * floor < self.L * self.L < math.inf:
+            raise ValueError(f"VehicleParams.L = {self.L} is outside the "
+                             f"range the cable model can represent")
 
 
 @dataclass
@@ -97,43 +100,6 @@ class QuadState:
     q_rate: float = 0.0
     r_rate: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.vx, self.vy, self.vz,
-                         self.phi, self.theta, self.psi,
-                         self.p_rate, self.q_rate, self.r_rate])
-
-
-@dataclass
-class LoadState:
-    """Slung-load state relative to the vehicle: horizontal offsets and rates."""
-
-    r: float = 0.0
-    s: float = 0.0
-    r_dot: float = 0.0
-    s_dot: float = 0.0
-    m_L: float = 0.0        # load mass, kg
-
-    def zeta(self, L: float) -> float:
-        """Vertical cable offset below the vehicle."""
-        return cable_offset(self.r, self.s, L)
-
-
-@dataclass
-class SystemState:
-    """Full coupled state at time t."""
-
-    quad: QuadState = field(default_factory=QuadState)
-    load: LoadState = field(default_factory=LoadState)
-    t: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        q = self.quad
-        ld = self.load
-        return np.array([q.x, q.y, q.z, q.vx, q.vy, q.vz,
-                         q.phi, q.theta, q.psi,
-                         q.p_rate, q.q_rate, q.r_rate,
-                         ld.r, ld.s, ld.r_dot, ld.s_dot])
-
 
 @dataclass(frozen=True)
 class ControlInputs:
@@ -150,18 +116,6 @@ class ControlInputs:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.U1, self.U2, self.U3, self.U4])
-
-
-@dataclass(frozen=True)
-class CableForce:
-    """Reaction force the cable applies to the vehicle (diagnostic)."""
-
-    Fcx: float
-    Fcy: float
-    Fcz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Fcx, self.Fcy, self.Fcz])
 
 
 def _slack_error(r: float, s: float, L: float) -> TautCableError:
@@ -187,14 +141,6 @@ def cable_offset(r: float, s: float, L: float) -> float:
     return math.sqrt(zsq)
 
 
-def coupled_accelerations(state: SystemState, U1: float,
-                          params: VehicleParams) -> np.ndarray:
-    """Translational and load accelerations (x_dd, y_dd, z_dd, r_dd, s_dd)."""
-    d = coupled_derivative_array(state.as_array(), (U1, 0.0, 0.0, 0.0),
-                                 state.load.m_L, params)
-    return np.array([d[3], d[4], d[5], d[14], d[15]])
-
-
 def zeta_derivatives(r: float, s: float, vr: float, vs: float,
                      r_dd: float, s_dd: float, L: float):
     """(zeta_dot, zeta_ddot) from differentiating zeta = sqrt(L^2 - r^2 - s^2)."""
@@ -204,52 +150,6 @@ def zeta_derivatives(r: float, s: float, vr: float, vs: float,
     zeta_dd = (-(vr * vr + vs * vs + r * r_dd + s * s_dd) / zeta
                - num * num / (zeta ** 3))
     return zeta_dot, zeta_dd
-
-
-def cable_force(state: SystemState, params: VehicleParams,
-                accels=None) -> CableForce:
-    """Reaction force of the cable on the vehicle.
-
-    Fc = -m_L * (x_dd + r_dd, y_dd + s_dd, z_dd + zeta_dd - g*zeta/L).
-    Diagnostic only: the coupled derivative embeds the interaction directly.
-    """
-    ld = state.load
-    if accels is None:
-        accels = coupled_accelerations(state, 0.0, params)
-    x_dd, y_dd, z_dd, r_dd, s_dd = (float(a) for a in accels)
-    zeta = cable_offset(ld.r, ld.s, params.L)
-    _, zeta_dd = zeta_derivatives(ld.r, ld.s, ld.r_dot, ld.s_dot,
-                                  r_dd, s_dd, params.L)
-    m = ld.m_L
-    return CableForce(
-        Fcx=-m * (x_dd + r_dd),
-        Fcy=-m * (y_dd + s_dd),
-        Fcz=-m * (z_dd + zeta_dd - params.g * zeta / params.L),
-    )
-
-
-def quad_derivative_array(y, u, params: VehicleParams) -> np.ndarray:
-    """Time derivative of the 12-element quadrotor-only state vector."""
-    x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr = (float(v) for v in y)
-    U1, U2, U3, U4 = (float(v) for v in u)
-    if abs(phi) >= _HALF_PI or abs(theta) >= _HALF_PI:
-        raise _attitude_error(phi, theta)
-    p = params
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    cth = math.cos(theta)
-    sth = math.sin(theta)
-    cpsi = math.cos(psi)
-    spsi = math.sin(psi)
-    ax = (cphi * sth * cpsi + sphi * spsi) * U1 / p.m_q
-    ay = (cphi * sth * spsi - sphi * cpsi) * U1 / p.m_q
-    az = cphi * cth * U1 / p.m_q - p.g
-    # the rotational rows are the coupled model's, expression for expression
-    I_x, I_y, I_z, l = p.I_x, p.I_y, p.I_z, p.l
-    return np.array([vx, vy, vz, ax, ay, az, pr, qr, rr,
-                     (I_y - I_z) / I_x * qr * rr + l / I_x * U2,
-                     (I_z - I_x) / I_y * pr * rr + l / I_y * U3,
-                     (I_x - I_y) / I_z * qr * pr + U4 / I_z])
 
 
 def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
@@ -336,24 +236,6 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
             (I_z - I_x) / I_y * pr * rr + l / I_y * U3,
             (I_x - I_y) / I_z * qr * pr + U4 / I_z,
             vr, vs, r_dd, s_dd]
-
-
-def quad_only_derivative(state: QuadState, u: ControlInputs,
-                         params: VehicleParams) -> np.ndarray:
-    """Quadrotor-only model; yaw-aware translational rows."""
-    return quad_derivative_array(state.as_array(), u.as_array(), params)
-
-
-def coupled_derivative(state: SystemState, u: ControlInputs,
-                       params: VehicleParams) -> np.ndarray:
-    """Coupled quadrotor + slung-load model.
-
-    The rotational rows repeat the quadrotor-only model's expressions (the
-    load acts at the centre of gravity and does not torque the body), so
-    the two agree bitwise.
-    """
-    return np.array(coupled_derivative_array(
-        state.as_array(), u.as_array(), state.load.m_L, params))
 
 
 def pendulum_accelerations(r: float, s: float, vr: float, vs: float,

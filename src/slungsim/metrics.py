@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .simloop import SimLog
-from .trajectory import TrapezoidProfile, stage_transition_times
+from .trajectory import stage_transition_times
 
 BAND_DEG = 0.2
 DWELL_S = 1.0
@@ -82,20 +82,20 @@ def max_attitude(log: SimLog):
 
 
 def _recovery_time(t: np.ndarray, ang: np.ndarray, transition: float,
-                   band: float, need: int):
+                   need: int):
     """(time, unstable) for one angle after one stage transition."""
     k0 = int(np.searchsorted(t, transition, side="right"))
     n = len(t)
     exit_k = -1
     for k in range(k0, n):
-        if abs(ang[k]) > band:
+        if abs(ang[k]) > BAND_DEG:
             exit_k = k
             break
     if exit_k < 0:
         return 0.0, False
     run = 0
     for k in range(exit_k + 1, n):
-        if abs(ang[k]) <= band:
+        if abs(ang[k]) <= BAND_DEG:
             run += 1
             if run >= need:
                 return float(t[k - need + 1] - t[exit_k]), False
@@ -104,27 +104,24 @@ def _recovery_time(t: np.ndarray, ang: np.ndarray, transition: float,
     return float(t[-1] - t[exit_k]), True
 
 
-def stabilization_times(log: SimLog, transitions: Sequence[float],
-                        band: float = BAND_DEG,
-                        dwell: float = DWELL_S) -> StabilizationReport:
-    """Attitude recovery per stage transition; band in degrees."""
+def stabilization_times(log: SimLog,
+                        transitions: Sequence[float]) -> StabilizationReport:
+    """Attitude recovery per stage transition, band BAND_DEG, dwell DWELL_S."""
     _require_rows(log)
-    if band <= 0.0 or dwell <= 0.0:
-        raise ValueError("band and dwell must be positive")
     t = log.t
     if len(t) > 1:
         dt = float(t[1] - t[0])
     else:
-        dt = dwell
-    # samples spanning >= dwell seconds of consecutive in-band time
-    need = int(math.floor(dwell / dt + 1e-9)) + 1
+        dt = DWELL_S
+    # samples spanning >= DWELL_S seconds of consecutive in-band time
+    need = int(math.floor(DWELL_S / dt + 1e-9)) + 1
     roll = np.degrees(log.quad[:, 6])
     pitch = np.degrees(log.quad[:, 7])
     times = []
     flags = []
     for tr in transitions:
-        tr_roll, u_roll = _recovery_time(t, roll, tr, band, need)
-        tr_pitch, u_pitch = _recovery_time(t, pitch, tr, band, need)
+        tr_roll, u_roll = _recovery_time(t, roll, tr, need)
+        tr_pitch, u_pitch = _recovery_time(t, pitch, tr, need)
         times.append(max(tr_roll, tr_pitch))
         flags.append(u_roll or u_pitch)
     t_smax = max(times) if times else 0.0
@@ -132,15 +129,15 @@ def stabilization_times(log: SimLog, transitions: Sequence[float],
                                unstable=tuple(flags), t_smax=t_smax)
 
 
-def arrival_time(log: SimLog,
-                 threshold: float = ARRIVAL_THRESHOLD_M) -> float:
-    """First time from which the horizontal error stays under threshold.
+def arrival_time(log: SimLog) -> float:
+    """First time from which the horizontal error stays under
+    ARRIVAL_THRESHOLD_M.
 
     Sustained to the end of the log; nan if the error never settles.
     """
     _require_rows(log)
     norm = np.hypot(log.err[:, 0], log.err[:, 1])
-    inside = norm < threshold
+    inside = norm < ARRIVAL_THRESHOLD_M
     if not inside[-1]:
         return float("nan")
     # last index where the error was outside; arrival is the next sample
@@ -153,19 +150,13 @@ def arrival_time(log: SimLog,
     return float(log.t[k])
 
 
-def compute_run_metrics(log: SimLog, trajectory: str = "square",
-                        band: float = BAND_DEG, dwell: float = DWELL_S,
-                        arrival_threshold: float = ARRIVAL_THRESHOLD_M,
-                        profile: Optional[TrapezoidProfile] = None
+def compute_run_metrics(log: SimLog, trajectory: str = "square"
                         ) -> RunMetrics:
     """Bundle every per-run metric for one completed log."""
     ex, ey, e_max = max_tracking_error(log)
     phi_max, theta_max = max_attitude(log)
-    stab = stabilization_times(log, stage_transition_times(profile,
-                                                           trajectory),
-                               band=band, dwell=dwell)
-    arr = (arrival_time(log, arrival_threshold)
-           if trajectory == "single_leg" else float("nan"))
+    stab = stabilization_times(log, stage_transition_times(trajectory))
+    arr = arrival_time(log) if trajectory == "single_leg" else float("nan")
     return RunMetrics(e_max=e_max, err_x_max=ex, err_y_max=ey,
                       phi_max=phi_max, theta_max=theta_max,
                       t_smax=stab.t_smax, stage_times=stab.stage_times,
@@ -206,9 +197,13 @@ def max_feasible_accel(U1_max: float, m_q: float, m_L: float,
 
 def critical_mass_report(U1_max: float, a_desired: float, m_q: float = 1.0,
                          g: float = 9.81) -> CriticalMassReport:
+    """m_cm and the acceleration left when carrying it.
+
+    At m_cm the weight takes exactly U1_max cos(tilt), so the remaining
+    thrust affords g tan(tilt) = a_desired.  Evaluating that through
+    max_feasible_accel can round the weight above U1_max and raise.
+    """
     m_cm = critical_motion_mass(U1_max, a_desired, m_q, g)
     if m_cm <= 0.0:
         return CriticalMassReport(m_cm=m_cm, a_cm=0.0, feasible=False)
-    return CriticalMassReport(
-        m_cm=m_cm, a_cm=max_feasible_accel(U1_max, m_q, m_cm, g),
-        feasible=True)
+    return CriticalMassReport(m_cm=m_cm, a_cm=a_desired, feasible=True)

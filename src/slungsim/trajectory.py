@@ -71,28 +71,28 @@ N_STAGES = 5
 
 _DEFAULT_PROFILE = TrapezoidProfile()
 
+_Z_HOLD = 1.5    # reference altitude of the square and the single leg, m
+
 
 def _check_time(t: float, duration: float):
     if t < 0.0 or t > duration:
         raise ValueError(f"reference time {t} outside [0, {duration}]")
 
 
-def square_reference(t: float, profile: TrapezoidProfile = None,
-                     z_hold: float = 1.5) -> ReferencePoint:
+def square_reference(t: float) -> ReferencePoint:
     """Four trapezoid legs around the unit square, then hold at the origin.
 
-    Stages (15 s each by default): 1 is +X, 2 is +Y, 3 is -X, 4 is -Y,
-    5 holds the start point.  Valid for t in [0, 5 * t_leg].
+    Stages (15 s each): 1 is +X, 2 is +Y, 3 is -X, 4 is -Y, 5 holds the
+    start point.  Valid for t in [0, 5 * t_leg].
     """
-    if profile is None:
-        profile = _DEFAULT_PROFILE
+    profile = _DEFAULT_PROFILE
     t_leg = profile.t_leg
     _check_time(t, N_STAGES * t_leg)
     stage = min(int(t // t_leg), N_STAGES - 1)
 
     if stage == N_STAGES - 1:
         x0, y0 = _CORNERS[4]
-        return ReferencePoint(pos=np.array([x0, y0, z_hold]),
+        return ReferencePoint(pos=np.array([x0, y0, _Z_HOLD]),
                               vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
 
     scale = profile.leg_length
@@ -101,28 +101,26 @@ def square_reference(t: float, profile: TrapezoidProfile = None,
     dx = (x1 - x0) / scale
     dy = (y1 - y0) / scale
     d, v, a = profile.sample(t - stage * t_leg)
-    return ReferencePoint(pos=np.array([x0 + dx * d, y0 + dy * d, z_hold]),
+    return ReferencePoint(pos=np.array([x0 + dx * d, y0 + dy * d, _Z_HOLD]),
                           vel=np.array([dx * v, dy * v, 0.0]),
                           acc=np.array([dx * a, dy * a, 0.0]), yaw=0.0)
 
 
-def single_leg_reference(t: float, profile: TrapezoidProfile = None,
-                         z_hold: float = 1.5) -> ReferencePoint:
+def single_leg_reference(t: float) -> ReferencePoint:
     """One +X trapezoid leg, then hold the end point.
 
     Valid over the same [0, 5 * t_leg] window as the square so the two
     scenarios share a simulation duration.
     """
-    if profile is None:
-        profile = _DEFAULT_PROFILE
+    profile = _DEFAULT_PROFILE
     t_leg = profile.t_leg
     _check_time(t, N_STAGES * t_leg)
 
     if t >= t_leg:
-        return ReferencePoint(pos=np.array([profile.leg_length, 0.0, z_hold]),
+        return ReferencePoint(pos=np.array([profile.leg_length, 0.0, _Z_HOLD]),
                               vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
     d, v, a = profile.sample(t)
-    return ReferencePoint(pos=np.array([d, 0.0, z_hold]),
+    return ReferencePoint(pos=np.array([d, 0.0, _Z_HOLD]),
                           vel=np.array([v, 0.0, 0.0]),
                           acc=np.array([a, 0.0, 0.0]), yaw=0.0)
 
@@ -140,8 +138,7 @@ def reference_window(trajectory: str) -> float:
     return N_STAGES * _DEFAULT_PROFILE.t_leg
 
 
-def stage_transition_times(profile: TrapezoidProfile = None,
-                           trajectory: str = "square"):
+def stage_transition_times(trajectory: str):
     """Instants at which the trajectory switches stages.
 
     For the square these are the four leg boundaries (each leg ends at rest
@@ -149,9 +146,7 @@ def stage_transition_times(profile: TrapezoidProfile = None,
     boundary where the leg hands over to the hold.  Attitude stabilization
     times are measured from these instants.
     """
-    if profile is None:
-        profile = _DEFAULT_PROFILE
-    t_leg = profile.t_leg
+    t_leg = _DEFAULT_PROFILE.t_leg
     if trajectory == "square":
         return [k * t_leg for k in range(1, N_STAGES)]
     if trajectory == "single_leg":

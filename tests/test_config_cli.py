@@ -1,14 +1,19 @@
 """Config parsing, CSV round-trips, CLI verbs and exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import slungsim
 from slungsim import cli
@@ -18,8 +23,8 @@ from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_IO, EXIT_OK,
 from slungsim.config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                              build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
-from slungsim.dynamics import cable_offset
-from slungsim.simloop import SimConfig, run
+from slungsim.dynamics import VehicleParams, cable_offset
+from slungsim.simloop import CONTROLLERS, SimConfig, run
 from slungsim.controllers import PdGains
 
 
@@ -254,7 +259,11 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("line", ["duration = 0.005", "duration = 76",
                                       "mpc.horizon = 0", "mpc.move_att = -1",
-                                      "mpc.move_pos = 0.4, 0.4, 0"])
+                                      "mpc.move_pos = 0.4, 0.4, 0",
+                                      "vehicle.U1_max = nan", "m_L = nan",
+                                      "vehicle.L = nan", "vehicle.g = inf",
+                                      "vehicle.m_q = inf", "pd.Kpx = nan",
+                                      "duration = inf"])
     def test_invalid_run_rejected_before_running(self, tmp_path, capsys,
                                                  line):
         cfg = tmp_path / "run.cfg"
@@ -289,8 +298,18 @@ class TestCliExitCodes:
         assert code == EXIT_IO
 
     def test_critical_mass_bad_input(self, capsys):
-        assert main(["critical-mass", "--u1max", "-1",
-                     "--accel", "0.1"]) == EXIT_CONFIG
+        ok = ["--u1max", "14.72", "--accel", "0.1"]
+        for flags in (["--u1max", "-1", "--accel", "0.1"],
+                      ["--u1max", "nan", "--accel", "0.1"],
+                      ["--u1max", "inf", "--accel", "0.1"],
+                      ["--u1max", "14.72", "--accel", "nan"],
+                      ["--u1max", "14.72", "--accel", "inf"],
+                      ok + ["--g", "0"], ok + ["--g", "nan"],
+                      ok + ["--m-q", "-0.005"], ok + ["--m-q", "inf"]):
+            assert main(["critical-mass", *flags]) == EXIT_CONFIG, flags
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "Traceback" not in err
 
     def test_critical_mass_output(self, capsys):
         assert main(["critical-mass", "--u1max", "14.72",
@@ -319,7 +338,10 @@ class TestCliExitCodes:
         (HEADER, "no data rows"),
         (HEADER + "0," * 10 + "0\n", "expected 27 fields, got 11"),
         (HEADER + "0," * 26 + "zero\n", "non-numeric field"),
-    ], ids=["header", "no-rows", "short-row", "non-numeric"])
+        (HEADER + "nan," + "0," * 25 + "0\n", "non-finite field"),
+        (HEADER + "0," * 26 + "1e300\n", "sat_flag must be 0 or 1"),
+    ], ids=["header", "no-rows", "short-row", "non-numeric", "non-finite",
+            "sat-flag"])
     def test_analyze_malformed_trace(self, tmp_path, capsys, text, reason):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -340,6 +362,70 @@ class TestCliExitCodes:
                      "--jobs", "1"]) == EXIT_OK
         rows = read_sweep(str(out / "sweep.csv"))
         assert len(rows) == 2
+
+
+NUMERIC_KEYS = (
+    ("m_L", "duration", "dt_physics", "dt_control")
+    + tuple("vehicle." + f.name for f in fields(VehicleParams))
+    + tuple("pd." + f.name for f in fields(PdGains))
+    + ("smc.k", "smc.lam", "smc.boundary_layer",
+       "mpc.horizon", "mpc.move_pos", "mpc.move_att"))
+
+_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN", "0",
+                     "-0", "-1", "1e-300", "1e300", "1e309", "0.1", "0.01",
+                     "75", "76"]))
+_value = st.one_of(
+    _number,
+    st.lists(_number, min_size=1, max_size=7).map(", ".join),
+    st.sampled_from(["abc", "1e", "0x10", "1_0", "--1", "1,", ",", "()",
+                     "1 2", "True"]))
+
+
+def _fits_the_test_budget(key, value):
+    """Leave out accepted values that make one run slow or huge.
+
+    A drawn duration runs at most 0.1 s, a drawn dt_physics takes at most
+    100 sub-steps per tick, and a drawn MPC horizon stays small (its
+    prediction matrices grow with the square of the horizon).
+    """
+    try:
+        v = float(value)
+    except ValueError:
+        return True
+    if not math.isfinite(v):
+        return True
+    if key == "duration":
+        return v <= 0.1 or v > 75.0
+    if key == "dt_physics":
+        return v <= 0.0 or v >= 1e-4
+    if key == "mpc.horizon":
+        return v <= 50
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(controller=st.sampled_from(CONTROLLERS),
+       key=st.sampled_from(NUMERIC_KEYS), value=_value)
+def test_simulate_config_values_never_traceback(controller, key, value):
+    """Any value of a known numeric key ends in a documented exit code."""
+    assume(_fits_the_test_budget(key, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"controller = {controller}\nduration = 0.1\n"
+                     f"{key} = {value}\n")
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", cfg, "--out", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_IO)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_CONFIG:
+            assert not os.path.exists(out)
 
 
 def test_console_script_installed():

@@ -16,7 +16,9 @@ from slungsim.controllers import (
     _switch,
     desired_angles,
 )
-from slungsim.dynamics import QuadState, VehicleParams, quad_derivative_array
+from slungsim.dynamics import (QuadState, VehicleParams,
+                               coupled_derivative_array)
+from slungsim.simloop import rk4_step
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
 
 
@@ -246,26 +248,25 @@ class TestSmcController:
 
 def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
                          ref_fn=square_reference):
-    """Load-free closed loop; returns per-tick records."""
+    """Load-free closed loop (massless load); returns per-tick records."""
     params = ctrl.params
-    y = np.array([0.0, 0.0, 1.5, 0, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float)
-    if start is not None:
-        y[:3] = start
+
+    def deriv(y, u):
+        return coupled_derivative_array(y, u, 0.0, params)
+
+    y = [0.0] * 16
+    y[:3] = (0.0, 0.0, 1.5) if start is None else start
     dt_p = dt_c / n_sub
     records = []
     for k in range(int(round(duration / dt_c))):
         t = k * dt_c
-        state = QuadState(*y.tolist())
+        state = QuadState(*y[:12])
         ref = ref_fn(t)
         out = ctrl.step(t, state, ref)
         records.append((t, state, ref, out))
-        u = out.u.as_array()
+        u = out.u.as_array().tolist()
         for _ in range(n_sub):
-            k1 = quad_derivative_array(y, u, params)
-            k2 = quad_derivative_array(y + 0.5 * dt_p * k1, u, params)
-            k3 = quad_derivative_array(y + 0.5 * dt_p * k2, u, params)
-            k4 = quad_derivative_array(y + dt_p * k3, u, params)
-            y = y + dt_p / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = rk4_step(deriv, y, u, dt_p)
     return records
 
 

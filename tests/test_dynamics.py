@@ -1,6 +1,12 @@
-"""Dynamics oracles: coupled-system residuals, physical limits."""
+"""Dynamics oracles: coupled-system residuals, physical limits.
+
+Every test evaluates the one physics entry point, coupled_derivative_array,
+on plain 16-float states.  The vehicle alone is the coupled model at
+m_L = 0 with the load hanging at rest.
+"""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,23 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from slungsim.dynamics import (
     COUPLED_DIM,
-    CableForce,
-    ControlInputs,
     GimbalLockError,
-    LoadState,
     QuadState,
-    SystemState,
     TautCableError,
     VehicleParams,
-    cable_force,
     cable_offset,
-    coupled_accelerations,
-    coupled_derivative,
     coupled_derivative_array,
     pendulum_accelerations,
     pendulum_energy,
-    quad_derivative_array,
-    quad_only_derivative,
     zeta_derivatives,
 )
 
@@ -35,24 +32,30 @@ def params():
 
 
 def make_state(phi=0.0, theta=0.0, r=0.0, s=0.0, r_dot=0.0, s_dot=0.0,
-               m_L=0.0, **quad_kw):
+               **quad_kw):
+    """16-float coupled state: QuadState fields, then the load offsets."""
     quad = QuadState(phi=phi, theta=theta, **quad_kw)
-    load = LoadState(r=r, s=s, r_dot=r_dot, s_dot=s_dot, m_L=m_L)
-    return SystemState(quad=quad, load=load)
+    return [*astuple(quad), r, s, r_dot, s_dot]
 
 
-def coupling_residuals(state, accels, U1, params):
+def accelerations(y, U1, m_L, params):
+    """(x_dd, y_dd, z_dd, r_dd, s_dd): rows 3, 4, 5, 14, 15 of the model."""
+    d = coupled_derivative_array(y, (U1, 0.0, 0.0, 0.0), m_L, params)
+    return np.array([d[3], d[4], d[5], d[14], d[15]])
+
+
+def coupling_residuals(y, m_L, accels, U1, params):
     """Independent re-statement of the five coupled relations.
 
     Returns the per-relation residual |lhs - rhs| normalized by
     max(1, |rhs|), evaluated directly from the written equations rather
     than through the solver's matrix assembly.
     """
-    q, ld = state.quad, state.load
+    phi, theta = y[6], y[7]
     L, g = params.L, params.g
-    M = params.m_q + ld.m_L
-    mu = ld.m_L / M
-    r, s, vr, vs = ld.r, ld.s, ld.r_dot, ld.s_dot
+    M = params.m_q + m_L
+    mu = m_L / M
+    r, s, vr, vs = y[12:16]
     zeta = math.sqrt(L * L - r * r - s * s)
     ax, ay, az, ar, as_ = accels
     B = ((L * L - s * s) * vr ** 2 + (L * L - r * r) * vs ** 2
@@ -60,14 +63,14 @@ def coupling_residuals(state, accels, U1, params):
 
     pairs = [
         (ax + mu * ar,
-         math.cos(q.phi) * math.sin(q.theta) * U1 / M),
+         math.cos(phi) * math.sin(theta) * U1 / M),
         (ay + mu * as_,
-         -math.sin(q.phi) * U1 / M),
+         -math.sin(phi) * U1 / M),
         (az + mu * (r * ar + s * as_) / zeta,
-         math.cos(q.phi) * math.cos(q.theta) * U1 / M
+         math.cos(phi) * math.cos(theta) * U1 / M
          - mu * (vr ** 2 + vs ** 2) / zeta
          - mu * (r * vr + s * vs) ** 2 / zeta ** 3
-         - g * (ld.m_L * zeta / L + params.m_q) / M),
+         - g * (m_L * zeta / L + params.m_q) / M),
         ((s * s - L * L) * zeta ** 2 * ar - zeta ** 4 * ax
          - r * zeta ** 3 * az - r * s * zeta ** 2 * as_,
          r * B + r * g * zeta ** 3),
@@ -76,6 +79,34 @@ def coupling_residuals(state, accels, U1, params):
          s * B + s * g * zeta ** 3),
     ]
     return [abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in pairs]
+
+
+def load_free_translational(y, U1, params):
+    """Translational accelerations of the vehicle with no load, restated.
+
+    Thrust U1 along the body z axis (yaw included) minus gravity.
+    """
+    phi, theta, psi = y[6], y[7], y[8]
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    a = U1 / params.m_q
+    return ((cphi * sth * cpsi + sphi * spsi) * a,
+            (cphi * sth * spsi - sphi * cpsi) * a,
+            cphi * cth * a - params.g)
+
+
+def cable_force_on_load(y, u, m_L, params):
+    """Force of the cable on the load, m_L (a_L + g z_hat).
+
+    a_L = (x_dd + r_dd, y_dd + s_dd, z_dd - zeta_dd) is the load's world
+    acceleration, built from the model's rows and zeta_derivatives.
+    """
+    d = coupled_derivative_array(y, u, m_L, params)
+    r, s, vr, vs = y[12:16]
+    _, zeta_dd = zeta_derivatives(r, s, vr, vs, d[14], d[15], params.L)
+    return m_L * np.array([d[3] + d[14], d[4] + d[15],
+                           d[5] - zeta_dd + params.g])
 
 
 class TestVehicleParams:
@@ -91,29 +122,26 @@ class TestVehicleParams:
 class TestCoupledAccelerations:
     def test_hover_equilibrium_exact(self, params):
         m_L = 0.3
-        state = make_state(m_L=m_L)
         U1 = (params.m_q + m_L) * params.g
-        accels = coupled_accelerations(state, U1, params)
+        accels = accelerations(make_state(), U1, m_L, params)
         assert np.all(accels == 0.0)
 
     def test_free_fall(self, params):
-        state = make_state(m_L=0.3)
-        accels = coupled_accelerations(state, 0.0, params)
+        accels = accelerations(make_state(), 0.0, 0.3, params)
         assert accels[:2] == pytest.approx([0, 0], abs=0.0)
         assert accels[3:] == pytest.approx([0, 0], abs=0.0)
         assert accels[2] == pytest.approx(-params.g, rel=1e-15)
 
     def test_free_fall_massless_exact(self, params):
-        state = make_state(m_L=0.0)
-        accels = coupled_accelerations(state, 0.0, params)
+        accels = accelerations(make_state(), 0.0, 0.0, params)
         assert accels[2] == -params.g
 
     def test_generic_state_residual(self, params):
-        state = make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
-                           r_dot=0.2, s_dot=0.1, m_L=0.3)
-        accels = coupled_accelerations(state, 12.0, params)
+        y = make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
+                       r_dot=0.2, s_dot=0.1)
+        accels = accelerations(y, 12.0, 0.3, params)
         assert np.all(np.isfinite(accels))
-        res = coupling_residuals(state, accels, 12.0, params)
+        res = coupling_residuals(y, 0.3, accels, 12.0, params)
         assert max(res) < 1e-10
 
     def test_residual_on_random_states(self, params):
@@ -124,38 +152,37 @@ class TestCoupledAccelerations:
         for _ in range(1000):
             rho = 0.95 * params.L * math.sqrt(rng.uniform(0, 1))
             ang = rng.uniform(0, 2 * math.pi)
-            state = make_state(
+            y = make_state(
                 phi=rng.uniform(-0.5, 0.5), theta=rng.uniform(-0.5, 0.5),
                 r=rho * math.cos(ang), s=rho * math.sin(ang),
-                r_dot=rng.uniform(-1, 1), s_dot=rng.uniform(-1, 1),
-                m_L=rng.uniform(0.0, 0.6))
+                r_dot=rng.uniform(-1, 1), s_dot=rng.uniform(-1, 1))
+            m_L = rng.uniform(0.0, 0.6)
             U1 = rng.uniform(0.0, params.U1_max)
-            accels = coupled_accelerations(state, U1, params)
-            worst = max(worst, max(coupling_residuals(state, accels, U1,
+            accels = accelerations(y, U1, m_L, params)
+            worst = max(worst, max(coupling_residuals(y, m_L, accels, U1,
                                                       params)))
             # cross-check the closed form against numpy on the same rows
-            A, b = _assemble_np(state, U1, params)
+            A, b = _assemble_np(y, m_L, U1, params)
             ref = np.linalg.solve(A, b)
             assert accels == pytest.approx(ref, rel=1e-9, abs=1e-12)
         assert worst <= 1e-10
 
     def test_taut_cable_guard(self, params):
-        state = make_state(r=0.49999, s=0.0, m_L=0.3)
         with pytest.raises(TautCableError):
-            coupled_accelerations(state, 10.0, params)
+            accelerations(make_state(r=0.49999, s=0.0), 10.0, 0.3, params)
 
     def test_cable_offset_valid_near_edge(self, params):
         # still meaningfully above the floor: no error
         assert cable_offset(0.49, 0.0, params.L) > 0.0
 
 
-def _assemble_np(state, U1, params):
+def _assemble_np(y, m_L, U1, params):
     """The full 5x5 system in numpy, to cross-check the closed form."""
-    q, ld = state.quad, state.load
+    phi, theta = y[6], y[7]
     L, g = params.L, params.g
-    M = params.m_q + ld.m_L
-    mu = ld.m_L / M
-    r, s, vr, vs = ld.r, ld.s, ld.r_dot, ld.s_dot
+    M = params.m_q + m_L
+    mu = m_L / M
+    r, s, vr, vs = y[12:16]
     zeta = math.sqrt(L * L - r * r - s * s)
     z2, z3, z4 = zeta ** 2, zeta ** 3, zeta ** 4
     B = ((L * L - s * s) * vr ** 2 + (L * L - r * r) * vs ** 2
@@ -168,12 +195,12 @@ def _assemble_np(state, U1, params):
         [0, -z4, -s * z3, -r * s * z2, (r * r - L * L) * z2],
     ])
     b = np.array([
-        math.cos(q.phi) * math.sin(q.theta) * U1 / M,
-        -math.sin(q.phi) * U1 / M,
-        math.cos(q.phi) * math.cos(q.theta) * U1 / M
+        math.cos(phi) * math.sin(theta) * U1 / M,
+        -math.sin(phi) * U1 / M,
+        math.cos(phi) * math.cos(theta) * U1 / M
         - mu * (vr ** 2 + vs ** 2) / zeta
         - mu * (r * vr + s * vs) ** 2 / z3
-        - g * (ld.m_L * zeta / L + params.m_q) / M,
+        - g * (m_L * zeta / L + params.m_q) / M,
         r * B + r * g * z3,
         s * B + s * g * z3,
     ])
@@ -181,31 +208,47 @@ def _assemble_np(state, U1, params):
 
 
 class TestCableForce:
+    """The cable force on the load, restated from the model's rows."""
+
     def test_hover_static_weight(self, params):
         m_L = 0.3
-        state = make_state(m_L=m_L)
         U1 = (params.m_q + m_L) * params.g
-        accels = coupled_accelerations(state, U1, params)
-        fc = cable_force(state, params, accels)
-        assert fc.Fcx == pytest.approx(0.0, abs=1e-12)
-        assert fc.Fcy == pytest.approx(0.0, abs=1e-12)
-        assert fc.Fcz == pytest.approx(m_L * params.g, rel=1e-12)
+        F = cable_force_on_load(make_state(), (U1, 0.0, 0.0, 0.0), m_L,
+                                params)
+        assert F[0] == pytest.approx(0.0, abs=1e-12)
+        assert F[1] == pytest.approx(0.0, abs=1e-12)
+        assert F[2] == pytest.approx(m_L * params.g, rel=1e-12)
 
     def test_massless_is_zero(self, params):
-        state = make_state(phi=0.1, r=0.2, s=-0.1, r_dot=0.3, m_L=0.0)
-        accels = coupled_accelerations(state, 9.0, params)
-        fc = cable_force(state, params, accels)
-        assert fc.as_array() == pytest.approx([0, 0, 0], abs=0.0)
+        y = make_state(phi=0.1, r=0.2, s=-0.1, r_dot=0.3)
+        F = cable_force_on_load(y, (9.0, 0.0, 0.0, 0.0), 0.0, params)
+        assert F == pytest.approx([0, 0, 0], abs=0.0)
+
+    def test_parallel_to_cable(self, params):
+        # a taut massless cable can only pull along itself: the force on
+        # the load is parallel to n = (-r, -s, zeta)/L at any swung state
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            rho = 0.9 * params.L * math.sqrt(rng.uniform())
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            r, s = rho * math.cos(ang), rho * math.sin(ang)
+            y = make_state(phi=rng.uniform(-0.4, 0.4),
+                           theta=rng.uniform(-0.4, 0.4), r=r, s=s,
+                           r_dot=rng.uniform(-1, 1), s_dot=rng.uniform(-1, 1))
+            u = (rng.uniform(0.0, params.U1_max), 0.0, 0.0, 0.0)
+            F = cable_force_on_load(y, u, rng.uniform(0.01, 0.6), params)
+            n = np.array([-r, -s, cable_offset(r, s, params.L)]) / params.L
+            assert (np.linalg.norm(np.cross(F, n))
+                    <= 1e-12 * np.linalg.norm(F))
 
     def test_kinematic_oracle(self, params):
         # Differentiate the integrated trajectory instead of trusting the
         # closed forms: central differences of the velocity/offset series
-        # around t0 must reproduce the acceleration combinations the force
-        # formula consumes.
+        # around t0 must reproduce the load acceleration the force uses.
         m_L = 0.3
-        y0 = np.array([0.0, 0.0, 1.5, 0.1, -0.2, 0.05,
-                       0.05, -0.03, 0.0, 0.0, 0.0, 0.0,
-                       0.1, -0.05, 0.2, 0.1])
+        y0 = np.array(make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
+                                 r_dot=0.2, s_dot=0.1, z=1.5, vx=0.1,
+                                 vy=-0.2, vz=0.05))
         u = np.array([12.0, 0.0, 0.0, 0.0])
         h = 1e-4
 
@@ -231,17 +274,12 @@ class TestCableForce:
         zeta_dd_fd = (zs[2] - 2 * zs[1] + zs[0]) / (h * h)
         ddz = (y_next[5] - y_prev[5]) / (2 * h)
 
-        state = make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
-                           r_dot=0.2, s_dot=0.1, m_L=m_L,
-                           x=0.0, y=0.0, z=1.5, vx=0.1, vy=-0.2, vz=0.05)
-        accels = coupled_accelerations(state, 12.0, params)
-        fc = cable_force(state, params, accels)
-        zeta = cable_offset(0.1, -0.05, params.L)
+        F = cable_force_on_load(y0.tolist(), u.tolist(), m_L, params)
 
-        assert fc.Fcx == pytest.approx(-m_L * ddx, abs=1e-7)
-        assert fc.Fcy == pytest.approx(-m_L * ddy, abs=1e-7)
-        expected_z = -m_L * (ddz + zeta_dd_fd - params.g * zeta / params.L)
-        assert fc.Fcz == pytest.approx(expected_z, abs=1e-5)
+        assert F[0] == pytest.approx(m_L * ddx, abs=1e-7)
+        assert F[1] == pytest.approx(m_L * ddy, abs=1e-7)
+        expected_z = m_L * (ddz - zeta_dd_fd + params.g)
+        assert F[2] == pytest.approx(expected_z, abs=1e-5)
 
     def test_zeta_second_derivative_analytic(self, params):
         # polynomial test path with known derivatives at t=0
@@ -259,49 +297,49 @@ class TestCableForce:
 
 
 class TestQuadOnly:
+    """The vehicle alone: m_L = 0 with the load hanging at rest."""
+
     def test_hover(self, params):
-        state = QuadState(z=1.5)
-        u = ControlInputs(U1=params.m_q * params.g)
-        d = quad_only_derivative(state, u, params)
-        assert np.all(d == 0.0)
+        u = (params.m_q * params.g, 0.0, 0.0, 0.0)
+        d = coupled_derivative_array(make_state(z=1.5), u, 0.0, params)
+        assert np.all(np.array(d) == 0.0)
 
     def test_pure_yaw_torque(self, params):
-        state = QuadState()
-        u = ControlInputs(U1=params.m_q * params.g, U4=0.013)
-        d = quad_only_derivative(state, u, params)
+        u = (params.m_q * params.g, 0.0, 0.0, 0.013)
+        d = coupled_derivative_array(make_state(), u, 0.0, params)
         assert d[11] == pytest.approx(1.0, rel=1e-12)
 
     def test_pitch_tilt_acceleration(self, params):
-        state = QuadState(theta=0.1)
-        u = ControlInputs(U1=params.m_q * params.g)
-        d = quad_only_derivative(state, u, params)
+        u = (params.m_q * params.g, 0.0, 0.0, 0.0)
+        d = coupled_derivative_array(make_state(theta=0.1), u, 0.0, params)
         assert d[3] == pytest.approx(params.g * math.sin(0.1), rel=1e-12)
 
     def test_gyroscopic_cross_terms(self, params):
-        state = QuadState(p_rate=1.0, q_rate=2.0, r_rate=3.0)
-        u = ControlInputs(U1=0.0)
-        d = quad_only_derivative(state, u, params)
+        y = make_state(p_rate=1.0, q_rate=2.0, r_rate=3.0)
+        d = coupled_derivative_array(y, (0.0, 0.0, 0.0, 0.0), 0.0, params)
         p = params
         assert d[9] == pytest.approx((p.I_y - p.I_z) / p.I_x * 2.0 * 3.0)
         assert d[10] == pytest.approx((p.I_z - p.I_x) / p.I_y * 1.0 * 3.0)
         assert d[11] == pytest.approx((p.I_x - p.I_y) / p.I_z * 2.0 * 1.0)
 
     def test_gimbal_guard(self, params):
-        state = QuadState(phi=1.6)
         with pytest.raises(GimbalLockError):
-            quad_only_derivative(state, ControlInputs(U1=5.0), params)
+            coupled_derivative_array(make_state(phi=1.6),
+                                     (5.0, 0.0, 0.0, 0.0), 0.0, params)
 
 
 class TestCoupledDerivative:
     def test_hover_zero_vector(self, params):
         m_L = 0.2
-        state = make_state(m_L=m_L, z=1.5)
-        u = ControlInputs(U1=(params.m_q + m_L) * params.g)
-        d = coupled_derivative(state, u, params)
-        assert d.shape == (COUPLED_DIM,)
-        assert np.all(d == 0.0)
+        u = ((params.m_q + m_L) * params.g, 0.0, 0.0, 0.0)
+        d = coupled_derivative_array(make_state(z=1.5), u, m_L, params)
+        assert len(d) == COUPLED_DIM
+        assert np.all(np.array(d) == 0.0)
 
     def test_rotational_rows_bitwise_equal(self, params):
+        # the load acts at the centre of gravity and does not torque the
+        # body: a swinging load leaves the rotational rows of the vehicle
+        # alone unchanged, bit for bit
         rng = np.random.default_rng(7)
         for _ in range(20):
             quad_kw = dict(
@@ -311,38 +349,34 @@ class TestCoupledDerivative:
                 psi=rng.uniform(-0.4, 0.4),
                 p_rate=rng.normal(), q_rate=rng.normal(),
                 r_rate=rng.normal())
-            u = ControlInputs(U1=rng.uniform(0, 14), U2=rng.normal(),
-                              U3=rng.normal(), U4=rng.normal())
-            quad = QuadState(**quad_kw)
-            state = SystemState(
-                quad=quad,
-                load=LoadState(r=0.1, s=-0.2, r_dot=0.3, s_dot=0.1, m_L=0.4))
-            dc = coupled_derivative(state, u, params)
-            dq = quad_only_derivative(quad, u, params)
-            assert np.array_equal(dc[9:12], dq[9:12])
+            u = (rng.uniform(0, 14), rng.normal(), rng.normal(), rng.normal())
+            swung = make_state(r=0.1, s=-0.2, r_dot=0.3, s_dot=0.1,
+                               **quad_kw)
+            dc = coupled_derivative_array(swung, u, 0.4, params)
+            dq = coupled_derivative_array(make_state(**quad_kw), u, 0.0,
+                                          params)
+            assert dc[9:12] == dq[9:12]
 
     def test_small_mass_limit_half_percent(self, params):
         # load at rest under the vehicle: coupled translational accelerations
         # within 0.5% of the load-free model, normalized by the dominant
         # thrust acceleration scale U1/m_q
-        state = make_state(phi=0.05, theta=-0.03, m_L=0.005)
+        y = make_state(phi=0.05, theta=-0.03)
         U1 = 12.0
-        u = ControlInputs(U1=U1)
-        dc = coupled_derivative(state, u, params)
-        dq = quad_only_derivative(state.quad, u, params)
+        dc = coupled_derivative_array(y, (U1, 0.0, 0.0, 0.0), 0.005, params)
+        dq = load_free_translational(y, U1, params)
         scale = U1 / params.m_q
-        for i in (3, 4, 5):
+        for i in (0, 1, 2):
             denom = max(abs(dq[i]), scale)
-            assert abs(dc[i] - dq[i]) / denom <= 0.005
+            assert abs(dc[3 + i] - dq[i]) / denom <= 0.005
 
     def test_massless_limit(self, params):
-        state = make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
-                           r_dot=0.2, s_dot=0.1, m_L=1e-6)
-        u = ControlInputs(U1=12.0)
-        dc = coupled_derivative(state, u, params)
-        dq = quad_only_derivative(state.quad, u, params)
-        for i in (3, 4, 5):
-            assert abs(dc[i] - dq[i]) / max(abs(dq[i]), 1e-9) < 1e-4
+        y = make_state(phi=0.05, theta=-0.03, r=0.1, s=-0.05,
+                       r_dot=0.2, s_dot=0.1)
+        dc = coupled_derivative_array(y, (12.0, 0.0, 0.0, 0.0), 1e-6, params)
+        dq = load_free_translational(y, 12.0, params)
+        for i in (0, 1, 2):
+            assert abs(dc[3 + i] - dq[i]) / max(abs(dq[i]), 1e-9) < 1e-4
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,15 +400,14 @@ def test_mirror_symmetry(phi, theta, rho, ang, vr, vs, U1, m_L):
     params = VehicleParams()
     r = rho * math.cos(ang)
     s = rho * math.sin(ang)
-    state = make_state(phi=phi, theta=theta, r=r, s=s, r_dot=vr, s_dot=vs,
-                       m_L=m_L)
-    a = coupled_accelerations(state, U1, params)
+    y = make_state(phi=phi, theta=theta, r=r, s=s, r_dot=vr, s_dot=vs)
+    a = accelerations(y, U1, m_L, params)
 
     phi_m = math.asin(-math.cos(phi) * math.sin(theta))
     theta_m = math.atan2(-math.sin(phi), math.cos(phi) * math.cos(theta))
     mirrored = make_state(phi=phi_m, theta=theta_m, r=s, s=r,
-                          r_dot=vs, s_dot=vr, m_L=m_L)
-    am = coupled_accelerations(mirrored, U1, params)
+                          r_dot=vs, s_dot=vr)
+    am = accelerations(mirrored, U1, m_L, params)
 
     assert am[0] == pytest.approx(a[1], rel=1e-9, abs=1e-9)
     assert am[1] == pytest.approx(a[0], rel=1e-9, abs=1e-9)

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slungsim.dynamics import (VehicleParams, coupled_derivative_array,
-                               quad_derivative_array)
+from slungsim.dynamics import VehicleParams, coupled_derivative_array
 from slungsim.simloop import SimConfig, SimLog, make_controller, rk4_step, run
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
@@ -87,13 +86,13 @@ class TestRk4Step:
         assert abs(y[0] - 1.0) < 1e-8
 
     def test_free_fall_quartic_exact(self):
-        # gravity-only quad state: z(t) = z0 - g t^2 / 2, polynomial in t
-        # of degree 2, integrated exactly by a 4th-order rule
+        # gravity only, massless load at rest: z(t) = z0 - g t^2 / 2,
+        # polynomial in t of degree 2, integrated exactly by a 4th-order rule
         p = VehicleParams()
-        f = lambda y, u: quad_derivative_array(y, u, p)
-        y = np.zeros(12)
+        f = lambda y, u: coupled_derivative_array(y, u, 0.0, p)
+        y = [0.0] * 16
         y[2] = 10.0
-        u = np.zeros(4)
+        u = [0.0] * 4
         for _ in range(100):
             y = rk4_step(f, y, u, 0.01)
         assert abs(y[2] - (10.0 - 0.5 * p.g)) < 1e-10

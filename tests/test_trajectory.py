@@ -42,43 +42,43 @@ class TestProfile:
 
 
 class TestSquare:
-    def test_start(self, profile):
-        ref = square_reference(0.0, profile)
+    def test_start(self):
+        ref = square_reference(0.0)
         assert ref.pos == pytest.approx([0.0, 0.0, 1.5])
         assert ref.vel == pytest.approx([0, 0, 0], abs=0.0)
         assert ref.acc == pytest.approx([0.032, 0.0, 0.0])
         assert ref.yaw == 0.0
 
-    def test_cruise(self, profile):
-        ref = square_reference(7.0, profile)
+    def test_cruise(self):
+        ref = square_reference(7.0)
         assert ref.vel == pytest.approx([0.08, 0.0, 0.0])
         assert ref.acc == pytest.approx([0, 0, 0], abs=0.0)
 
-    def test_first_corner(self, profile):
-        ref = square_reference(15.0, profile)
+    def test_first_corner(self):
+        ref = square_reference(15.0)
         assert ref.pos == pytest.approx([1.0, 0.0, 1.5], rel=1e-12)
         assert ref.vel == pytest.approx([0, 0, 0], abs=1e-15)
 
-    def test_closure_at_60s(self, profile):
-        ref = square_reference(60.0, profile)
-        start = square_reference(0.0, profile)
+    def test_closure_at_60s(self):
+        ref = square_reference(60.0)
+        start = square_reference(0.0)
         assert np.array_equal(ref.pos, start.pos)
 
-    def test_hold_stage(self, profile):
+    def test_hold_stage(self):
         for t in (61.0, 70.0, 75.0):
-            ref = square_reference(t, profile)
+            ref = square_reference(t)
             assert ref.pos == pytest.approx([0.0, 0.0, 1.5], abs=0.0)
             assert np.all(ref.vel == 0.0) and np.all(ref.acc == 0.0)
 
-    def test_domain_errors(self, profile):
+    def test_domain_errors(self):
         with pytest.raises(ValueError):
-            square_reference(-0.1, profile)
+            square_reference(-0.1)
         with pytest.raises(ValueError):
-            square_reference(75.001, profile)
+            square_reference(75.001)
 
-    def test_continuity_on_millisecond_grid(self, profile):
+    def test_continuity_on_millisecond_grid(self):
         ts = np.arange(0.0, 75.0 + 1e-9, 1e-3)
-        refs = [square_reference(t, profile) for t in ts]
+        refs = [square_reference(t) for t in ts]
         pos = np.array([r.pos for r in refs])
         vel = np.array([r.vel for r in refs])
         dpos = np.abs(np.diff(pos, axis=0)).max()
@@ -86,60 +86,60 @@ class TestSquare:
         assert dpos <= 1e-3 * 0.08 + 1e-12
         assert dvel <= 1e-3 * 0.032 + 1e-12
 
-    def test_stage3_antisymmetric_to_stage1(self, profile):
+    def test_stage3_antisymmetric_to_stage1(self):
         for t in np.linspace(0.0, 14.999, 50):
-            v1 = square_reference(t, profile).vel
-            v3 = square_reference(t + 30.0, profile).vel
+            v1 = square_reference(t).vel
+            v3 = square_reference(t + 30.0).vel
             assert v3[0] == pytest.approx(-v1[0], abs=1e-15)
             assert v3[1] == pytest.approx(0.0, abs=0.0)
 
-    def test_velocity_integrates_to_position(self, profile):
+    def test_velocity_integrates_to_position(self):
         # trapezoid arithmetic consistency: numeric integral of vel matches
         # pos along the whole figure
         ts = np.arange(0.0, 60.0 + 1e-9, 1e-3)
-        vel = np.array([square_reference(t, profile).vel for t in ts])
-        pos = np.array([square_reference(t, profile).pos for t in ts])
+        vel = np.array([square_reference(t).vel for t in ts])
+        pos = np.array([square_reference(t).pos for t in ts])
         integ = pos[0, :2] + np.cumsum(
             0.5 * (vel[1:, :2] + vel[:-1, :2]) * 1e-3, axis=0)
         assert np.abs(integ - pos[1:, :2]).max() < 1e-6
 
 
 class TestSingleLeg:
-    def test_hold_after_arrival(self, profile):
-        ref = single_leg_reference(20.0, profile)
+    def test_hold_after_arrival(self):
+        ref = single_leg_reference(20.0)
         assert ref.pos == pytest.approx([1.0, 0.0, 1.5], rel=1e-12)
         assert np.all(ref.vel == 0.0) and np.all(ref.acc == 0.0)
 
-    def test_start(self, profile):
-        ref = single_leg_reference(0.0, profile)
+    def test_start(self):
+        ref = single_leg_reference(0.0)
         assert ref.pos == pytest.approx([0.0, 0.0, 1.5])
 
-    def test_deceleration_midpoint(self, profile):
-        ref = single_leg_reference(13.75, profile)
+    def test_deceleration_midpoint(self):
+        ref = single_leg_reference(13.75)
         assert ref.acc == pytest.approx([-0.032, 0.0, 0.0])
 
-    def test_matches_square_first_leg(self, profile):
+    def test_matches_square_first_leg(self):
         for t in (0.5, 3.0, 9.9, 14.2):
-            a = single_leg_reference(t, profile)
-            b = square_reference(t, profile)
+            a = single_leg_reference(t)
+            b = square_reference(t)
             assert np.array_equal(a.pos, b.pos)
             assert np.array_equal(a.vel, b.vel)
 
 
 class TestStageTransitions:
-    def test_square_leg_boundaries(self, profile):
-        assert stage_transition_times(profile, "square") == [
+    def test_square_leg_boundaries(self):
+        assert stage_transition_times("square") == [
             15.0, 30.0, 45.0, 60.0]
 
-    def test_single_leg_handover(self, profile):
-        assert stage_transition_times(profile, "single_leg") == [15.0]
+    def test_single_leg_handover(self):
+        assert stage_transition_times("single_leg") == [15.0]
 
-    def test_hover_has_none(self, profile):
-        assert stage_transition_times(profile, "hover") == []
+    def test_hover_has_none(self):
+        assert stage_transition_times("hover") == []
 
-    def test_unknown_trajectory(self, profile):
+    def test_unknown_trajectory(self):
         with pytest.raises(ValueError):
-            stage_transition_times(profile, "zigzag")
+            stage_transition_times("zigzag")
 
 
 def test_hover_reference_constant():
