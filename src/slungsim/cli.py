@@ -20,22 +20,16 @@ import numpy as np
 
 from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                      load_config, load_sweep_spec)
-from .dynamics import VehicleParams, cable_offset
+from .dynamics import VehicleParams
 from .metrics import (compute_run_metrics, critical_mass_report,
                       max_feasible_accel)
-from .simloop import CONTROLLERS, SimConfig, SimLog, run
+from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, SimConfig,
+                      SimLog, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
 EXIT_IO = 4
-
-TRACE_COLUMNS = (
-    "t", "x", "y", "z", "vx", "vy", "vz", "phi", "theta", "psi",
-    "p", "q", "r_rate", "load_r", "load_s", "load_zeta",
-    "U1", "U2", "U3", "U4", "ref_x", "ref_y", "ref_z",
-    "err_x", "err_y", "err_z", "sat_flag",
-)
 
 SWEEP_COLUMNS = ("controller", "m_L", "e_max", "phi_max", "theta_max",
                  "t_smax", "failed")
@@ -49,43 +43,42 @@ _TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
 
 
 def write_trace(log: SimLog, path: str, params: VehicleParams):
-    """Emit the trace CSV; aborted runs get a trailing comment marker."""
-    L = params.L
-    cols = (log.t, log.quad, log.load, log.u, log.ref, log.err, log.sat)
+    """Emit the trace CSV; aborted runs get a trailing comment marker.
+
+    The log's rows are already in file order, so params is not needed; it
+    stays in the signature for existing callers.
+    """
+    n_cols = len(TRACE_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         # rows go out as Python floats, a block at a time to bound memory
         for k0 in range(0, log.n_rows, 64):
-            block = zip(*(a[k0:k0 + 64].tolist() for a in cols))
-            for t, q, (r, s, _, _), u, ref, err, sat in block:
-                fh.write(_TRACE_ROW % (t, *q, r, s, cable_offset(r, s, L),
-                                       *u, *ref, *err, sat))
+            block = log.rows[k0:k0 + 64, :n_cols].tolist()
+            fh.write("".join([_TRACE_ROW % tuple(row) for row in block]))
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
 
 
 @dataclass
 class Trace:
-    """Parsed trace file: one array per column plus the failure marker."""
+    """Parsed trace file in SimLog row layout, plus the failure marker.
 
-    columns: dict
+    Trace files do not carry the load velocities; metrics never read
+    them, so those two columns are zero.
+    """
+
+    rows: np.ndarray
     failed: bool
     reason: str
 
+    @property
+    def columns(self) -> dict:
+        """One view per trace column, by name."""
+        return {name: self.rows[:, i] for i, name in enumerate(TRACE_COLUMNS)}
+
     def to_log(self) -> SimLog:
-        # trace files do not carry the load velocities; metrics never
-        # read them, so they come back zeroed
-        c = self.columns
-        n = len(c["t"])
-        quad = np.column_stack([c[name] for name in TRACE_COLUMNS[1:13]])
-        load = np.column_stack([c["load_r"], c["load_s"],
-                                np.zeros(n), np.zeros(n)])
-        u = np.column_stack([c["U1"], c["U2"], c["U3"], c["U4"]])
-        ref = np.column_stack([c["ref_x"], c["ref_y"], c["ref_z"]])
-        err = np.column_stack([c["err_x"], c["err_y"], c["err_z"]])
-        return SimLog(t=c["t"], quad=quad, load=load, u=u, ref=ref,
-                      err=err, sat=c["sat_flag"].astype(np.int64),
-                      failed=self.failed, failure_reason=self.reason)
+        return SimLog(rows=self.rows, failed=self.failed,
+                      failure_reason=self.reason)
 
 
 class TraceError(ValueError):
@@ -123,17 +116,19 @@ def read_trace(path: str) -> Trace:
             linenos.append(lineno)
     if not rows:
         raise TraceError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    data = np.zeros((len(rows), LOG_WIDTH))
+    data[:, :n_cols] = rows
+    trace = data[:, :n_cols]
     # write_trace emits only finite values and a 0/1 saturation flag
-    sat = data[:, -1]
-    bad = ~np.isfinite(data).all(axis=1) | ((sat != 0.0) & (sat != 1.0))
+    sat = trace[:, -1]
+    finite = np.isfinite(trace).all(axis=1)
+    bad = ~finite | ((sat != 0.0) & (sat != 1.0))
     if bad.any():
         k = int(np.argmax(bad))
-        what = ("non-finite field" if not np.isfinite(data[k]).all()
+        what = ("non-finite field" if not finite[k]
                 else "sat_flag must be 0 or 1")
         raise TraceError(f"{path}:{linenos[k]}: {what}")
-    columns = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-    return Trace(columns=columns, failed=failed, reason=reason)
+    return Trace(rows=data, failed=failed, reason=reason)
 
 
 def write_metrics(log: SimLog, path: str, trajectory: str):

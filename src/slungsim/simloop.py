@@ -4,6 +4,12 @@ The control loop runs at dt_control; between ticks the coupled plant is
 integrated with classical RK4 at dt_physics sub-steps under zero-order-hold
 inputs.  Runs are pure float arithmetic with no random state, so identical
 configs produce bit-identical logs.
+
+The log is one preallocated float array with a row per tick, written once
+per tick.  Its first 27 columns are the trace file's columns in file order
+(TRACE_COLUMNS, with load_zeta from the taut-cable geometry of the logged
+state); the last two are the load velocities r_dot and s_dot, which the
+file does not carry.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (VehicleParams, QuadState, ControlInputs,
-                       TautCableError, GimbalLockError,
+from .dynamics import (VehicleParams, QuadState, TautCableError,
+                       GimbalLockError, cable_offset,
                        coupled_derivative_array)
 from .trajectory import (ReferencePoint, square_reference,
                          single_leg_reference, hover_reference,
@@ -27,6 +33,23 @@ CONTROLLERS = ("PD", "SMC", "MPC")
 TRAJECTORIES = ("square", "single_leg", "hover")
 
 START_POS = (0.0, 0.0, 1.5)
+
+TRACE_COLUMNS = (
+    "t", "x", "y", "z", "vx", "vy", "vz", "phi", "theta", "psi",
+    "p", "q", "r_rate", "load_r", "load_s", "load_zeta",
+    "U1", "U2", "U3", "U4", "ref_x", "ref_y", "ref_z",
+    "err_x", "err_y", "err_z", "sat_flag",
+)
+# SimLog rows: the trace columns, then load_r_dot and load_s_dot
+LOG_WIDTH = len(TRACE_COLUMNS) + 2
+
+# Size caps, checked before anything is rounded or allocated.  Sub-steps:
+# 1000 per tick (50x the default) already make a 75 s run take minutes.
+MAX_SUBSTEPS = 1000
+# Ticks: the log is one 232 MB array at 10**6 rows (the 200 s hover: 20,001).
+MAX_TICKS = 10 ** 6
+# Horizon: MPC prediction matrices grow as N^2 (N = 200: 0.4 s, 53 MB).
+MAX_MPC_HORIZON = 200
 
 
 @dataclass
@@ -67,6 +90,13 @@ class SimConfig:
             raise ValueError("time steps must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        # compared as floats first: a huge ratio overflows round()
+        if not self.dt_control / self.dt_physics <= MAX_SUBSTEPS:
+            raise ValueError(f"dt_control / dt_physics must be at most "
+                             f"{MAX_SUBSTEPS} sub-steps")
+        if not self.duration / self.dt_control <= MAX_TICKS:
+            raise ValueError(f"duration / dt_control must be at most "
+                             f"{MAX_TICKS} ticks")
         # control period must be a whole number of physics sub-steps
         n = round(self.dt_control / self.dt_physics)
         if n < 1 or abs(n * self.dt_physics - self.dt_control) > 1e-12:
@@ -82,9 +112,10 @@ class SimConfig:
             raise ValueError(f"duration {self.duration} exceeds the "
                              f"{self.trajectory} reference window "
                              f"[0, {window}]")
-        if self.mpc_horizon is not None and self.mpc_horizon < 1:
-            raise ValueError(f"mpc.horizon must be >= 1, got "
-                             f"{self.mpc_horizon}")
+        if self.mpc_horizon is not None and not (
+                1 <= self.mpc_horizon <= MAX_MPC_HORIZON):
+            raise ValueError(f"mpc.horizon must be in [1, {MAX_MPC_HORIZON}]"
+                             f", got {self.mpc_horizon}")
 
     @property
     def n_sub(self) -> int:
@@ -99,24 +130,26 @@ class SimConfig:
 class SimLog:
     """Uniformly sampled closed-loop trace.
 
-    Row k holds the state at t[k] and the inputs applied over
-    [t[k], t[k+1]); the final row's inputs are what the controller would
-    apply next.  err is reference minus actual position.
+    rows is (n, LOG_WIDTH): row k holds the state at t[k] and the inputs
+    applied over [t[k], t[k+1]); the final row's inputs are what the
+    controller would apply next.  The named columns are views of rows, so
+    an edit through one edits the log, except load, whose r, s, r_dot,
+    s_dot are not adjacent and come back as a copy.  err is reference
+    minus actual position; sat is 0.0 or 1.0.
     """
 
-    t: np.ndarray
-    quad: np.ndarray        # (n, 12) position/velocity/attitude/rates
-    load: np.ndarray        # (n, 4) r, s, r_dot, s_dot
-    u: np.ndarray           # (n, 4) U1..U4
-    ref: np.ndarray         # (n, 3) reference position
-    err: np.ndarray         # (n, 3) ref - actual
-    sat: np.ndarray         # (n,) saturation flag per tick
+    rows: np.ndarray
     failed: bool = False
     failure_reason: str = ""
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.t)
+    n_rows = property(lambda self: len(self.rows))
+    t = property(lambda self: self.rows[:, 0])
+    quad = property(lambda self: self.rows[:, 1:13])    # (n, 12) state
+    load = property(lambda self: self.rows[:, [13, 14, 27, 28]])
+    u = property(lambda self: self.rows[:, 16:20])
+    ref = property(lambda self: self.rows[:, 20:23])
+    err = property(lambda self: self.rows[:, 23:26])
+    sat = property(lambda self: self.rows[:, 26])
 
 
 def make_controller(config: SimConfig):
@@ -181,19 +214,14 @@ def run(config: SimConfig) -> SimLog:
         return coupled_derivative_array(y, u, m_L, par)
 
     y = [*START_POS] + [0.0] * 13
+    L = par.L
+    zeta = cable_offset(y[12], y[13], L)
 
     n = n_ticks + 1
-    t_col = np.empty(n)
-    quad = np.empty((n, 12))
-    load = np.empty((n, 4))
-    u_col = np.empty((n, 4))
-    ref_col = np.empty((n, 3))
-    err_col = np.empty((n, 3))
-    sat_col = np.zeros(n, dtype=np.int64)
+    rows = np.empty((n, LOG_WIDTH))
     failed = False
     reason = ""
 
-    rows = 0
     for k in range(n):
         t = k * dt_c
         ref = ref_fn(t)
@@ -211,14 +239,10 @@ def run(config: SimConfig) -> SimLog:
             saturated = True
         u_vec = [U1, U2, U3, U4]
 
-        t_col[rows] = t
-        quad[rows] = y[:12]
-        load[rows] = y[12:16]
-        u_col[rows] = u_vec
-        ref_col[rows] = ref.pos
-        err_col[rows] = ref.pos - y[:3]
-        sat_col[rows] = 1 if saturated else 0
-        rows += 1
+        rx, ry, rz = ref.pos
+        rows[k] = (t, *y[:14], zeta, U1, U2, U3, U4, rx, ry, rz,
+                   rx - y[0], ry - y[1], rz - y[2],
+                   1.0 if saturated else 0.0, y[14], y[15])
         if k == n_ticks:
             break
 
@@ -227,12 +251,12 @@ def run(config: SimConfig) -> SimLog:
                 y = rk4_step(deriv, y, u_vec, dt_p)
             if not all(map(math.isfinite, y)):
                 raise FloatingPointError("non-finite state")
+            zeta = cable_offset(y[12], y[13], L)
         except (TautCableError, GimbalLockError, ArithmeticError,
                 FloatingPointError) as exc:
             failed = True
             reason = f"{type(exc).__name__} at t={t + dt_c:.3f}: {exc}"
+            rows = rows[:k + 1]
             break
 
-    return SimLog(t=t_col[:rows], quad=quad[:rows], load=load[:rows],
-                  u=u_col[:rows], ref=ref_col[:rows], err=err_col[:rows],
-                  sat=sat_col[:rows], failed=failed, failure_reason=reason)
+    return SimLog(rows=rows, failed=failed, failure_reason=reason)

@@ -1,11 +1,12 @@
 """Reference trajectories: trapezoidal-speed square legs and a single leg.
 
-Each leg accelerates at a_peak for t_accel seconds, cruises at v_cruise for
-t_cruise seconds, and decelerates back to rest over t_accel, covering
-a_peak*t_accel^2 + v_cruise*t_cruise metres (1.0 m with the defaults).
-The square visits (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0) at constant
-altitude, one leg per 15 s stage, then holds the origin for a fifth stage.
-Yaw reference is identically zero.
+Every leg has one constant profile: it accelerates at A_PEAK for T_ACCEL
+seconds, cruises at V_CRUISE = A_PEAK * T_ACCEL for T_CRUISE seconds, and
+decelerates back to rest over T_ACCEL, covering LEG_LENGTH = 1.0 m in
+T_LEG = 15 s.  The square visits (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0)
+at constant altitude, one leg per stage, then holds the origin for a
+fifth stage.  A ReferencePoint is three (x, y, z) float tuples; yaw is
+never commanded.
 """
 
 from __future__ import annotations
@@ -13,55 +14,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ReferencePoint:
-    """Desired position, velocity, acceleration and yaw at one instant."""
+    """Desired position, velocity and acceleration at one instant."""
 
-    pos: np.ndarray
-    vel: np.ndarray
-    acc: np.ndarray
-    yaw: float = 0.0
+    pos: tuple
+    vel: tuple
+    acc: tuple
 
 
-@dataclass(frozen=True)
-class TrapezoidProfile:
-    a_peak: float = 0.032      # m/s^2
-    v_cruise: float = 0.08     # m/s
-    t_accel: float = 2.5       # s
-    t_cruise: float = 10.0     # s
+A_PEAK = 0.032      # m/s^2
+V_CRUISE = 0.08     # m/s
+T_ACCEL = 2.5       # s
+T_CRUISE = 10.0     # s
+T_LEG = 2.0 * T_ACCEL + T_CRUISE
+LEG_LENGTH = A_PEAK * T_ACCEL ** 2 + V_CRUISE * T_CRUISE
 
-    def __post_init__(self):
-        if min(self.a_peak, self.v_cruise, self.t_accel, self.t_cruise) <= 0:
-            raise ValueError("profile parameters must be positive")
-        if not math.isclose(self.v_cruise, self.a_peak * self.t_accel,
-                            rel_tol=1e-9):
-            raise ValueError("v_cruise must equal a_peak * t_accel")
 
-    @property
-    def t_leg(self) -> float:
-        return 2.0 * self.t_accel + self.t_cruise
-
-    @property
-    def leg_length(self) -> float:
-        return self.a_peak * self.t_accel ** 2 + self.v_cruise * self.t_cruise
-
-    def sample(self, tau: float):
-        """(displacement, speed, accel) along one leg at local time tau."""
-        a, v, ta, tc = self.a_peak, self.v_cruise, self.t_accel, self.t_cruise
-        if tau < 0.0 or tau > self.t_leg:
-            raise ValueError(f"leg time {tau} outside [0, {self.t_leg}]")
-        if tau < ta:
-            return 0.5 * a * tau * tau, a * tau, a
-        d_ramp = 0.5 * a * ta * ta
-        if tau < ta + tc:
-            t1 = tau - ta
-            return d_ramp + v * t1, v, 0.0
-        t2 = tau - ta - tc
-        d_cruise = d_ramp + v * tc
-        return d_cruise + v * t2 - 0.5 * a * t2 * t2, v - a * t2, -a
+def leg_sample(tau: float):
+    """(displacement, speed, accel) along one leg at local time tau."""
+    a, v, ta, tc = A_PEAK, V_CRUISE, T_ACCEL, T_CRUISE
+    if tau < 0.0 or tau > T_LEG:
+        raise ValueError(f"leg time {tau} outside [0, {T_LEG}]")
+    if tau < ta:
+        return 0.5 * a * tau * tau, a * tau, a
+    d_ramp = 0.5 * a * ta * ta
+    if tau < ta + tc:
+        t1 = tau - ta
+        return d_ramp + v * t1, v, 0.0
+    t2 = tau - ta - tc
+    d_cruise = d_ramp + v * tc
+    return d_cruise + v * t2 - 0.5 * a * t2 * t2, v - a * t2, -a
 
 
 # Square corners in traversal order; leg k runs corner[k] -> corner[k+1].
@@ -69,9 +53,9 @@ _CORNERS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 
 N_STAGES = 5
 
-_DEFAULT_PROFILE = TrapezoidProfile()
-
 _Z_HOLD = 1.5    # reference altitude of the square and the single leg, m
+
+_REST = (0.0, 0.0, 0.0)
 
 
 def _check_time(t: float, duration: float):
@@ -83,59 +67,52 @@ def square_reference(t: float) -> ReferencePoint:
     """Four trapezoid legs around the unit square, then hold at the origin.
 
     Stages (15 s each): 1 is +X, 2 is +Y, 3 is -X, 4 is -Y, 5 holds the
-    start point.  Valid for t in [0, 5 * t_leg].
+    start point.  Valid for t in [0, 5 * T_LEG].
     """
-    profile = _DEFAULT_PROFILE
-    t_leg = profile.t_leg
-    _check_time(t, N_STAGES * t_leg)
-    stage = min(int(t // t_leg), N_STAGES - 1)
+    _check_time(t, N_STAGES * T_LEG)
+    stage = min(int(t // T_LEG), N_STAGES - 1)
 
     if stage == N_STAGES - 1:
         x0, y0 = _CORNERS[4]
-        return ReferencePoint(pos=np.array([x0, y0, _Z_HOLD]),
-                              vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
+        return ReferencePoint(pos=(x0, y0, _Z_HOLD), vel=_REST, acc=_REST)
 
-    scale = profile.leg_length
     x0, y0 = _CORNERS[stage]
     x1, y1 = _CORNERS[stage + 1]
-    dx = (x1 - x0) / scale
-    dy = (y1 - y0) / scale
-    d, v, a = profile.sample(t - stage * t_leg)
-    return ReferencePoint(pos=np.array([x0 + dx * d, y0 + dy * d, _Z_HOLD]),
-                          vel=np.array([dx * v, dy * v, 0.0]),
-                          acc=np.array([dx * a, dy * a, 0.0]), yaw=0.0)
+    dx = (x1 - x0) / LEG_LENGTH
+    dy = (y1 - y0) / LEG_LENGTH
+    d, v, a = leg_sample(t - stage * T_LEG)
+    return ReferencePoint(pos=(x0 + dx * d, y0 + dy * d, _Z_HOLD),
+                          vel=(dx * v, dy * v, 0.0),
+                          acc=(dx * a, dy * a, 0.0))
 
 
 def single_leg_reference(t: float) -> ReferencePoint:
     """One +X trapezoid leg, then hold the end point.
 
-    Valid over the same [0, 5 * t_leg] window as the square so the two
+    Valid over the same [0, 5 * T_LEG] window as the square so the two
     scenarios share a simulation duration.
     """
-    profile = _DEFAULT_PROFILE
-    t_leg = profile.t_leg
-    _check_time(t, N_STAGES * t_leg)
+    _check_time(t, N_STAGES * T_LEG)
 
-    if t >= t_leg:
-        return ReferencePoint(pos=np.array([profile.leg_length, 0.0, _Z_HOLD]),
-                              vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
-    d, v, a = profile.sample(t)
-    return ReferencePoint(pos=np.array([d, 0.0, _Z_HOLD]),
-                          vel=np.array([v, 0.0, 0.0]),
-                          acc=np.array([a, 0.0, 0.0]), yaw=0.0)
+    if t >= T_LEG:
+        return ReferencePoint(pos=(LEG_LENGTH, 0.0, _Z_HOLD), vel=_REST,
+                              acc=_REST)
+    d, v, a = leg_sample(t)
+    return ReferencePoint(pos=(d, 0.0, _Z_HOLD), vel=(v, 0.0, 0.0),
+                          acc=(a, 0.0, 0.0))
 
 
 def hover_reference(t: float, pos_xyz=(0.0, 0.0, 1.5)) -> ReferencePoint:
     """Constant set-point; used for equilibrium-hold checks."""
-    return ReferencePoint(pos=np.array(pos_xyz, dtype=float),
-                          vel=np.zeros(3), acc=np.zeros(3), yaw=0.0)
+    return ReferencePoint(pos=tuple(map(float, pos_xyz)), vel=_REST,
+                          acc=_REST)
 
 
 def reference_window(trajectory: str) -> float:
     """Latest time at which the named default trajectory can be sampled."""
     if trajectory == "hover":
         return math.inf
-    return N_STAGES * _DEFAULT_PROFILE.t_leg
+    return N_STAGES * T_LEG
 
 
 def stage_transition_times(trajectory: str):
@@ -146,11 +123,10 @@ def stage_transition_times(trajectory: str):
     boundary where the leg hands over to the hold.  Attitude stabilization
     times are measured from these instants.
     """
-    t_leg = _DEFAULT_PROFILE.t_leg
     if trajectory == "square":
-        return [k * t_leg for k in range(1, N_STAGES)]
+        return [k * T_LEG for k in range(1, N_STAGES)]
     if trajectory == "single_leg":
-        return [t_leg]
+        return [T_LEG]
     if trajectory == "hover":
         return []
     raise ValueError(f"unknown trajectory {trajectory!r}")

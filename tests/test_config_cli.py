@@ -24,7 +24,8 @@ from slungsim.config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                              build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
 from slungsim.dynamics import VehicleParams, cable_offset
-from slungsim.simloop import CONTROLLERS, SimConfig, run
+from slungsim.simloop import (CONTROLLERS, MAX_MPC_HORIZON,
+                              MAX_SUBSTEPS, SimConfig, run)
 from slungsim.controllers import PdGains
 
 
@@ -158,6 +159,34 @@ class TestTraceRoundTrip:
         write_trace(run(cfg), str(p2), cfg.params)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("aborted", [False, True],
+                             ids=["short", "aborted"])
+    def test_log_layout(self, tmp_path, aborted):
+        """Log rows are the trace rows: zeta, round trip, err is a view."""
+        if aborted:
+            bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
+            cfg = SimConfig(controller="PD", m_L=0.5, duration=10.0,
+                            pd_gains=bad)
+        else:
+            cfg = SimConfig(controller="SMC", m_L=0.2, duration=3.0)
+        log = run(cfg)
+        assert log.failed == aborted
+        r, s, zeta = (log.rows[:, TRACE_COLUMNS.index(name)].tolist()
+                      for name in ("load_r", "load_s", "load_zeta"))
+        assert zeta == [cable_offset(a, b, cfg.params.L)
+                        for a, b in zip(r, s)]
+        path = str(tmp_path / "trace.csv")
+        write_trace(log, path, cfg.params)
+        back = read_trace(path).to_log()
+        assert back.failed == aborted
+        n = len(TRACE_COLUMNS)
+        assert back.rows[:, :n].tobytes() == log.rows[:, :n].tobytes()
+        assert not back.rows[:, n:].any()
+
+        log.err[1, 0] = 0.125
+        write_trace(log, path, cfg.params)
+        assert read_trace(path).columns["err_x"][1] == 0.125
+
     def test_aborted_run_marker(self, tmp_path):
         bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
         cfg = SimConfig(controller="PD", m_L=0.5, duration=10.0,
@@ -263,7 +292,12 @@ class TestCliExitCodes:
                                       "vehicle.U1_max = nan", "m_L = nan",
                                       "vehicle.L = nan", "vehicle.g = inf",
                                       "vehicle.m_q = inf", "pd.Kpx = nan",
-                                      "duration = inf"])
+                                      "duration = inf",
+                                      "mpc.horizon = 1000000",
+                                      "trajectory = hover\nduration = 1e9",
+                                      "duration = 1e308",
+                                      "dt_physics = 5e-324",
+                                      "dt_physics = 1e-300"])
     def test_invalid_run_rejected_before_running(self, tmp_path, capsys,
                                                  line):
         cfg = tmp_path / "run.cfg"
@@ -376,7 +410,7 @@ _number = st.one_of(
     st.integers(-10 ** 6, 10 ** 6).map(str),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN", "0",
                      "-0", "-1", "1e-300", "1e300", "1e309", "0.1", "0.01",
-                     "75", "76"]))
+                     "75", "76", "1e308", "5e-324"]))
 _value = st.one_of(
     _number,
     st.lists(_number, min_size=1, max_size=7).map(", ".join),
@@ -385,11 +419,12 @@ _value = st.one_of(
 
 
 def _fits_the_test_budget(key, value):
-    """Leave out accepted values that make one run slow or huge.
+    """Leave out values that are accepted but make one run slow.
 
     A drawn duration runs at most 0.1 s, a drawn dt_physics takes at most
     100 sub-steps per tick, and a drawn MPC horizon stays small (its
-    prediction matrices grow with the square of the horizon).
+    prediction matrices grow with the square of the horizon).  Values
+    past the config's size caps are rejected at once, so they stay in.
     """
     try:
         v = float(value)
@@ -400,9 +435,9 @@ def _fits_the_test_budget(key, value):
     if key == "duration":
         return v <= 0.1 or v > 75.0
     if key == "dt_physics":
-        return v <= 0.0 or v >= 1e-4
+        return not 0.01 / MAX_SUBSTEPS <= v < 1e-4
     if key == "mpc.horizon":
-        return v <= 50
+        return v <= 50 or v > MAX_MPC_HORIZON
     return True
 
 

@@ -21,6 +21,8 @@ from slungsim.dynamics import (QuadState, VehicleParams,
 from slungsim.simloop import rk4_step
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
 
+REST = (0.0, 0.0, 0.0)
+
 
 @pytest.fixture
 def params():
@@ -115,8 +117,7 @@ class TestPdController:
     def test_x_error_tilt(self, params):
         # 0.1 m x-error => a_cx = 1.0 m/s^2 => theta_d = asin(a_cx/g^2)
         ctrl = PdController(params=params)
-        ref = ReferencePoint(pos=np.array([0.1, 0.0, 1.5]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.1, 0.0, 1.5), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)
         expected = math.asin(1.0 / (params.g * params.g))
         assert out.cmd.theta_d == pytest.approx(expected, rel=1e-12)
@@ -125,8 +126,7 @@ class TestPdController:
     def test_z_error_thrust(self, params):
         # 0.1 m z-error => a_cz = 2.0 m/s^2 => U1 = m_q*(g + 2)
         ctrl = PdController(params=params)
-        ref = ReferencePoint(pos=np.array([0.0, 0.0, 1.6]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.0, 0.0, 1.6), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)
         assert out.u.U1 == pytest.approx(params.m_q * (params.g + 2.0),
                                          rel=1e-12)
@@ -148,16 +148,14 @@ class TestPdController:
 
     def test_thrust_cap_flagged(self, params):
         ctrl = PdController(params=params)
-        ref = ReferencePoint(pos=np.array([0.0, 0.0, 3.0]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.0, 0.0, 3.0), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)  # 1.5 m z error -> 39.8 N
         assert out.u.U1 == params.U1_max
         assert out.saturated
 
     def test_thrust_floor_flagged(self, params):
         ctrl = PdController(params=params)
-        ref = ReferencePoint(pos=np.array([0.0, 0.0, 0.0]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.0, 0.0, 0.0), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)  # -1.5 m error -> negative
         assert out.u.U1 > 0.0
         assert out.saturated
@@ -178,8 +176,7 @@ class TestSmcController:
         # the switch saturates and U1 = m_q*(g + k_z)
         smc = SmcController(gains=SmcGains(boundary_layer=0.0),
                             params=params)
-        ref = ReferencePoint(pos=np.array([0.0, 0.0, 1.52]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.0, 0.0, 1.52), vel=REST, acc=REST)
         out = smc.step(0.0, hover_state(), ref)
         assert out.u.U1 == pytest.approx(params.m_q * (params.g + 0.4),
                                          rel=1e-12)
@@ -192,8 +189,7 @@ class TestSmcController:
         # the switch contributes k_z/2
         smc = SmcController(params=params)
         bl = smc.gains.boundary_layer
-        ref = ReferencePoint(pos=np.array([0.0, 0.0, 1.508]),
-                             vel=np.zeros(3), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.0, 0.0, 1.508), vel=REST, acc=REST)
         out = smc.step(0.0, hover_state(), ref)
         expected = params.m_q * (params.g + 0.4 * (0.04 / bl))
         assert out.u.U1 == pytest.approx(expected, rel=1e-12)
@@ -202,8 +198,7 @@ class TestSmcController:
         # the controller keeps previous tilt commands for the discrete
         # command-rate term; reset() must reproduce a fresh run bitwise
         smc = SmcController(params=params)
-        refs = [ReferencePoint(pos=np.array([x, 0.0, 1.5]),
-                               vel=np.zeros(3), acc=np.zeros(3))
+        refs = [ReferencePoint(pos=(x, 0.0, 1.5), vel=REST, acc=REST)
                 for x in (0.3, 0.2, 0.25)]
         first = [smc.step(0.01 * i, hover_state(), r).u.as_array()
                  for i, r in enumerate(refs)]
@@ -217,10 +212,8 @@ class TestSmcController:
         # a moving tilt command adds a rate term to the attitude surfaces,
         # so the second tick differs from a fresh controller's first tick
         smc = SmcController(params=params)
-        ref_a = ReferencePoint(pos=np.array([0.3, 0.0, 1.5]),
-                               vel=np.zeros(3), acc=np.zeros(3))
-        ref_b = ReferencePoint(pos=np.array([-0.3, 0.0, 1.5]),
-                               vel=np.zeros(3), acc=np.zeros(3))
+        ref_a = ReferencePoint(pos=(0.3, 0.0, 1.5), vel=REST, acc=REST)
+        ref_b = ReferencePoint(pos=(-0.3, 0.0, 1.5), vel=REST, acc=REST)
         smc.step(0.0, hover_state(), ref_a)
         warm = smc.step(0.01, hover_state(), ref_b)
         fresh = SmcController(params=params).step(0.0, hover_state(), ref_b)
@@ -233,8 +226,8 @@ class TestSmcController:
         from slungsim.controllers import DEMAND_CEILING
 
         gains = SmcGains(boundary_layer=0.0)
-        ref = ReferencePoint(pos=np.array([0.1, 0.0, 1.5]),
-                             vel=np.array([0.0, 0.0, 6.0]), acc=np.zeros(3))
+        ref = ReferencePoint(pos=(0.1, 0.0, 1.5),
+                             vel=(0.0, 0.0, 6.0), acc=REST)
         out = SmcController(gains=gains, params=params).step(
             0.0, hover_state(), ref)
         # z demand: m_q*(g + 5*6 + 0.4) = 40.2 N, conditioned to 1.5*U1_max

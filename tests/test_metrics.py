@@ -17,7 +17,7 @@ from slungsim.metrics import (
     max_tracking_error,
     stabilization_times,
 )
-from slungsim.simloop import SimConfig, SimLog, run
+from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, run
 
 G = 9.81
 
@@ -25,29 +25,23 @@ G = 9.81
 def make_log(t, err_x=None, err_y=None, phi_deg=None, theta_deg=None,
              sat=None):
     """Synthetic log with everything not under test zeroed."""
-    t = np.asarray(t, dtype=float)
-    n = len(t)
-    quad = np.zeros((n, 12))
-    err = np.zeros((n, 3))
+    log = SimLog(rows=np.zeros((len(t), LOG_WIDTH)))
+    log.t[:] = t
     if err_x is not None:
-        err[:, 0] = err_x
+        log.err[:, 0] = err_x
     if err_y is not None:
-        err[:, 1] = err_y
+        log.err[:, 1] = err_y
     if phi_deg is not None:
-        quad[:, 6] = np.radians(phi_deg)
+        log.quad[:, 6] = np.radians(phi_deg)
     if theta_deg is not None:
-        quad[:, 7] = np.radians(theta_deg)
-    return SimLog(t=t, quad=quad, load=np.zeros((n, 4)),
-                  u=np.zeros((n, 4)), ref=np.zeros((n, 3)), err=err,
-                  sat=np.zeros(n, dtype=np.int64) if sat is None
-                  else np.asarray(sat))
+        log.quad[:, 7] = np.radians(theta_deg)
+    if sat is not None:
+        log.sat[:] = sat
+    return log
 
 
 def empty_log():
-    return SimLog(t=np.empty(0), quad=np.empty((0, 12)),
-                  load=np.empty((0, 4)), u=np.empty((0, 4)),
-                  ref=np.empty((0, 3)), err=np.empty((0, 3)),
-                  sat=np.empty(0, dtype=np.int64))
+    return SimLog(rows=np.zeros((0, LOG_WIDTH)))
 
 
 class TestTrackingError:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
-from slungsim.simloop import SimConfig, SimLog, make_controller, rk4_step, run
+from slungsim.simloop import (MAX_MPC_HORIZON, MAX_SUBSTEPS, MAX_TICKS,
+                              SimConfig, SimLog, make_controller,
+                              rk4_step, run)
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
 
@@ -54,6 +56,18 @@ class TestConfig:
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(controller="MPC", mpc_horizon=0)
+
+    def test_size_caps_are_inclusive(self):
+        assert SimConfig(dt_physics=1e-5).n_sub == MAX_SUBSTEPS
+        assert SimConfig(trajectory="hover", duration=1e4).n_ticks == \
+            MAX_TICKS
+        SimConfig(controller="MPC", mpc_horizon=MAX_MPC_HORIZON)
+        with pytest.raises(ValueError, match="sub-steps"):
+            SimConfig(dt_physics=1e-2 / (MAX_SUBSTEPS + 1))
+        with pytest.raises(ValueError, match="ticks"):
+            SimConfig(trajectory="hover", duration=1e4 + 1e-2)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(controller="MPC", mpc_horizon=MAX_MPC_HORIZON + 1)
 
     def test_factory_dispatch(self):
         assert isinstance(make_controller(SimConfig(controller="PD")),

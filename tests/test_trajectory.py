@@ -4,41 +4,48 @@ import numpy as np
 import pytest
 
 from slungsim.trajectory import (
-    TrapezoidProfile,
+    A_PEAK,
+    LEG_LENGTH,
+    T_ACCEL,
+    T_LEG,
+    V_CRUISE,
     hover_reference,
+    leg_sample,
     single_leg_reference,
     square_reference,
     stage_transition_times,
 )
 
-
-@pytest.fixture
-def profile():
-    return TrapezoidProfile()
+REST = (0.0, 0.0, 0.0)
 
 
 class TestProfile:
-    def test_defaults_integrate_to_one_metre(self, profile):
-        assert profile.leg_length == pytest.approx(1.0, rel=1e-12)
-        assert profile.t_leg == 15.0
+    def test_defaults_integrate_to_one_metre(self):
+        assert LEG_LENGTH == pytest.approx(1.0, rel=1e-12)
+        assert T_LEG == 15.0
 
-    def test_cruise_speed_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            TrapezoidProfile(a_peak=0.032, v_cruise=0.09, t_accel=2.5)
+    def test_cruise_speed_is_ramp_end_speed(self):
+        assert V_CRUISE == pytest.approx(A_PEAK * T_ACCEL, rel=1e-9)
 
-    def test_sample_midpoints(self, profile):
-        d, v, a = profile.sample(1.25)
+    def test_sample_midpoints(self):
+        d, v, a = leg_sample(1.25)
         assert v == pytest.approx(0.04)
         assert a == 0.032
-        d, v, a = profile.sample(7.0)
+        d, v, a = leg_sample(7.0)
         assert v == 0.08 and a == 0.0
-        d, v, a = profile.sample(13.75)
+        d, v, a = leg_sample(13.75)
         assert a == -0.032
 
-    def test_leg_ends_at_rest(self, profile):
-        d, v, a = profile.sample(15.0)
+    def test_leg_ends_at_rest(self):
+        d, v, a = leg_sample(15.0)
         assert d == pytest.approx(1.0, rel=1e-12)
         assert v == pytest.approx(0.0, abs=1e-15)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            leg_sample(-0.1)
+        with pytest.raises(ValueError):
+            leg_sample(15.001)
 
 
 class TestSquare:
@@ -47,7 +54,6 @@ class TestSquare:
         assert ref.pos == pytest.approx([0.0, 0.0, 1.5])
         assert ref.vel == pytest.approx([0, 0, 0], abs=0.0)
         assert ref.acc == pytest.approx([0.032, 0.0, 0.0])
-        assert ref.yaw == 0.0
 
     def test_cruise(self):
         ref = square_reference(7.0)
@@ -62,13 +68,13 @@ class TestSquare:
     def test_closure_at_60s(self):
         ref = square_reference(60.0)
         start = square_reference(0.0)
-        assert np.array_equal(ref.pos, start.pos)
+        assert ref.pos == start.pos
 
     def test_hold_stage(self):
         for t in (61.0, 70.0, 75.0):
             ref = square_reference(t)
             assert ref.pos == pytest.approx([0.0, 0.0, 1.5], abs=0.0)
-            assert np.all(ref.vel == 0.0) and np.all(ref.acc == 0.0)
+            assert ref.vel == REST and ref.acc == REST
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -108,7 +114,7 @@ class TestSingleLeg:
     def test_hold_after_arrival(self):
         ref = single_leg_reference(20.0)
         assert ref.pos == pytest.approx([1.0, 0.0, 1.5], rel=1e-12)
-        assert np.all(ref.vel == 0.0) and np.all(ref.acc == 0.0)
+        assert ref.vel == REST and ref.acc == REST
 
     def test_start(self):
         ref = single_leg_reference(0.0)
@@ -122,8 +128,8 @@ class TestSingleLeg:
         for t in (0.5, 3.0, 9.9, 14.2):
             a = single_leg_reference(t)
             b = square_reference(t)
-            assert np.array_equal(a.pos, b.pos)
-            assert np.array_equal(a.vel, b.vel)
+            assert a.pos == b.pos
+            assert a.vel == b.vel
 
 
 class TestStageTransitions:
@@ -145,5 +151,5 @@ class TestStageTransitions:
 def test_hover_reference_constant():
     a = hover_reference(0.0)
     b = hover_reference(123.0)
-    assert np.array_equal(a.pos, b.pos)
-    assert np.all(a.vel == 0.0) and np.all(a.acc == 0.0)
+    assert a.pos == b.pos
+    assert a.vel == REST and a.acc == REST
