@@ -87,46 +87,53 @@ class TraceError(ValueError):
 
 def read_trace(path: str) -> Trace:
     n_cols = len(TRACE_COLUMNS)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != TRACE_COLUMNS:
-            raise TraceError(f"{path}: unexpected trace header")
-        rows = []
-        linenos = []
-        failed = False
-        reason = ""
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# aborted:"):
-                    failed = True
-                    reason = line[len("# aborted:"):].strip()
-                continue
-            fields = line.split(",")
-            if len(fields) != n_cols:
-                raise TraceError(f"{path}:{lineno}: expected {n_cols} "
-                                 f"fields, got {len(fields)}")
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError:
-                raise TraceError(f"{path}:{lineno}: non-numeric "
-                                 f"field") from None
-            linenos.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if tuple(header.split(",")) != TRACE_COLUMNS:
+                raise TraceError(f"{path}: unexpected trace header")
+            rows = []
+            linenos = []
+            failed = False
+            reason = ""
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if line.startswith("# aborted:"):
+                        failed = True
+                        reason = line[len("# aborted:"):].strip()
+                    continue
+                fields = line.split(",")
+                if len(fields) != n_cols:
+                    raise TraceError(f"{path}:{lineno}: expected {n_cols} "
+                                     f"fields, got {len(fields)}")
+                try:
+                    rows.append([float(v) for v in fields])
+                except ValueError:
+                    raise TraceError(f"{path}:{lineno}: non-numeric "
+                                     f"field") from None
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise TraceError(f"{path}: no data rows")
     data = np.zeros((len(rows), LOG_WIDTH))
     data[:, :n_cols] = rows
     trace = data[:, :n_cols]
-    # write_trace emits only finite values and a 0/1 saturation flag
-    sat = trace[:, -1]
+    # write_trace emits only finite values, a 0/1 saturation flag and a
+    # rising time column (the metrics divide by its first step)
     finite = np.isfinite(trace).all(axis=1)
-    bad = ~finite | ((sat != 0.0) & (sat != 1.0))
+    flag_ok = (trace[:, -1] == 0.0) | (trace[:, -1] == 1.0)
+    rising = np.ones(len(trace), dtype=bool)
+    rising[1:] = trace[1:, 0] > trace[:-1, 0]
+    bad = ~(finite & flag_ok & rising)
     if bad.any():
         k = int(np.argmax(bad))
         what = ("non-finite field" if not finite[k]
-                else "sat_flag must be 0 or 1")
+                else "sat_flag must be 0 or 1" if not flag_ok[k]
+                else "t must increase from row to row")
         raise TraceError(f"{path}:{linenos[k]}: {what}")
     return Trace(rows=data, failed=failed, reason=reason)
 

@@ -66,6 +66,8 @@ def parse_kv_file(path: str) -> dict:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     kv = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

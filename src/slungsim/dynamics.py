@@ -26,7 +26,10 @@ and z_dd leaves a 2x2 system in (r_dd, s_dd).  Its determinant
 (m_q/M)^2 L^2 zeta^2 is positive wherever the cable is taut, and each
 evaluation solves it in closed form by Cramer's rule.  Evaluations are
 scalar float arithmetic, lists in and out, all in coupled_derivative_array,
-the one entry point to the model.
+the one entry point to the model.  What the model needs that does not
+depend on the load mass (L, L^2, the taut-cable floor^2, m_q, g, the inertia
+ratios and I_z) is computed once per vehicle into VehicleParams.derived;
+only M and mu are formed per evaluation.
 """
 
 from __future__ import annotations
@@ -77,10 +80,19 @@ class VehicleParams:
                 raise ValueError(f"VehicleParams.{name} must be positive "
                                  f"and finite")
         # the load hanging at rest must clear the taut-cable floor in floats
-        floor = ZETA_FLOOR_FRAC * self.L
-        if not floor * floor < self.L * self.L < math.inf:
-            raise ValueError(f"VehicleParams.L = {self.L} is outside the "
+        L, I_x, I_y, I_z, l = self.L, self.I_x, self.I_y, self.I_z, self.l
+        floor = ZETA_FLOOR_FRAC * L
+        if not floor * floor < L * L < math.inf:
+            raise ValueError(f"VehicleParams.L = {L} is outside the "
                              f"range the cable model can represent")
+        # Everything coupled_derivative_array needs that does not depend on
+        # the load mass, each formed exactly as the derivative used to form
+        # it per call.  An attribute, not a field, so it is no config key;
+        # dataclasses.replace runs __post_init__ and recomputes it.
+        object.__setattr__(self, "derived", (
+            L, L * L, floor * floor, self.m_q, self.g,
+            (I_y - I_z) / I_x, l / I_x, (I_z - I_x) / I_y, l / I_y,
+            (I_x - I_y) / I_z, I_z))
 
 
 @dataclass
@@ -195,15 +207,14 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     U1, U2, U3, U4 = u
     if abs(phi) >= _HALF_PI or abs(theta) >= _HALF_PI:
         raise _attitude_error(phi, theta)
-    L, m_q, g = params.L, params.m_q, params.g
+    # cx = (I_y - I_z)/I_x and lx = l/I_x; cy, ly and cz likewise
+    L, LL, floor2, m_q, g, cx, lx, cy, ly, cz, I_z = params.derived
     M = m_q + m_L
     mu = m_L / M
-    LL = L * L
     Lr = LL - r * r
     Ls = LL - s * s
     zsq = Lr - s * s
-    floor = ZETA_FLOOR_FRAC * L
-    if zsq <= floor * floor:
+    if zsq <= floor2:
         raise _slack_error(r, s, L)
     zeta = math.sqrt(zsq)
     z2 = zeta * zeta
@@ -227,14 +238,13 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     r_dd = (rs * c2 - Lr * c1) / kdet
     s_dd = (rs * c1 - Ls * c2) / kdet
 
-    I_x, I_y, I_z, l = params.I_x, params.I_y, params.I_z, params.l
     return [vx, vy, vz,
             b1 - mu * r_dd, b2 - mu * s_dd,
             b3 - mu * (r * r_dd + s * s_dd) / zeta,
             pr, qr, rr,
-            (I_y - I_z) / I_x * qr * rr + l / I_x * U2,
-            (I_z - I_x) / I_y * pr * rr + l / I_y * U3,
-            (I_x - I_y) / I_z * qr * pr + U4 / I_z,
+            cx * qr * rr + lx * U2,
+            cy * pr * rr + ly * U3,
+            cz * qr * pr + U4 / I_z,
             vr, vs, r_dd, s_dd]
 
 

@@ -3,7 +3,10 @@
 The control loop runs at dt_control; between ticks the coupled plant is
 integrated with classical RK4 at dt_physics sub-steps under zero-order-hold
 inputs.  Runs are pure float arithmetic with no random state, so identical
-configs produce bit-identical logs.
+configs produce bit-identical logs.  Each sub-step is one rk4_step call on
+coupled_derivative_array, both looked up by name in this module at call
+time; a 16-float state takes rk4_step's unrolled path, any other length its
+generic comprehension path.
 
 The log is one preallocated float array with a row per tick, written once
 per tick.  Its first 27 columns are the trace file's columns in file order
@@ -175,24 +178,72 @@ def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
     return lambda t: hover_reference(t, START_POS)
 
 
-def rk4_step(f: Callable, y, u, dt: float) -> list:
-    """One classical Runge-Kutta step of y' = f(y, u) with u held constant.
+def rk4_step(f: Callable, y, u, dt: float, *args) -> list:
+    """One classical Runge-Kutta step of y' = f(y, u, *args), u held constant.
 
     y and f's return values are float sequences of one length; the step
     returns a new list.  Each element is formed in the order numpy uses for
     y + (0.5*dt)*k and y + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so it matches
     the vector form bit for bit.
+
+    A 16-float state (the coupled model's) takes an unrolled path: y and the
+    elements of k1..k4 (named a, b, c, d) are unpacked into locals, and the
+    stage states and the update are written out element by element.  Any
+    other length takes the generic comprehension path, which is also the
+    reference the unrolled path is tested against.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
-    k1 = f(y, u)
-    k2 = f([a + h * b for a, b in zip(y, k1)], u)
-    k3 = f([a + h * b for a, b in zip(y, k2)], u)
-    k4 = f([a + dt * b for a, b in zip(y, k3)], u)
     w = dt / 6.0
-    return [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if len(y) != 16:
+        k1 = f(y, u, *args)
+        k2 = f([a + h * b for a, b in zip(y, k1)], u, *args)
+        k3 = f([a + h * b for a, b in zip(y, k2)], u, *args)
+        k4 = f([a + dt * b for a, b in zip(y, k3)], u, *args)
+        return [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    (y0, y1, y2, y3, y4, y5, y6, y7,
+     y8, y9, y10, y11, y12, y13, y14, y15) = y
+    (a0, a1, a2, a3, a4, a5, a6, a7,
+     a8, a9, a10, a11, a12, a13, a14, a15) = f(y, u, *args)
+    (b0, b1, b2, b3, b4, b5, b6, b7,
+     b8, b9, b10, b11, b12, b13, b14, b15) = f(
+        [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3,
+         y4 + h * a4, y5 + h * a5, y6 + h * a6, y7 + h * a7,
+         y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11,
+         y12 + h * a12, y13 + h * a13, y14 + h * a14, y15 + h * a15],
+        u, *args)
+    (c0, c1, c2, c3, c4, c5, c6, c7,
+     c8, c9, c10, c11, c12, c13, c14, c15) = f(
+        [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3,
+         y4 + h * b4, y5 + h * b5, y6 + h * b6, y7 + h * b7,
+         y8 + h * b8, y9 + h * b9, y10 + h * b10, y11 + h * b11,
+         y12 + h * b12, y13 + h * b13, y14 + h * b14, y15 + h * b15],
+        u, *args)
+    (d0, d1, d2, d3, d4, d5, d6, d7,
+     d8, d9, d10, d11, d12, d13, d14, d15) = f(
+        [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+         y4 + dt * c4, y5 + dt * c5, y6 + dt * c6, y7 + dt * c7,
+         y8 + dt * c8, y9 + dt * c9, y10 + dt * c10, y11 + dt * c11,
+         y12 + dt * c12, y13 + dt * c13, y14 + dt * c14, y15 + dt * c15],
+        u, *args)
+    return [y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+            y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+            y4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+            y5 + w * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+            y6 + w * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+            y7 + w * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+            y8 + w * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+            y9 + w * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
+            y10 + w * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
+            y11 + w * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
+            y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
+            y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
+            y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14),
+            y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15)]
 
 
 def run(config: SimConfig) -> SimLog:
@@ -209,9 +260,6 @@ def run(config: SimConfig) -> SimLog:
     n_sub = config.n_sub
     n_ticks = config.n_ticks
     m_L = config.m_L
-
-    def deriv(y, u):
-        return coupled_derivative_array(y, u, m_L, par)
 
     y = [*START_POS] + [0.0] * 13
     L = par.L
@@ -248,7 +296,8 @@ def run(config: SimConfig) -> SimLog:
 
         try:
             for _ in range(n_sub):
-                y = rk4_step(deriv, y, u_vec, dt_p)
+                y = rk4_step(coupled_derivative_array, y, u_vec, dt_p,
+                             m_L, par)
             if not all(map(math.isfinite, y)):
                 raise FloatingPointError("non-finite state")
             zeta = cable_offset(y[12], y[13], L)

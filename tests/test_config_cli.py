@@ -1,6 +1,7 @@
 """Config parsing, CSV round-trips, CLI verbs and exit codes."""
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -310,6 +311,20 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
+    def test_non_utf8_config_rejected_before_running(self, tmp_path, capsys,
+                                                     verb):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"controller = MPC\nm_L = 0.3\xff\n")
+        out = tmp_path / "out"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert str(cfg) in err and "not UTF-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_abort_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("controller = PD\nm_L = 0.5\nduration = 10.0\n"
@@ -374,11 +389,14 @@ class TestCliExitCodes:
         (HEADER + "0," * 26 + "zero\n", "non-numeric field"),
         (HEADER + "nan," + "0," * 25 + "0\n", "non-finite field"),
         (HEADER + "0," * 26 + "1e300\n", "sat_flag must be 0 or 1"),
+        (HEADER + ("0," * 26 + "0\n") * 2, "t must increase"),
+        (b"t,x\xff\n", "not UTF-8"),
+        ((HEADER + "0," * 26 + "0\n").encode() + b"\x80,0\n", "not UTF-8"),
     ], ids=["header", "no-rows", "short-row", "non-numeric", "non-finite",
-            "sat-flag"])
+            "sat-flag", "t-not-rising", "non-utf8-header", "non-utf8-row"])
     def test_analyze_malformed_trace(self, tmp_path, capsys, text, reason):
         path = tmp_path / "trace.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = main(["analyze", "--trace", str(path)])
         err = capsys.readouterr().err
         assert code == EXIT_IO
@@ -461,6 +479,71 @@ def test_simulate_config_values_never_traceback(controller, key, value):
         assert "Traceback" not in err.getvalue()
         if code == EXIT_CONFIG:
             assert not os.path.exists(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _short_trace_bytes():
+    """A valid 11-row trace file, as bytes."""
+    cfg = SimConfig(controller="PD", duration=0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace(run(cfg), path, cfg.params)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _edit_trace(data, text):
+    """One drawn corruption of trace bytes."""
+    kind = data.draw(st.sampled_from(["truncate", "swap-rows", "swap-fields",
+                                      "non-finite", "non-utf8", "aborted"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text)))]
+    if kind == "non-utf8":
+        k = data.draw(st.integers(0, len(text)))
+        byte = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"]))
+        return text[:k] + byte + text[k:]
+    if kind == "aborted":
+        return text + b"# aborted: TautCableError at t=0.050: injected\n"
+    lines = text.split(b"\n")
+    row = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "swap-rows":
+        other = data.draw(st.integers(0, len(lines) - 1))
+        lines[row], lines[other] = lines[other], lines[row]
+        return b"\n".join(lines)
+    fields = lines[row].split(b",")
+    i = data.draw(st.integers(0, len(fields) - 1))
+    if kind == "swap-fields":
+        j = data.draw(st.integers(0, len(fields) - 1))
+        fields[i], fields[j] = fields[j], fields[i]
+    else:
+        fields[i] = data.draw(st.sampled_from(
+            [b"nan", b"-nan", b"inf", b"-inf", b"NaN", b"1e999"]))
+    lines[row] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_edits=st.integers(1, 3),
+       trajectory=st.sampled_from(["square", "single_leg", "hover"]))
+def test_analyze_edited_traces_never_traceback(data, n_edits, trajectory):
+    """Any corruption of a valid trace is analysed or rejected (exit 4)."""
+    text = _short_trace_bytes()
+    for _ in range(n_edits):
+        text = _edit_trace(data, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--trace", path,
+                         "--trajectory", trajectory])
+    assert code in (EXIT_OK, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert "e_max = " in out.getvalue()
+    else:
+        assert err.getvalue().startswith("trace error: ")
 
 
 def test_console_script_installed():

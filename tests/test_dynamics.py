@@ -6,7 +6,7 @@ m_L = 0 with the load hanging at rest.
 """
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -117,6 +117,20 @@ class TestVehicleParams:
     def test_nonpositive_rejected(self, field):
         with pytest.raises(ValueError):
             VehicleParams(**{field: 0.0})
+
+    def test_derived_constants_follow_replace(self, params):
+        # the per-vehicle constants are an attribute, not a field (so not
+        # a config key), and replace() recomputes them from the new fields
+        assert "derived" not in {f.name for f in fields(VehicleParams)}
+        q = replace(params, I_x=9.0e-3, L=0.7)
+        assert q.derived == VehicleParams(I_x=9.0e-3, L=0.7).derived
+        assert q.derived != params.derived
+        L, LL, floor2, m_q, g, cx, lx, cy, ly, cz, I_z = q.derived
+        assert (L, LL, m_q, g, I_z) == (0.7, 0.7 * 0.7, 1.0, 9.81, 1.3e-2)
+        assert floor2 == (0.01 * 0.7) * (0.01 * 0.7)
+        assert (cx, lx) == ((7.5e-3 - 1.3e-2) / 9.0e-3, 0.25 / 9.0e-3)
+        assert (cy, ly) == ((1.3e-2 - 9.0e-3) / 7.5e-3, 0.25 / 7.5e-3)
+        assert cz == (9.0e-3 - 7.5e-3) / 1.3e-2
 
 
 class TestCoupledAccelerations:

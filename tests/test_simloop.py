@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slungsim import simloop
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
 from slungsim.simloop import (MAX_MPC_HORIZON, MAX_SUBSTEPS, MAX_TICKS,
                               SimConfig, SimLog, make_controller,
@@ -164,10 +165,14 @@ def _vector_rk4(f, y, u, dt):
 class TestScalarPhysics:
     """The list-based integrator and derivative against the vector forms."""
 
+    # every constant differs from the defaults, and I_x != I_y makes the
+    # yaw coupling (I_x - I_y)/I_z non-zero
+    OTHER_VEHICLE = VehicleParams(m_q=1.3, I_x=6.1e-3, I_y=8.9e-3,
+                                  I_z=1.7e-2, l=0.21, L=0.62, g=9.79)
+
     @staticmethod
-    def _random_taut_states(n, seed):
+    def _random_taut_states(n, seed, L=VehicleParams().L):
         rng = np.random.default_rng(seed)
-        L = VehicleParams().L
         for _ in range(n):
             rho = 0.9 * L * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -180,30 +185,63 @@ class TestScalarPhysics:
             yield y, u, rng.uniform(0.0, 0.6)
 
     def test_ten_substeps_bitwise_equal_to_vector_rk4(self):
-        p = VehicleParams()
-        for y, u, m_L in self._random_taut_states(250, seed=20261018):
+        for p in (VehicleParams(), self.OTHER_VEHICLE):
+            for y, u, m_L in self._random_taut_states(250, seed=20261018,
+                                                      L=p.L):
+                ys, ul = y.tolist(), u.tolist()
+                yv = y
+                for _ in range(10):
+                    ys = rk4_step(coupled_derivative_array, ys, ul, 1e-3,
+                                  m_L, p)
+                    yv = _vector_rk4(
+                        lambda v, w: _vector_derivative(v, w, m_L, p),
+                        yv, u, 1e-3)
+                assert ys == yv.tolist()
+
+    def test_unrolled_step_bitwise_equal_to_generic_path(self):
+        # padding the state to 17 floats sends it down the comprehension
+        # path, the reference for the unrolled 16-float one
+        def padded(v, w, m_L, p):
+            return coupled_derivative_array(v[:16], w, m_L, p) + [0.0]
+
+        p = self.OTHER_VEHICLE
+        for y, u, m_L in self._random_taut_states(100, seed=3, L=p.L):
             ys, ul = y.tolist(), u.tolist()
-            yv = y
-            for _ in range(10):
-                ys = rk4_step(
-                    lambda v, w: coupled_derivative_array(v, w, m_L, p),
-                    ys, ul, 1e-3)
-                yv = _vector_rk4(
-                    lambda v, w: _vector_derivative(v, w, m_L, p),
-                    yv, u, 1e-3)
-            assert ys == yv.tolist()
+            fast = rk4_step(coupled_derivative_array, ys, ul, 1e-3, m_L, p)
+            ref = rk4_step(padded, ys + [0.0], ul, 1e-3, m_L, p)
+            assert fast == ref[:16]
 
     def test_array_and_list_inputs_agree(self):
-        p = VehicleParams()
-        for y, u, m_L in self._random_taut_states(50, seed=7):
-            from_list = coupled_derivative_array(y.tolist(), u.tolist(),
-                                                 m_L, p)
-            from_array = coupled_derivative_array(y, u, m_L, p)
-            assert from_list == [float(v) for v in from_array]
-            assert from_list == _vector_derivative(y, u, m_L, p).tolist()
+        for p in (VehicleParams(), self.OTHER_VEHICLE):
+            for y, u, m_L in self._random_taut_states(50, seed=7, L=p.L):
+                from_list = coupled_derivative_array(y.tolist(), u.tolist(),
+                                                     m_L, p)
+                from_array = coupled_derivative_array(y, u, m_L, p)
+                assert from_list == [float(v) for v in from_array]
+                assert from_list == _vector_derivative(y, u, m_L, p).tolist()
 
 
 class TestRun:
+    def test_physics_goes_through_the_traced_names(self, monkeypatch):
+        # the benchmark's tracer times physics by rebinding these two
+        # module names; a run must look both up on every call
+        calls = {"rk4_step": 0, "coupled_derivative_array": 0}
+
+        def counting(name):
+            fn = getattr(simloop, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simloop, name, counting(name))
+        cfg = SimConfig(controller="PD", duration=0.2)
+        assert not run(cfg).failed
+        n = cfg.n_ticks * cfg.n_sub
+        assert calls == {"rk4_step": n, "coupled_derivative_array": 4 * n}
+
     def test_row_count_and_times(self):
         log = run(SimConfig(controller="PD", duration=2.0))
         assert log.n_rows == 201
