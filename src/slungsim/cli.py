@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 configuration error, 3 simulation abort,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import math
 import multiprocessing
 import os
@@ -85,43 +87,95 @@ class TraceError(ValueError):
     """Malformed trace file; the message names the file."""
 
 
-def read_trace(path: str) -> Trace:
+def _data_lines(fh, path: str, linenos: list, aborted: list):
+    """Yield the stripped data lines of an open trace, as log rows.
+
+    Each line gets a zero for every log column a trace does not carry
+    (the load velocities), so the parsed rows are in SimLog layout.  The
+    line numbers go to ``linenos`` and ``# aborted:`` reasons to
+    ``aborted``; a wrong field count raises TraceError.
+    """
     n_cols = len(TRACE_COLUMNS)
+    pad = ",0" * (LOG_WIDTH - n_cols)
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            if line.startswith("# aborted:"):
+                aborted.append(line[len("# aborted:"):].strip())
+            continue
+        n_fields = line.count(",") + 1
+        if n_fields != n_cols:
+            raise TraceError(f"{path}:{lineno}: expected {n_cols} "
+                             f"fields, got {n_fields}")
+        linenos.append(lineno)
+        yield line + pad
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """numpy's C reader on an iterable of text rows: a 2-D float array."""
+    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+
+
+@contextlib.contextmanager
+def _open_trace(path: str):
+    """The trace opened as text, past a checked header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
+            raise TraceError(f"{path}: unexpected trace header")
+        yield fh
+
+
+def _first_unparsable_line(path: str) -> int:
+    """Line number of the first data line numpy's reader refuses.
+
+    Runs only after the streamed parse has failed, so every line up to
+    the refused one already passed the field-count and UTF-8 checks.
+    """
+    linenos = []
+    with _open_trace(path) as fh:
+        for line in _data_lines(fh, path, linenos, []):
+            try:
+                _parse_rows((line,))
+            except ValueError:
+                return linenos[-1]
+    raise AssertionError(f"{path}: numpy refused no single line")
+
+
+def read_trace(path: str) -> Trace:
+    """Parse a trace file written by `write_trace`, checking every line.
+
+    A trace is a header naming `TRACE_COLUMNS`, then data rows of 27
+    comma-separated numbers in UTF-8. Blank lines are skipped and ``#``
+    lines are comments; the last ``# aborted: <reason>`` marker sets
+    `failed` and `reason`. numpy's C reader parses the rows as they are
+    streamed from the file, so a field must be a number as numpy reads
+    it (ASCII digits, no ``_`` separators). Every value must be finite,
+    ``sat_flag`` 0 or 1, and ``t`` must rise from row to row. Anything
+    else raises TraceError naming the file and, for a row, its line.
+    """
+    n_cols = len(TRACE_COLUMNS)
+    linenos = []
+    aborted = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if tuple(header.split(",")) != TRACE_COLUMNS:
-                raise TraceError(f"{path}: unexpected trace header")
-            rows = []
-            linenos = []
-            failed = False
-            reason = ""
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if line.startswith("# aborted:"):
-                        failed = True
-                        reason = line[len("# aborted:"):].strip()
-                    continue
-                fields = line.split(",")
-                if len(fields) != n_cols:
-                    raise TraceError(f"{path}:{lineno}: expected {n_cols} "
-                                     f"fields, got {len(fields)}")
-                try:
-                    rows.append([float(v) for v in fields])
-                except ValueError:
-                    raise TraceError(f"{path}:{lineno}: non-numeric "
-                                     f"field") from None
-                linenos.append(lineno)
+        with _open_trace(path) as fh:
+            lines = _data_lines(fh, path, linenos, aborted)
+            # peek first: np.loadtxt warns on an input with no lines
+            first = next(lines, None)
+            if first is None:
+                raise TraceError(f"{path}: no data rows")
+            try:
+                rows = _parse_rows(itertools.chain((first,), lines))
+            except (TraceError, UnicodeDecodeError):
+                # raised by the line generator; both are ValueErrors too
+                raise
+            except ValueError:
+                raise TraceError(f"{path}:{_first_unparsable_line(path)}: "
+                                 "non-numeric field") from None
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
-        raise TraceError(f"{path}: no data rows")
-    data = np.zeros((len(rows), LOG_WIDTH))
-    data[:, :n_cols] = rows
-    trace = data[:, :n_cols]
+    trace = rows[:, :n_cols]
     # write_trace emits only finite values, a 0/1 saturation flag and a
     # rising time column (the metrics divide by its first step)
     finite = np.isfinite(trace).all(axis=1)
@@ -135,7 +189,8 @@ def read_trace(path: str) -> Trace:
                 else "sat_flag must be 0 or 1" if not flag_ok[k]
                 else "t must increase from row to row")
         raise TraceError(f"{path}:{linenos[k]}: {what}")
-    return Trace(rows=data, failed=failed, reason=reason)
+    return Trace(rows=rows, failed=bool(aborted),
+                 reason=aborted[-1] if aborted else "")
 
 
 def write_metrics(log: SimLog, path: str, trajectory: str):

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+import numpy as np
+
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
 from .mpc import MpcWeights
@@ -53,10 +55,13 @@ class SweepSpec:
                               f"{self.base.params.M_max}")
         if len(self.controllers) == 0:
             raise ConfigError("sweep.controllers: list must not be empty")
-        for c in self.controllers:
+        for k, c in enumerate(self.controllers):
             if c not in CONTROLLERS:
                 raise ConfigError(f"sweep.controllers: unknown controller "
                                   f"{c!r}")
+            if c in self.controllers[:k]:
+                raise ConfigError(f"sweep.controllers: {c!r} is listed "
+                                  "twice")
 
 
 def parse_kv_file(path: str) -> dict:
@@ -193,9 +198,10 @@ def build_sim_config(kv: dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
     # a controller that cannot be built from these values fails here,
-    # before any output exists
+    # before any output exists; so does one whose build overflows
     try:
-        make_controller(cfg)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            make_controller(cfg)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.controller} controller cannot be built "
                           f"from this config: {type(exc).__name__}: {exc}")

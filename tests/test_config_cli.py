@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -25,8 +26,8 @@ from slungsim.config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                              build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
 from slungsim.dynamics import VehicleParams, cable_offset
-from slungsim.simloop import (CONTROLLERS, MAX_MPC_HORIZON,
-                              MAX_SUBSTEPS, SimConfig, run)
+from slungsim.simloop import (CONTROLLERS, LOG_WIDTH, MAX_MPC_HORIZON,
+                              MAX_SUBSTEPS, SimConfig, SimLog, run)
 from slungsim.controllers import PdGains
 
 
@@ -122,6 +123,13 @@ class TestSweepSpecBuild:
         with pytest.raises(ConfigError):
             build_sweep_spec({"sweep.controllers": "PD, LQR"})
 
+    def test_repeated_controller_rejected(self):
+        with pytest.raises(ConfigError, match="'PD' is listed twice"):
+            build_sweep_spec({"sweep.controllers": "PD, PD",
+                              "sweep.masses": "0.1", "duration": "0.1"})
+        with pytest.raises(ConfigError, match="'SMC' is listed twice"):
+            SweepSpec(controllers=("SMC", "MPC", "SMC"))
+
 
 @pytest.fixture(scope="module")
 def short_log():
@@ -180,6 +188,7 @@ class TestTraceRoundTrip:
         write_trace(log, path, cfg.params)
         back = read_trace(path).to_log()
         assert back.failed == aborted
+        assert back.failure_reason == log.failure_reason
         n = len(TRACE_COLUMNS)
         assert back.rows[:, :n].tobytes() == log.rows[:, :n].tobytes()
         assert not back.rows[:, n:].any()
@@ -200,6 +209,54 @@ class TestTraceRoundTrip:
         assert tr.failed
         assert tr.reason
         assert tr.to_log().failed
+
+    @pytest.mark.parametrize("failed", [False, True],
+                             ids=["complete", "aborted"])
+    def test_round_trip_exact_to_the_bit(self, tmp_path, failed):
+        """Edge doubles come back with the same bits, marker included."""
+        edge = [-0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1 + 0.2, -5e-324,
+                -1.7976931348623157e308]
+        n = len(TRACE_COLUMNS)
+        rows = np.zeros((9, LOG_WIDTH))
+        rows[:, 0] = np.arange(9) * 0.01
+        rows[:, 1:n - 1] = np.resize(edge, (9, n - 2))
+        rows[::2, n - 1] = 1.0
+        reason = "GimbalLockError at t=0.080: injected" if failed else ""
+        log = SimLog(rows=rows, failed=failed, failure_reason=reason)
+        path = str(tmp_path / "trace.csv")
+        write_trace(log, path, VehicleParams())
+        tr = read_trace(path)
+        assert tr.rows.tobytes() == rows.tobytes()
+        assert (tr.failed, tr.reason) == (failed, reason)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        mid = "0," * 25
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "0," + mid + "0\n \t \n\n"
+                        + "0.01," + mid + "1\n   \n", encoding="utf-8")
+        tr = read_trace(str(path))
+        assert tr.rows.shape == (2, LOG_WIDTH)
+        assert tr.columns["t"].tolist() == [0.0, 0.01]
+        assert tr.columns["sat_flag"].tolist() == [0.0, 1.0]
+
+    def test_read_peak_memory_bounded(self, tmp_path):
+        """Reading a 75 s trace allocates under 3x its parsed rows."""
+        rng = np.random.default_rng(0)
+        n = len(TRACE_COLUMNS)
+        rows = np.zeros((7501, LOG_WIDTH))
+        rows[:, 0] = np.arange(7501) * 0.01
+        rows[:, 1:n - 1] = rng.standard_normal((7501, n - 2))
+        path = str(tmp_path / "trace.csv")
+        write_trace(SimLog(rows=rows), path, VehicleParams())
+        tracemalloc.start()
+        try:
+            tr = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.rows.tobytes() == rows.tobytes()
+        assert peak <= 3 * tr.rows.nbytes, (peak, tr.rows.nbytes)
 
 
 class TestSweepCsv:
@@ -298,7 +355,8 @@ class TestCliExitCodes:
                                       "trajectory = hover\nduration = 1e9",
                                       "duration = 1e308",
                                       "dt_physics = 5e-324",
-                                      "dt_physics = 1e-300"])
+                                      "dt_physics = 1e-300",
+                                      "vehicle.I_x = 1e-300"])
     def test_invalid_run_rejected_before_running(self, tmp_path, capsys,
                                                  line):
         cfg = tmp_path / "run.cfg"
@@ -392,8 +450,16 @@ class TestCliExitCodes:
         (HEADER + ("0," * 26 + "0\n") * 2, "t must increase"),
         (b"t,x\xff\n", "not UTF-8"),
         ((HEADER + "0," * 26 + "0\n").encode() + b"\x80,0\n", "not UTF-8"),
+        (HEADER + ("0," * 25 + "0\n") * 2, ":2: expected 27 fields, got 26"),
+        (HEADER + "0," * 26 + "0#x\n", ":2: non-numeric field"),
+        (HEADER + "0," * 26 + "0\n" + "1_5," + "0," * 25 + "0\n",
+         ":3: non-numeric field"),
+        (HEADER + "\u0661\u0662," + "0," * 25 + "0\n",
+         ":2: non-numeric field"),
     ], ids=["header", "no-rows", "short-row", "non-numeric", "non-finite",
-            "sat-flag", "t-not-rising", "non-utf8-header", "non-utf8-row"])
+            "sat-flag", "t-not-rising", "non-utf8-header", "non-utf8-row",
+            "every-row-26-fields", "comment-after-field", "underscore-digits",
+            "non-ascii-digits"])
     def test_analyze_malformed_trace(self, tmp_path, capsys, text, reason):
         path = tmp_path / "trace.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -479,6 +545,61 @@ def test_simulate_config_values_never_traceback(controller, key, value):
         assert "Traceback" not in err.getvalue()
         if code == EXIT_CONFIG:
             assert not os.path.exists(out)
+
+
+def _simulate_lines(lines):
+    """Run simulate on a config of these lines: exit code, stderr, out dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", cfg, "--out", out])
+        return code, err.getvalue(), os.path.exists(out)
+
+
+KNOWN_KEYS = NUMERIC_KEYS + ("controller", "trajectory")
+
+_unknown_key = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "vehicle.", "pd.", "smc.", "mpc.", "sweep.",
+                     "x."]),
+    st.text("abcdefgKLMpxyz_0123456789.", min_size=1, max_size=12),
+).filter(lambda key: key not in KNOWN_KEYS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(controller=st.sampled_from(CONTROLLERS), data=st.data())
+def test_unknown_and_repeated_keys_never_traceback(controller, data):
+    """An unknown key exits 2; of a repeated key only the last line counts.
+
+    A repeated key ends exactly as a config with its last line alone.
+    """
+    base = [f"controller = {controller}", "duration = 0.1"]
+    if data.draw(st.booleans(), label="unknown"):
+        key = data.draw(_unknown_key, label="key")
+        lines = base + [f"{key} = {data.draw(_value, label='value')}"]
+        alone = None
+    else:
+        key = data.draw(st.sampled_from(KNOWN_KEYS), label="key")
+        values = data.draw(st.lists(_value, min_size=2, max_size=3),
+                           label="values")
+        assume(_fits_the_test_budget(key, values[-1]))
+        lines = base + [f"{key} = {v}" for v in values]
+        alone = base + [f"{key} = {values[-1]}"]
+    code, err, made_out = _simulate_lines(lines)
+    assert "Traceback" not in err
+    if alone is None:
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ")
+    else:
+        assert (code, err) == _simulate_lines(alone)[:2]
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT)
+    if code == EXIT_CONFIG:
+        assert not made_out
 
 
 @functools.lru_cache(maxsize=None)
