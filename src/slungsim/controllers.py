@@ -1,5 +1,17 @@
 """Cascaded PD and sliding-mode flight controllers.
 
+Controller interface, shared with mpc.MpcController: step(t, s, ref) takes
+the control time, the 12 vehicle floats s = y[:12] of the state vector
+(x, y, z, vx, vy, vz, phi, theta, psi, p, q, r; see dynamics) and the
+reference point, and returns the plain tuple
+
+    (U1, U2, U3, U4, phi_d, theta_d, saturated)
+
+of six Python floats and a bool: the inputs to apply over the next tick,
+the tilt command the attitude loop tracked (its yaw command is always 0),
+and whether any demand was clipped.  Each run builds a fresh controller, so controller state lives
+only as long as the run.
+
 Both controllers share one architecture: an outer position loop turns the
 tracking error into a collective-thrust demand and a pair of desired tilt
 angles, and an inner attitude loop turns the angle errors into torques.
@@ -31,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import ControlInputs, QuadState, VehicleParams
+from .dynamics import VehicleParams
 from .trajectory import ReferencePoint
 
 ANGLE_CAP = math.radians(20.0)
@@ -92,21 +104,6 @@ class SmcGains:
             raise ValueError("boundary_layer must be >= 0")
 
 
-@dataclass(frozen=True)
-class AttitudeCommand:
-    phi_d: float
-    theta_d: float
-    psi_d: float
-    U1: float
-
-
-@dataclass(frozen=True)
-class ControllerOutput:
-    u: ControlInputs
-    cmd: AttitudeCommand
-    saturated: bool
-
-
 def desired_angles(ax_des: float, ay_des: float, U1: float, m_q: float):
     """Tilt angles that point the thrust vector at a desired specific force.
 
@@ -158,6 +155,8 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
                      params: VehicleParams, starve: bool):
     """Saturate the thrust demand and extract the tilt command.
 
+    Returns (phi_d, theta_d, U1_applied, saturated).
+
     The tilt extraction runs against the nominal hover thrust, so the
     horizontal loop gain stays independent of whatever load the thrust
     loop is implicitly carrying.  With starve=True the extraction is
@@ -188,9 +187,7 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
         pre *= U1_applied / U1_dem
     phi_d, theta_d, clamped = desired_angles(pre * a_cx, pre * a_cy,
                                              hover, params.m_q)
-    cmd = AttitudeCommand(phi_d=phi_d, theta_d=theta_d, psi_d=0.0,
-                          U1=U1_applied)
-    return cmd, saturated or clamped
+    return phi_d, theta_d, U1_applied, saturated or clamped
 
 
 class PdController:
@@ -200,38 +197,25 @@ class PdController:
         self.gains = gains if gains is not None else PdGains()
         self.params = params if params is not None else VehicleParams()
 
-    def reset(self):
-        pass  # stateless
-
-    def position(self, ref: ReferencePoint, state: QuadState):
+    def step(self, t: float, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
-        a_cx = (ref.acc[0] + g.Kdx * (ref.vel[0] - state.vx)
-                + g.Kpx * (ref.pos[0] - state.x))
-        a_cy = (ref.acc[1] + g.Kdy * (ref.vel[1] - state.vy)
-                + g.Kpy * (ref.pos[1] - state.y))
-        a_cz = (ref.acc[2] + g.Kdz * (ref.vel[2] - state.vz)
-                + g.Kpz * (ref.pos[2] - state.z))
-        U1_raw = (p.m_q * (a_cz + p.g)
-                  / (math.cos(state.phi) * math.cos(state.theta)))
-        return _position_output(a_cx, a_cy, U1_raw, p, starve=False)
+        x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
+        a_cx = (ref.acc[0] + g.Kdx * (ref.vel[0] - vx)
+                + g.Kpx * (ref.pos[0] - x))
+        a_cy = (ref.acc[1] + g.Kdy * (ref.vel[1] - vy)
+                + g.Kpy * (ref.pos[1] - y))
+        a_cz = (ref.acc[2] + g.Kdz * (ref.vel[2] - vz)
+                + g.Kpz * (ref.pos[2] - z))
+        U1_raw = p.m_q * (a_cz + p.g) / (math.cos(phi) * math.cos(theta))
+        phi_d, theta_d, U1, saturated = _position_output(
+            a_cx, a_cy, U1_raw, p, starve=False)
 
-    def attitude(self, cmd: AttitudeCommand, state: QuadState) -> ControlInputs:
-        g = self.gains
-        p = self.params
-        U2 = (p.I_x / p.l) * (g.Kpp * (cmd.phi_d - state.phi)
-                              - g.Kdp * state.p_rate)
-        U3 = (p.I_y / p.l) * (g.Kpt * (cmd.theta_d - state.theta)
-                              - g.Kdt * state.q_rate)
-        U4 = p.I_z * (g.Kpps * (cmd.psi_d - state.psi)
-                      - g.Kdps * state.r_rate)
-        return ControlInputs(U1=cmd.U1, U2=U2, U3=U3, U4=U4)
-
-    def step(self, t: float, state: QuadState,
-             ref: ReferencePoint) -> ControllerOutput:
-        cmd, saturated = self.position(ref, state)
-        u = self.attitude(cmd, state)
-        return ControllerOutput(u=u, cmd=cmd, saturated=saturated)
+        U2 = (p.I_x / p.l) * (g.Kpp * (phi_d - phi) - g.Kdp * p_rate)
+        U3 = (p.I_y / p.l) * (g.Kpt * (theta_d - theta) - g.Kdt * q_rate)
+        # psi_d = 0; 0.0 - psi (not -psi) keeps U4 at +0.0 for psi = 0
+        U4 = p.I_z * (g.Kpps * (0.0 - psi) - g.Kdps * r_rate)
+        return U1, U2, U3, U4, phi_d, theta_d, saturated
 
 
 class SmcController:
@@ -256,66 +240,57 @@ class SmcController:
         self._prev_phi_d = None
         self._prev_theta_d = None
 
-    def reset(self):
-        self._prev_phi_d = None
-        self._prev_theta_d = None
-
-    def step(self, t: float, state: QuadState,
-             ref: ReferencePoint) -> ControllerOutput:
+    def step(self, t: float, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
+        x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
         k_phi, k_theta, k_psi, k_x, k_y, k_z = g.k
         l_phi, l_theta, l_psi, l_x, l_y, l_z = g.lam
         bl = g.boundary_layer
 
         # position loop
-        e_x = ref.pos[0] - state.x
-        e_y = ref.pos[1] - state.y
-        e_z = ref.pos[2] - state.z
-        ed_x = ref.vel[0] - state.vx
-        ed_y = ref.vel[1] - state.vy
-        ed_z = ref.vel[2] - state.vz
+        e_x = ref.pos[0] - x
+        e_y = ref.pos[1] - y
+        e_z = ref.pos[2] - z
+        ed_x = ref.vel[0] - vx
+        ed_y = ref.vel[1] - vy
+        ed_z = ref.vel[2] - vz
         S_x = ed_x + l_x * e_x
         S_y = ed_y + l_y * e_y
         S_z = ed_z + l_z * e_z
         a_cx = ref.acc[0] + l_x * ed_x + k_x * _switch(S_x, bl)
         a_cy = ref.acc[1] + l_y * ed_y + k_y * _switch(S_y, bl)
-        U1_raw = (p.m_q / (math.cos(state.phi) * math.cos(state.theta))
+        U1_raw = (p.m_q / (math.cos(phi) * math.cos(theta))
                   * (p.g + ref.acc[2] + l_z * ed_z + k_z * _switch(S_z, bl)))
-        cmd, saturated = _position_output(a_cx, a_cy, U1_raw, p,
-                                          starve=True)
+        phi_d, theta_d, U1, saturated = _position_output(
+            a_cx, a_cy, U1_raw, p, starve=True)
 
         # attitude loop with differenced command-rate feedforward
         if self._prev_phi_d is None:
             rate_phi_d = 0.0
             rate_theta_d = 0.0
         else:
-            rate_phi_d = (cmd.phi_d - self._prev_phi_d) / self.dt
-            rate_theta_d = (cmd.theta_d - self._prev_theta_d) / self.dt
-        self._prev_phi_d = cmd.phi_d
-        self._prev_theta_d = cmd.theta_d
+            rate_phi_d = (phi_d - self._prev_phi_d) / self.dt
+            rate_theta_d = (theta_d - self._prev_theta_d) / self.dt
+        self._prev_phi_d = phi_d
+        self._prev_theta_d = theta_d
 
-        e_phi = cmd.phi_d - state.phi
-        e_theta = cmd.theta_d - state.theta
-        e_psi = cmd.psi_d - state.psi
-        ed_phi = rate_phi_d - state.p_rate
-        ed_theta = rate_theta_d - state.q_rate
-        ed_psi = -state.r_rate  # psi_d is constant
+        e_phi = phi_d - phi
+        e_theta = theta_d - theta
+        e_psi = 0.0 - psi  # psi_d = 0; +0.0, not -0.0, at psi = 0
+        ed_phi = rate_phi_d - p_rate
+        ed_theta = rate_theta_d - q_rate
+        ed_psi = -r_rate  # psi_d is constant
         S_phi = ed_phi + l_phi * e_phi
         S_theta = ed_theta + l_theta * e_theta
         S_psi = ed_psi + l_psi * e_psi
 
         # each row cancels its gyroscopic cross term from the plant model
         U2 = (p.I_x / p.l) * (k_phi * _switch(S_phi, bl) + l_phi * ed_phi
-                              - (p.I_y - p.I_z) / p.I_x
-                              * state.q_rate * state.r_rate)
+                              - (p.I_y - p.I_z) / p.I_x * q_rate * r_rate)
         U3 = (p.I_y / p.l) * (k_theta * _switch(S_theta, bl)
                               + l_theta * ed_theta
-                              - (p.I_z - p.I_x) / p.I_y
-                              * state.p_rate * state.r_rate)
+                              - (p.I_z - p.I_x) / p.I_y * p_rate * r_rate)
         U4 = p.I_z * (k_psi * _switch(S_psi, bl) + l_psi * ed_psi
-                      - (p.I_x - p.I_y) / p.I_z
-                      * state.q_rate * state.p_rate)
-
-        u = ControlInputs(U1=cmd.U1, U2=U2, U3=U3, U4=U4)
-        return ControllerOutput(u=u, cmd=cmd, saturated=saturated)
+                      - (p.I_x - p.I_y) / p.I_z * q_rate * p_rate)
+        return U1, U2, U3, U4, phi_d, theta_d, saturated

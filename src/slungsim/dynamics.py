@@ -16,8 +16,12 @@ State vector (COUPLED_DIM = 16), the vehicle then the load::
     [x, y, z, vx, vy, vz, phi, theta, psi, p, q, r,
      load_r, load_s, load_r_dot, load_s_dot]
 
-The load mass is a parameter of the coupled derivative, not a state, and is
-never visible to the controllers.
+The first 12 floats are the vehicle state, all a controller is given.  The
+load mass is a parameter of the coupled derivative, not a state, and is
+never visible to the controllers.  The input is four floats
+(U1, U2, U3, U4): U1 is the collective thrust (N); U2/U3 are the
+roll/pitch rotor force differences (the plant torque is l*U2, l*U3); U4 is
+the yaw drag moment.
 
 The coupled translational/load accelerations are mutually implicit: the five
 relations couple (x_dd, y_dd, z_dd, r_dd, s_dd).  The three translational
@@ -36,8 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 COUPLED_DIM = 16
 
@@ -93,41 +95,6 @@ class VehicleParams:
             L, L * L, floor * floor, self.m_q, self.g,
             (I_y - I_z) / I_x, l / I_x, (I_z - I_x) / I_y, l / I_y,
             (I_x - I_y) / I_z, I_z))
-
-
-@dataclass
-class QuadState:
-    """Vehicle state: world position/velocity, attitude, body rates."""
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    vx: float = 0.0
-    vy: float = 0.0
-    vz: float = 0.0
-    phi: float = 0.0
-    theta: float = 0.0
-    psi: float = 0.0
-    p_rate: float = 0.0
-    q_rate: float = 0.0
-    r_rate: float = 0.0
-
-
-@dataclass(frozen=True)
-class ControlInputs:
-    """Rotor-level control channels.
-
-    U1 is the collective thrust (N); U2/U3 are the roll/pitch rotor force
-    differences (the plant torque is l*U2, l*U3); U4 is the yaw drag moment.
-    """
-
-    U1: float = 0.0
-    U2: float = 0.0
-    U3: float = 0.0
-    U4: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.U1, self.U2, self.U3, self.U4])
 
 
 def _slack_error(r: float, s: float, L: float) -> TautCableError:

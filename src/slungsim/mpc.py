@@ -26,11 +26,14 @@ With the reference held over the horizon, that solve is linear in the
 reference r, the measured state x and the applied input u, so each loop
 reduces to one constant gain computed at construction:
 u_next = K @ [r, x, u].  `mpc_solve` keeps the stacked problem as the
-reference that gain is tested against.
+reference that gain is tested against.  Each K @ [r, x, u] stays one
+numpy matrix-vector product, because scalar dot products would sum in
+another order and move the rounding; its result is stored back as Python
+floats, so step returns the float tuple of the controllers interface.
 
-The steady-state Riccati solution and Kalman gain (`solve_dare`,
-`kalman_gain`) are library functions for the numerical-core checks; the
-controller does not use them, because it measures the full state.
+The steady-state Riccati solution (`solve_dare`, `dare_residual`) serves
+the numerical-core checks; the controller does not use it, because it
+measures the full state.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ANGLE_CAP, U1_FLOOR, AttitudeCommand, ControllerOutput
-from .dynamics import ControlInputs, QuadState, VehicleParams
+from .controllers import ANGLE_CAP, U1_FLOOR
+from .dynamics import VehicleParams
 from .trajectory import ReferencePoint
 
 HORIZON = 25
@@ -174,14 +177,6 @@ def _riccati_sweep(model: DiscreteModel, cfg: EstimatorConfig,
 def dare_residual(model: DiscreteModel, cfg: EstimatorConfig, P: np.ndarray) -> float:
     """Max-norm defect of P under one more Riccati sweep."""
     return float(np.max(np.abs(_riccati_sweep(model, cfg, P) - P)))
-
-
-def kalman_gain(model: DiscreteModel, P: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    """K = A P C' (C P C' + V)^-1 for the predictive estimator form."""
-    A, C = model.A, model.C
-    _, V = cfg.covariances(model)
-    S = C @ P @ C.T + V
-    return np.linalg.solve(S.T, (A @ P @ C.T).T).T
 
 
 @dataclass(frozen=True)
@@ -352,14 +347,10 @@ class MpcController:
                                    wp, horizon)
         self.K_att = receding_gain(discretize_rotational(dt, self.params),
                                    wa, horizon)
-        self.reset()
+        self._u_pos = [0.0, 0.0, 0.0]  # (theta_d, phi_d, G) applied this tick
+        self._u_att = [0.0, 0.0, 0.0]  # (U2, U3, U4) applied this tick
 
-    def reset(self):
-        self._u_pos = np.zeros(3)   # (theta_d, phi_d, G) applied this tick
-        self._u_att = np.zeros(3)   # (U2, U3, U4) applied this tick
-
-    def step(self, t: float, state: QuadState,
-             ref: ReferencePoint) -> ControllerOutput:
+    def step(self, t: float, s, ref: ReferencePoint):
         par = self.params
         # input decided last tick, applied now, saturated to what the
         # vehicle can actually do
@@ -383,22 +374,19 @@ class MpcController:
 
         # position loop: the current reference point, held over the horizon,
         # the measured state and the applied input decide the next input
+        x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
         rx, ry, rz = ref.pos[:3]
-        self._u_pos = self.K_pos @ np.array([
-            rx, ry, rz,
-            state.x, state.vx, state.y, state.vy, state.z, state.vz,
-            theta_d, phi_d, G_app])
+        self._u_pos = (self.K_pos @ np.array([
+            rx, ry, rz, x, vx, y, vy, z, vz,
+            theta_d, phi_d, G_app])).tolist()
 
         # attitude loop tracks this tick's applied tilt, held over the horizon
-        self._u_att = self.K_att @ np.array([
+        self._u_att = (self.K_att @ np.array([
             phi_d, theta_d, 0.0,
-            state.phi, state.p_rate, state.theta, state.q_rate,
-            state.psi, state.r_rate,
-            U2, U3, U4])
+            phi, p_rate, theta, q_rate, psi, r_rate,
+            U2, U3, U4])).tolist()
 
-        cmd = AttitudeCommand(phi_d=phi_d, theta_d=theta_d, psi_d=0.0, U1=U1)
-        # the attitude model decides torques; the roll/pitch channels of
-        # ControlInputs are rotor force differences with moment arm l, so
-        # those two are converted (yaw moments pass straight through)
-        u = ControlInputs(U1=U1, U2=U2 / par.l, U3=U3 / par.l, U4=U4)
-        return ControllerOutput(u=u, cmd=cmd, saturated=saturated)
+        # the attitude model decides torques; the roll/pitch inputs are
+        # rotor force differences with moment arm l, so those two are
+        # converted (yaw moments pass straight through)
+        return U1, U2 / par.l, U3 / par.l, U4, phi_d, theta_d, saturated

@@ -3,10 +3,16 @@
 The control loop runs at dt_control; between ticks the coupled plant is
 integrated with classical RK4 at dt_physics sub-steps under zero-order-hold
 inputs.  Runs are pure float arithmetic with no random state, so identical
-configs produce bit-identical logs.  Each sub-step is one rk4_step call on
-coupled_derivative_array, both looked up by name in this module at call
-time; a 16-float state takes rk4_step's unrolled path, any other length its
-generic comprehension path.
+configs produce bit-identical logs.
+
+Each tick calls the reference function once (this module's
+square_reference for the square trajectory, looked up when the run starts)
+and the controller's step once.  step gets the 12 vehicle floats y[:12], so
+the load stays hidden from it, and returns the float tuple
+(U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.
+Each sub-step is one rk4_step call on coupled_derivative_array, both looked
+up by name in this module at call time; a 16-float state takes rk4_step's
+unrolled path, any other length its generic comprehension path.
 
 The log is one preallocated float array with a row per tick, written once
 per tick.  Its first 27 columns are the trace file's columns in file order
@@ -23,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (VehicleParams, QuadState, TautCableError,
+from .dynamics import (VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
                        coupled_derivative_array)
 from .trajectory import (ReferencePoint, square_reference,
@@ -273,10 +279,8 @@ def run(config: SimConfig) -> SimLog:
     for k in range(n):
         t = k * dt_c
         ref = ref_fn(t)
-        out = ctrl.step(t, QuadState(*y[:12]), ref)
-        u = out.u
-        U1, U2, U3, U4 = float(u.U1), float(u.U2), float(u.U3), float(u.U4)
-        saturated = out.saturated
+        # the controller sees the vehicle floats only, never the load
+        U1, U2, U3, U4, _, _, saturated = ctrl.step(t, y[:12], ref)
         # the loop enforces the physical thrust range regardless of what
         # the controller asked for
         if U1 < 0.0:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from slungsim.controllers import (
     ANGLE_CAP,
-    AttitudeCommand,
     PdController,
     PdGains,
     SmcController,
@@ -16,10 +15,11 @@ from slungsim.controllers import (
     _switch,
     desired_angles,
 )
-from slungsim.dynamics import (QuadState, VehicleParams,
-                               coupled_derivative_array)
+from slungsim.dynamics import VehicleParams, coupled_derivative_array
 from slungsim.simloop import rk4_step
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
+
+from test_dynamics import vehicle_state
 
 REST = (0.0, 0.0, 0.0)
 
@@ -30,7 +30,7 @@ def params():
 
 
 def hover_state(z=1.5):
-    return QuadState(z=z)
+    return vehicle_state(z=z)
 
 
 class TestDesiredAngles:
@@ -108,11 +108,12 @@ class TestGainValidation:
 class TestPdController:
     def test_hover_fixed_point(self, params):
         ctrl = PdController(params=params)
-        out = ctrl.step(0.0, hover_state(), hover_reference(0.0))
-        assert out.u.U1 == params.m_q * params.g
-        assert out.u.U2 == 0.0 and out.u.U3 == 0.0 and out.u.U4 == 0.0
-        assert out.cmd.phi_d == 0.0 and out.cmd.theta_d == 0.0
-        assert not out.saturated
+        U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
+            0.0, hover_state(), hover_reference(0.0))
+        assert U1 == params.m_q * params.g
+        assert U2 == 0.0 and U3 == 0.0 and U4 == 0.0
+        assert phi_d == 0.0 and theta_d == 0.0
+        assert not saturated
 
     def test_x_error_tilt(self, params):
         # 0.1 m x-error => a_cx = 1.0 m/s^2 => theta_d = asin(a_cx/g^2)
@@ -120,45 +121,46 @@ class TestPdController:
         ref = ReferencePoint(pos=(0.1, 0.0, 1.5), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)
         expected = math.asin(1.0 / (params.g * params.g))
-        assert out.cmd.theta_d == pytest.approx(expected, rel=1e-12)
-        assert out.cmd.phi_d == 0.0
+        assert out[5] == pytest.approx(expected, rel=1e-12)
+        assert out[4] == 0.0
 
     def test_z_error_thrust(self, params):
         # 0.1 m z-error => a_cz = 2.0 m/s^2 => U1 = m_q*(g + 2)
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.6), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)
-        assert out.u.U1 == pytest.approx(params.m_q * (params.g + 2.0),
-                                         rel=1e-12)
+        assert out[0] == pytest.approx(params.m_q * (params.g + 2.0),
+                                       rel=1e-12)
 
     def test_attitude_roll_torque(self, params):
+        # at the hover reference the tilt command is level, so a -0.1 rad
+        # roll is 0.1 rad of roll error
         ctrl = PdController(params=params)
-        cmd = AttitudeCommand(phi_d=0.1, theta_d=0.0, psi_d=0.0, U1=9.81)
-        u = ctrl.attitude(cmd, hover_state())
-        assert u.U2 == pytest.approx(0.15, rel=1e-12)
-        assert u.U3 == 0.0
+        out = ctrl.step(0.0, vehicle_state(z=1.5, phi=-0.1),
+                        hover_reference(0.0))
+        assert out[1] == pytest.approx(0.15, rel=1e-12)
+        assert out[2] == 0.0
 
     def test_attitude_yaw_torque(self, params):
         # 0.1 rad of yaw error
         ctrl = PdController(params=params)
-        cmd = AttitudeCommand(phi_d=0.0, theta_d=0.0, psi_d=0.0, U1=9.81)
-        state = QuadState(z=1.5, psi=-0.1)
-        u = ctrl.attitude(cmd, state)
-        assert u.U4 == pytest.approx(0.026, rel=1e-12)
+        out = ctrl.step(0.0, vehicle_state(z=1.5, psi=-0.1),
+                        hover_reference(0.0))
+        assert out[3] == pytest.approx(0.026, rel=1e-12)
 
     def test_thrust_cap_flagged(self, params):
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 3.0), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)  # 1.5 m z error -> 39.8 N
-        assert out.u.U1 == params.U1_max
-        assert out.saturated
+        assert out[0] == params.U1_max
+        assert out[6]
 
     def test_thrust_floor_flagged(self, params):
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 0.0), vel=REST, acc=REST)
         out = ctrl.step(0.0, hover_state(), ref)  # -1.5 m error -> negative
-        assert out.u.U1 > 0.0
-        assert out.saturated
+        assert out[0] > 0.0
+        assert out[6]
 
 
 class TestSmcController:
@@ -168,8 +170,8 @@ class TestSmcController:
         ref = hover_reference(0.0)
         a = smc.step(0.0, hover_state(), ref)
         b = pd.step(0.0, hover_state(), ref)
-        assert a.u.U1 == b.u.U1 == params.m_q * params.g
-        assert a.u.as_array() == pytest.approx(b.u.as_array(), abs=0.0)
+        assert a[0] == b[0] == params.m_q * params.g
+        assert a[:4] == b[:4]
 
     def test_thrust_reaching_term(self, params):
         # e_z = 0.02 m with zero rate puts S_z at +0.1, outside the layer:
@@ -178,11 +180,11 @@ class TestSmcController:
                             params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.52), vel=REST, acc=REST)
         out = smc.step(0.0, hover_state(), ref)
-        assert out.u.U1 == pytest.approx(params.m_q * (params.g + 0.4),
-                                         rel=1e-12)
+        U1, U2, U3, U4, phi_d, theta_d, _ = out
+        assert U1 == pytest.approx(params.m_q * (params.g + 0.4), rel=1e-12)
         # horizontal surfaces were zero: no tilt, no torques on first tick
-        assert out.cmd.phi_d == 0.0 and out.cmd.theta_d == 0.0
-        assert out.u.U2 == 0.0 and out.u.U3 == 0.0 and out.u.U4 == 0.0
+        assert phi_d == 0.0 and theta_d == 0.0
+        assert U2 == 0.0 and U3 == 0.0 and U4 == 0.0
 
     def test_thrust_ramps_inside_layer(self, params):
         # e_z = 0.008 m -> S_z = 0.04, half the default 0.08 layer:
@@ -192,21 +194,20 @@ class TestSmcController:
         ref = ReferencePoint(pos=(0.0, 0.0, 1.508), vel=REST, acc=REST)
         out = smc.step(0.0, hover_state(), ref)
         expected = params.m_q * (params.g + 0.4 * (0.04 / bl))
-        assert out.u.U1 == pytest.approx(expected, rel=1e-12)
+        assert out[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_reset_restores_initial_outputs(self, params):
+    def test_two_instances_agree_bitwise(self, params):
         # the controller keeps previous tilt commands for the discrete
-        # command-rate term; reset() must reproduce a fresh run bitwise
-        smc = SmcController(params=params)
+        # command-rate term; that memory must start the same in every
+        # instance, so two fresh controllers give the same outputs
         refs = [ReferencePoint(pos=(x, 0.0, 1.5), vel=REST, acc=REST)
                 for x in (0.3, 0.2, 0.25)]
-        first = [smc.step(0.01 * i, hover_state(), r).u.as_array()
-                 for i, r in enumerate(refs)]
-        smc.reset()
-        again = [smc.step(0.01 * i, hover_state(), r).u.as_array()
-                 for i, r in enumerate(refs)]
-        for a, b in zip(first, again):
-            assert np.array_equal(a, b)
+        outs = []
+        for _ in range(2):
+            smc = SmcController(params=params)
+            outs.append([smc.step(0.01 * i, hover_state(), r)
+                         for i, r in enumerate(refs)])
+        assert outs[0] == outs[1]
 
     def test_command_rate_memory_feeds_attitude(self, params):
         # a moving tilt command adds a rate term to the attitude surfaces,
@@ -217,7 +218,7 @@ class TestSmcController:
         smc.step(0.0, hover_state(), ref_a)
         warm = smc.step(0.01, hover_state(), ref_b)
         fresh = SmcController(params=params).step(0.0, hover_state(), ref_b)
-        assert warm.u.U3 != fresh.u.U3
+        assert warm[2] != fresh[2]
 
     def test_overload_starves_tilt(self, params):
         # a large climb-rate demand pushes U1 past the ceiling: the tilt
@@ -231,12 +232,12 @@ class TestSmcController:
         out = SmcController(gains=gains, params=params).step(
             0.0, hover_state(), ref)
         # z demand: m_q*(g + 5*6 + 0.4) = 40.2 N, conditioned to 1.5*U1_max
-        assert out.u.U1 == params.U1_max
-        assert out.saturated
+        assert out[0] == params.U1_max
+        assert out[6]
         # x channel: S_x > 0 -> a_cx = k_x = 0.6, tilt scaled by 1/1.5
         frac = 1.0 / DEMAND_CEILING
         expected = math.asin(frac * 0.6 / (params.g * params.g))
-        assert out.cmd.theta_d == pytest.approx(expected, rel=1e-12)
+        assert out[5] == pytest.approx(expected, rel=1e-12)
 
 
 def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
@@ -253,11 +254,11 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
     records = []
     for k in range(int(round(duration / dt_c))):
         t = k * dt_c
-        state = QuadState(*y[:12])
+        state = y[:12]
         ref = ref_fn(t)
         out = ctrl.step(t, state, ref)
         records.append((t, state, ref, out))
-        u = out.u.as_array().tolist()
+        u = out[:4]
         for _ in range(n_sub):
             y = rk4_step(deriv, y, u, dt_p)
     return records
@@ -284,18 +285,19 @@ class TestClosedLoopNominal:
         lam = np.array(gains.lam)
         S_hist = []
         for t, state, ref, out in records:
-            e = np.array([out.cmd.phi_d - state.phi,
-                          out.cmd.theta_d - state.theta,
-                          -state.psi,
-                          ref.pos[0] - state.x,
-                          ref.pos[1] - state.y,
-                          ref.pos[2] - state.z])
+            x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
+            e = np.array([out[4] - phi,
+                          out[5] - theta,
+                          -psi,
+                          ref.pos[0] - x,
+                          ref.pos[1] - y,
+                          ref.pos[2] - z])
             # rates: command-side derivative unknown here; reaching is
             # evaluated on the measured-error part of each surface
-            ed = np.array([-state.p_rate, -state.q_rate, -state.r_rate,
-                           ref.vel[0] - state.vx,
-                           ref.vel[1] - state.vy,
-                           ref.vel[2] - state.vz])
+            ed = np.array([-p, -q, -r,
+                           ref.vel[0] - vx,
+                           ref.vel[1] - vy,
+                           ref.vel[2] - vz])
             # sliding surfaces S_i = e_dot_i + lambda_i * e_i
             S_hist.append(ed + lam * e)
         S_hist = np.array(S_hist)
@@ -318,13 +320,13 @@ class TestClosedLoopNominal:
     def test_pd_tracks_square_nominally(self, params):
         ctrl = PdController(params=params)
         records = _closed_loop_nominal(ctrl, duration=20.0)
-        err = max(abs(ref.pos[0] - st.x) for _, st, ref, _ in records)
-        erry = max(abs(ref.pos[1] - st.y) for _, st, ref, _ in records)
+        err = max(abs(ref.pos[0] - s[0]) for _, s, ref, _ in records)
+        erry = max(abs(ref.pos[1] - s[1]) for _, s, ref, _ in records)
         assert max(err, erry) < 0.1
 
     def test_smc_tracks_square_nominally(self, params):
         ctrl = SmcController(params=params)
         records = _closed_loop_nominal(ctrl, duration=20.0)
-        err = max(max(abs(ref.pos[0] - st.x), abs(ref.pos[1] - st.y))
-                  for _, st, ref, _ in records)
+        err = max(max(abs(ref.pos[0] - s[0]), abs(ref.pos[1] - s[1]))
+                  for _, s, ref, _ in records)
         assert err < 0.1

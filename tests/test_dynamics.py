@@ -6,7 +6,7 @@ m_L = 0 with the load hanging at rest.
 """
 
 import math
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from slungsim.dynamics import (
     COUPLED_DIM,
     GimbalLockError,
-    QuadState,
     TautCableError,
     VehicleParams,
     cable_offset,
@@ -31,11 +30,21 @@ def params():
     return VehicleParams()
 
 
-def make_state(phi=0.0, theta=0.0, r=0.0, s=0.0, r_dot=0.0, s_dot=0.0,
-               **quad_kw):
-    """16-float coupled state: QuadState fields, then the load offsets."""
-    quad = QuadState(phi=phi, theta=theta, **quad_kw)
-    return [*astuple(quad), r, s, r_dot, s_dot]
+VEHICLE_NAMES = ("x", "y", "z", "vx", "vy", "vz", "phi", "theta", "psi",
+                 "p_rate", "q_rate", "r_rate")
+
+
+def vehicle_state(**kw):
+    """The 12 vehicle floats of the state vector, zero unless named."""
+    unknown = kw.keys() - set(VEHICLE_NAMES)
+    if unknown:
+        raise TypeError(f"unknown vehicle state names {sorted(unknown)}")
+    return [kw.get(name, 0.0) for name in VEHICLE_NAMES]
+
+
+def make_state(r=0.0, s=0.0, r_dot=0.0, s_dot=0.0, **quad_kw):
+    """16-float coupled state: the vehicle floats, then the load offsets."""
+    return [*vehicle_state(**quad_kw), r, s, r_dot, s_dot]
 
 
 def accelerations(y, U1, m_L, params):

@@ -12,6 +12,23 @@ from slungsim.simloop import (MAX_MPC_HORIZON, MAX_SUBSTEPS, MAX_TICKS,
                               rk4_step, run)
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
+from slungsim.trajectory import square_reference
+
+from test_dynamics import vehicle_state
+
+CONTROLLER_CLASSES = {"PD": PdController, "SMC": SmcController,
+                      "MPC": MpcController}
+
+
+def _recording(monkeypatch, owner, name, record):
+    """Rebind owner.name to a wrapper that appends each result to record."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        record.append(out)
+        return out
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 class TestConfig:
@@ -242,6 +259,28 @@ class TestRun:
         n = cfg.n_ticks * cfg.n_sub
         assert calls == {"rk4_step": n, "coupled_derivative_array": 4 * n}
 
+    @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
+    def test_loop_goes_through_the_traced_names(self, monkeypatch, name):
+        # the benchmark's tracer times the reference sample and the
+        # controller step by rebinding simloop.square_reference and the
+        # class's step; a run must call each once per logged row
+        refs, steps = [], []
+        _recording(monkeypatch, simloop, "square_reference", refs)
+        _recording(monkeypatch, CONTROLLER_CLASSES[name], "step", steps)
+        cfg = SimConfig(controller=name, duration=0.2)
+        assert not run(cfg).failed
+        assert len(refs) == len(steps) == cfg.n_ticks + 1
+
+    @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
+    def test_step_returns_plain_floats(self, monkeypatch, name):
+        steps = []
+        _recording(monkeypatch, CONTROLLER_CLASSES[name], "step", steps)
+        assert not run(SimConfig(controller=name, duration=0.2)).failed
+        for out in steps:
+            assert len(out) == 7
+            assert all(type(v) is float for v in out[:6])
+            assert type(out[6]) is bool
+
     def test_row_count_and_times(self):
         log = run(SimConfig(controller="PD", duration=2.0))
         assert log.n_rows == 201
@@ -267,18 +306,20 @@ class TestRun:
         drift = np.abs(log.quad[:, 0:3] - [0.0, 0.0, 1.5]).max()
         assert drift < 1e-6
 
-    def test_nominal_model_firewall(self):
-        # controllers only see QuadState; the load mass must not leak into
-        # the first-tick command
+    @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
+    def test_nominal_model_firewall(self, name):
+        # controllers only see the 12 vehicle floats; the load mass must
+        # not leak into any command, on the first tick or later ones
+        states = [vehicle_state(x=-0.2 + 0.01 * k, y=0.1, z=1.4 + 0.005 * k,
+                                vx=0.05, vz=-0.02, phi=0.02, theta=-0.01 * k,
+                                q_rate=0.1)
+                  for k in range(8)]
         outs = []
         for m in (0.0, 0.3):
-            cfg = SimConfig(controller="SMC", m_L=m, duration=1.0)
-            ctrl = make_controller(cfg)
-            from slungsim.dynamics import QuadState
-            from slungsim.trajectory import square_reference
-            out = ctrl.step(0.0, QuadState(z=1.5), square_reference(0.0))
-            outs.append(out.u.as_array())
-        assert np.array_equal(outs[0], outs[1])
+            ctrl = make_controller(SimConfig(controller=name, m_L=m))
+            outs.append([ctrl.step(0.01 * k, s, square_reference(0.01 * k))
+                         for k, s in enumerate(states)])
+        assert outs[0] == outs[1]
 
     def test_abort_returns_partial_log(self):
         # a wildly overgained attitude loop escapes the attitude envelope
