@@ -22,8 +22,8 @@ import numpy as np
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
 from .mpc import MpcWeights
-from .simloop import (CONTROLLERS, TRAJECTORIES, SimConfig,
-                      make_controller)
+from .simloop import (CONTROLLERS, START_POS, TRAJECTORIES, SimConfig,
+                      make_controller, reference_function)
 
 DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
                         0.3, 0.35, 0.4, 0.45, 0.5)
@@ -197,11 +197,13 @@ def build_sim_config(kv: dict) -> SimConfig:
             **top)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    # a controller that cannot be built from these values fails here,
-    # before any output exists; so does one whose build overflows
+    # a controller that cannot be built from these values, or cannot take
+    # its first step from the start state, fails here, before any output
+    # exists; so does one whose build or first step overflows
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            make_controller(cfg)
+            make_controller(cfg).step(0.0, [*START_POS] + [0.0] * 9,
+                                      reference_function(cfg)(0.0))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.controller} controller cannot be built "
                           f"from this config: {type(exc).__name__}: {exc}")

@@ -252,11 +252,16 @@ def rk4_step(f: Callable, y, u, dt: float, *args) -> list:
             y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15)]
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run(config: SimConfig) -> SimLog:
     """Simulate one scenario tick by tick.
 
-    A taut-cable or attitude singularity or a non-finite state aborts the
-    run; the rows logged so far are returned with the failure marker set.
+    A taut-cable or attitude singularity, a non-finite state or an
+    arithmetic error in the controller aborts the run; the rows logged so
+    far are returned with the failure marker set.  numpy arithmetic raises
+    FloatingPointError here instead of warning, so a vehicle that the MPC
+    gain products overflow on aborts like one the scalar controllers
+    divide by zero on.
     """
     par = config.params
     ctrl = make_controller(config)
@@ -279,8 +284,15 @@ def run(config: SimConfig) -> SimLog:
     for k in range(n):
         t = k * dt_c
         ref = ref_fn(t)
-        # the controller sees the vehicle floats only, never the load
-        U1, U2, U3, U4, _, _, saturated = ctrl.step(t, y[:12], ref)
+        try:
+            # the controller sees the vehicle floats only, never the load
+            U1, U2, U3, U4, _, _, saturated = ctrl.step(t, y[:12], ref)
+        except ArithmeticError as exc:
+            failed = True
+            reason = (f"{type(exc).__name__} in the {config.controller} "
+                      f"controller at t={t:.3f}: {exc}")
+            rows = rows[:k]
+            break
         # the loop enforces the physical thrust range regardless of what
         # the controller asked for
         if U1 < 0.0:

@@ -561,6 +561,26 @@ def _simulate_lines(lines):
         return code, err.getvalue(), os.path.exists(out)
 
 
+def test_controller_arithmetic_errors_end_in_exit_codes():
+    """A vehicle a controller cannot step in floats never tracebacks.
+
+    The MPC cannot take its first step with a subnormal quadrotor mass
+    (its gain product meets an infinite acceleration), so that config is
+    a config error with no output; the SMC divides by zero on its second
+    tick under a subnormal g, so that run aborts with a partial trace.
+    """
+    base = ["duration = 0.1"]
+    code, err, made_out = _simulate_lines(
+        base + ["controller = MPC", "vehicle.m_q = 5e-324"])
+    assert (code, made_out) == (EXIT_CONFIG, False)
+    assert err.startswith("config error: MPC controller cannot be built")
+    code, err, made_out = _simulate_lines(
+        base + ["controller = SMC", "vehicle.g = 5e-324"])
+    assert (code, made_out) == (EXIT_ABORT, True)
+    assert "ZeroDivisionError in the SMC controller at t=0.010" in err
+    assert "Traceback" not in err
+
+
 KNOWN_KEYS = NUMERIC_KEYS + ("controller", "trajectory")
 
 _unknown_key = st.builds(
