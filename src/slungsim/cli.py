@@ -25,8 +25,8 @@ from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
 from .dynamics import VehicleParams
 from .metrics import (compute_run_metrics, critical_mass_report,
                       max_feasible_accel)
-from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, SimConfig,
-                      SimLog, run)
+from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, TRAJECTORIES,
+                      SimConfig, SimLog, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="recompute metrics from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--trajectory", default="square",
-                   choices=("square", "single_leg", "hover"))
+                   choices=TRAJECTORIES)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("critical-mass",

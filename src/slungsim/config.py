@@ -202,7 +202,7 @@ def build_sim_config(kv: dict) -> SimConfig:
     # exists; so does one whose build or first step overflows
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            make_controller(cfg).step(0.0, [*START_POS] + [0.0] * 9,
+            make_controller(cfg).step([*START_POS] + [0.0] * 9,
                                       reference_function(cfg)(0.0))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.controller} controller cannot be built "

@@ -1,9 +1,9 @@
 """Cascaded PD and sliding-mode flight controllers.
 
-Controller interface, shared with mpc.MpcController: step(t, s, ref) takes
-the control time, the 12 vehicle floats s = y[:12] of the state vector
-(x, y, z, vx, vy, vz, phi, theta, psi, p, q, r; see dynamics) and the
-reference point, and returns the plain tuple
+Controller interface, shared with mpc.MpcController: step(s, ref) takes
+the 12 vehicle floats s = y[:12] of the state vector (x, y, z, vx, vy, vz,
+phi, theta, psi, p, q, r; see dynamics) and the reference point, and
+returns the plain tuple
 
     (U1, U2, U3, U4, phi_d, theta_d, saturated)
 
@@ -197,7 +197,7 @@ class PdController:
         self.gains = gains if gains is not None else PdGains()
         self.params = params if params is not None else VehicleParams()
 
-    def step(self, t: float, s, ref: ReferencePoint):
+    def step(self, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
         x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
@@ -240,7 +240,7 @@ class SmcController:
         self._prev_phi_d = None
         self._prev_theta_d = None
 
-    def step(self, t: float, s, ref: ReferencePoint):
+    def step(self, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
         x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s

@@ -2,8 +2,9 @@
 
 Two independent receding-horizon loops share one machinery: a linear
 discrete model, a stacked prediction over an N-step horizon, and an
-unconstrained least-squares solve penalizing tracking error and input
-moves.
+unconstrained least-squares solve penalizing tracking error (identity
+weight) and input moves.  The move weights are the only weights; config
+sets them per loop with mpc.move_pos and mpc.move_att.
 
 The position loop models the translational states [x, vx, y, vy, z, vz]
 as three double integrators driven by (theta_d, phi_d, G), where small
@@ -57,28 +58,19 @@ class DiscreteModel:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    dt: float
 
-    def __post_init__(self):
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ValueError("A must be square")
-        if self.B.shape[0] != n or self.C.shape[1] != n:
-            raise ValueError("B/C dimensions must match A")
-        if self.dt < 0.0:
-            raise ValueError("dt must be >= 0")
 
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
+def _double_integrators(dt: float, b) -> DiscreteModel:
+    """Three Euler double integrators [q0, dq0, q1, dq1, q2, dq2] with
+    outputs (q0, q1, q2); input i enters row 2i+1 through b[i] (dt folded in).
+    """
+    A = np.eye(6)
+    A[0, 1] = A[2, 3] = A[4, 5] = dt
+    B = np.zeros((6, 3))
+    B[1, 0], B[3, 1], B[5, 2] = b
+    C = np.zeros((3, 6))
+    C[0, 0] = C[1, 2] = C[2, 4] = 1.0
+    return DiscreteModel(A=A, B=B, C=C)
 
 
 def discretize_translational(dt: float, params: VehicleParams = None) -> DiscreteModel:
@@ -89,22 +81,8 @@ def discretize_translational(dt: float, params: VehicleParams = None) -> Discret
     positive thrust deficit G accelerates -z, so the input columns carry
     (+g dt, -g dt, -dt) into the respective velocity rows.
     """
-    if params is None:
-        params = VehicleParams()
-    g = params.g
-    A = np.eye(6)
-    A[0, 1] = dt
-    A[2, 3] = dt
-    A[4, 5] = dt
-    B = np.zeros((6, 3))
-    B[1, 0] = g * dt
-    B[3, 1] = -g * dt
-    B[5, 2] = -dt
-    C = np.zeros((3, 6))
-    C[0, 0] = 1.0
-    C[1, 2] = 1.0
-    C[2, 4] = 1.0
-    return DiscreteModel(A=A, B=B, C=C, dt=dt)
+    p = params if params is not None else VehicleParams()
+    return _double_integrators(dt, (p.g * dt, -p.g * dt, -dt))
 
 
 def discretize_rotational(dt: float, params: VehicleParams = None) -> DiscreteModel:
@@ -114,21 +92,8 @@ def discretize_rotational(dt: float, params: VehicleParams = None) -> DiscreteMo
     angular cross terms are dropped and each rate row is driven through
     the corresponding inverse inertia.
     """
-    if params is None:
-        params = VehicleParams()
-    A = np.eye(6)
-    A[0, 1] = dt
-    A[2, 3] = dt
-    A[4, 5] = dt
-    B = np.zeros((6, 3))
-    B[1, 0] = dt / params.I_x
-    B[3, 1] = dt / params.I_y
-    B[5, 2] = dt / params.I_z
-    C = np.zeros((3, 6))
-    C[0, 0] = 1.0
-    C[1, 2] = 1.0
-    C[2, 4] = 1.0
-    return DiscreteModel(A=A, B=B, C=C, dt=dt)
+    p = params if params is not None else VehicleParams()
+    return _double_integrators(dt, (dt / p.I_x, dt / p.I_y, dt / p.I_z))
 
 
 @dataclass(frozen=True)
@@ -142,8 +107,8 @@ class EstimatorConfig:
     v: float = 1e-4
 
     def covariances(self, model: DiscreteModel):
-        return (self.w * np.eye(model.n_states),
-                self.v * np.eye(model.n_outputs))
+        return (self.w * np.eye(model.A.shape[0]),
+                self.v * np.eye(model.C.shape[0]))
 
 
 def solve_dare(model: DiscreteModel, cfg: EstimatorConfig,
@@ -198,7 +163,7 @@ def build_prediction(model: DiscreteModel, N: int = HORIZON) -> PredictionModel:
     if N < 1:
         raise ValueError("horizon must be >= 1")
     A, B, C = model.A, model.B, model.C
-    n, m, p = model.n_states, model.n_inputs, model.n_outputs
+    (p, n), m = C.shape, B.shape[1]
     # C A^i blocks, i = 0..N-1
     CA = np.empty((N, p, n))
     CA[0] = C
@@ -214,30 +179,31 @@ def build_prediction(model: DiscreteModel, N: int = HORIZON) -> PredictionModel:
 
 @dataclass(frozen=True)
 class MpcWeights:
-    """Diagonal tracking and move-penalty weights (scalar or per channel)."""
+    """Diagonal input-move weight s (scalar or per input channel).
 
-    y: object = 1.0
+    The tracking weight is the identity, so the move weights are the only
+    weights.  Config sets them with mpc.move_pos and mpc.move_att.
+    """
+
     s: object = 0.05
 
     def __post_init__(self):
-        for name in ("y", "s"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v) & (v > 0.0)):
-                raise ValueError(f"MPC weights {name} must be positive and "
-                                 f"finite, got {getattr(self, name)}")
-
-    def diagonals(self, p: int, m: int, N: int):
-        yv = np.broadcast_to(np.asarray(self.y, dtype=float), (p,))
-        sv = np.broadcast_to(np.asarray(self.s, dtype=float), (m,))
-        return np.tile(yv, N), np.tile(sv, N)
+        v = np.asarray(self.s, dtype=float)
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError(f"MPC weights s must be positive and "
+                             f"finite, got {self.s}")
 
 
-def _move_operators(N: int, m: int):
-    """D differences consecutive input blocks; E injects the applied input."""
+def _cost_terms(pm: PredictionModel, weights: MpcWeights):
+    """Cost terms: D differences consecutive input blocks, E injects the
+    applied input, sbar stacks the move weights, H is the cost Hessian."""
+    N = pm.N
+    m = pm.Gam.shape[1] // N
+    sbar = np.tile(np.broadcast_to(np.asarray(weights.s, float), (m,)), N)
     D = np.eye(N * m) - np.eye(N * m, k=-m)
-    E = np.zeros((N * m, m))
-    E[:m, :] = np.eye(m)
-    return D, E
+    E = np.eye(N * m, m)
+    H = pm.Gam.T @ pm.Gam + D.T @ (sbar[:, None] * D)
+    return D, E, sbar, H
 
 
 def mpc_solve(pm: PredictionModel, weights: MpcWeights,
@@ -245,21 +211,15 @@ def mpc_solve(pm: PredictionModel, weights: MpcWeights,
               u_prev: np.ndarray) -> np.ndarray:
     """Minimize the stacked tracking plus input-move cost.
 
-    J = 1/2 sum_i ||y_i - r_i||^2_Y + 1/2 sum_i ||u_i - u_{i-1}||^2_S
+    J = 1/2 sum_i ||y_i - r_i||^2 + 1/2 sum_i ||u_i - u_{i-1}||^2_S
     with the first move taken against u_prev (the input already being
     applied).  Returns the stacked minimizer of length N * n_inputs; the
     caller applies only the first block and re-solves next tick.
     """
-    N = pm.N
-    p = pm.Lam.shape[0] // N
-    m = pm.Gam.shape[1] // N
-    xhat = np.asarray(xhat, dtype=float)
-    refs = np.asarray(refs, dtype=float).reshape(N * p)
-    u_prev = np.asarray(u_prev, dtype=float)
-    ybar, sbar = weights.diagonals(p, m, N)
-    D, E = _move_operators(N, m)
-    H = pm.Gam.T @ (ybar[:, None] * pm.Gam) + D.T @ (sbar[:, None] * D)
-    rhs = pm.Gam.T @ (ybar * (refs - pm.Lam @ xhat)) + D.T @ (sbar * (E @ u_prev))
+    D, E, sbar, H = _cost_terms(pm, weights)
+    refs = np.asarray(refs, dtype=float).reshape(pm.Lam.shape[0])
+    rhs = (pm.Gam.T @ (refs - pm.Lam @ np.asarray(xhat, dtype=float))
+           + D.T @ (sbar * (E @ np.asarray(u_prev, dtype=float))))
     return np.linalg.solve(H, rhs)
 
 
@@ -267,16 +227,12 @@ def mpc_cost(pm: PredictionModel, weights: MpcWeights,
              xhat: np.ndarray, refs: np.ndarray,
              u_prev: np.ndarray, U: np.ndarray) -> float:
     """Cost functional evaluated at a stacked input sequence U."""
-    N = pm.N
-    p = pm.Lam.shape[0] // N
-    m = pm.Gam.shape[1] // N
-    refs = np.asarray(refs, dtype=float).reshape(N * p)
-    U = np.asarray(U, dtype=float).reshape(N * m)
-    ybar, sbar = weights.diagonals(p, m, N)
-    D, E = _move_operators(N, m)
+    D, E, sbar, _ = _cost_terms(pm, weights)
+    refs = np.asarray(refs, dtype=float).reshape(pm.Lam.shape[0])
+    U = np.asarray(U, dtype=float).reshape(pm.Gam.shape[1])
     e = pm.Lam @ np.asarray(xhat, dtype=float) + pm.Gam @ U - refs
     dU = D @ U - E @ np.asarray(u_prev, dtype=float)
-    return 0.5 * float(e @ (ybar * e) + dU @ (sbar * dU))
+    return 0.5 * float(e @ e + dU @ (sbar * dU))
 
 
 def receding_gain(model: DiscreteModel, weights: MpcWeights,
@@ -289,16 +245,13 @@ def receding_gain(model: DiscreteModel, weights: MpcWeights,
 
         u_next = M1 (stack(r) - Lam (A x + B u)) + M2 u = K @ [r, x, u]
 
-    with M1, M2 the first input block of H^-1 [Gam' Ybar, D' Sbar E].
+    with M1, M2 the first input block of H^-1 [Gam', D' Sbar E].
     Returns K of shape (n_inputs, n_outputs + n_states + n_inputs).
     """
     pm = build_prediction(model, N)
-    m, p = model.n_inputs, model.n_outputs
-    ybar, sbar = weights.diagonals(p, m, N)
-    D, E = _move_operators(N, m)
-    Gam = pm.Gam
-    H = Gam.T @ (ybar[:, None] * Gam) + D.T @ (sbar[:, None] * D)
-    M1 = np.linalg.solve(H, Gam.T * ybar)[:m]
+    D, E, sbar, H = _cost_terms(pm, weights)
+    m, p = model.B.shape[1], model.C.shape[0]
+    M1 = np.linalg.solve(H, pm.Gam.T)[:m]
     M2 = np.linalg.solve(H, D.T @ (sbar[:, None] * E))[:m]
     M1_Lam = M1 @ pm.Lam
     held = np.tile(np.eye(p), (N, 1))
@@ -350,7 +303,7 @@ class MpcController:
         self._u_pos = [0.0, 0.0, 0.0]  # (theta_d, phi_d, G) applied this tick
         self._u_att = [0.0, 0.0, 0.0]  # (U2, U3, U4) applied this tick
 
-    def step(self, t: float, s, ref: ReferencePoint):
+    def step(self, s, ref: ReferencePoint):
         par = self.params
         # input decided last tick, applied now, saturated to what the
         # vehicle can actually do

@@ -10,6 +10,8 @@ square_reference for the square trajectory, looked up when the run starts)
 and the controller's step once.  step gets the 12 vehicle floats y[:12], so
 the load stays hidden from it, and returns the float tuple
 (U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.
+Each controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself,
+so the loop applies the inputs as returned.
 Each sub-step is one rk4_step call on coupled_derivative_array, both looked
 up by name in this module at call time; a 16-float state takes rk4_step's
 unrolled path, any other length its generic comprehension path.
@@ -286,21 +288,13 @@ def run(config: SimConfig) -> SimLog:
         ref = ref_fn(t)
         try:
             # the controller sees the vehicle floats only, never the load
-            U1, U2, U3, U4, _, _, saturated = ctrl.step(t, y[:12], ref)
+            U1, U2, U3, U4, _, _, saturated = ctrl.step(y[:12], ref)
         except ArithmeticError as exc:
             failed = True
             reason = (f"{type(exc).__name__} in the {config.controller} "
                       f"controller at t={t:.3f}: {exc}")
             rows = rows[:k]
             break
-        # the loop enforces the physical thrust range regardless of what
-        # the controller asked for
-        if U1 < 0.0:
-            U1 = 0.0
-            saturated = True
-        elif U1 > par.U1_max:
-            U1 = par.U1_max
-            saturated = True
         u_vec = [U1, U2, U3, U4]
 
         rx, ry, rz = ref.pos

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slungsim.controllers import (
     ANGLE_CAP,
+    U1_FLOOR,
     PdController,
     PdGains,
     SmcController,
@@ -16,6 +17,7 @@ from slungsim.controllers import (
     desired_angles,
 )
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
+from slungsim.mpc import MpcController
 from slungsim.simloop import rk4_step
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
 
@@ -109,7 +111,7 @@ class TestPdController:
     def test_hover_fixed_point(self, params):
         ctrl = PdController(params=params)
         U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
-            0.0, hover_state(), hover_reference(0.0))
+            hover_state(), hover_reference(0.0))
         assert U1 == params.m_q * params.g
         assert U2 == 0.0 and U3 == 0.0 and U4 == 0.0
         assert phi_d == 0.0 and theta_d == 0.0
@@ -119,7 +121,7 @@ class TestPdController:
         # 0.1 m x-error => a_cx = 1.0 m/s^2 => theta_d = asin(a_cx/g^2)
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.1, 0.0, 1.5), vel=REST, acc=REST)
-        out = ctrl.step(0.0, hover_state(), ref)
+        out = ctrl.step(hover_state(), ref)
         expected = math.asin(1.0 / (params.g * params.g))
         assert out[5] == pytest.approx(expected, rel=1e-12)
         assert out[4] == 0.0
@@ -128,7 +130,7 @@ class TestPdController:
         # 0.1 m z-error => a_cz = 2.0 m/s^2 => U1 = m_q*(g + 2)
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.6), vel=REST, acc=REST)
-        out = ctrl.step(0.0, hover_state(), ref)
+        out = ctrl.step(hover_state(), ref)
         assert out[0] == pytest.approx(params.m_q * (params.g + 2.0),
                                        rel=1e-12)
 
@@ -136,7 +138,7 @@ class TestPdController:
         # at the hover reference the tilt command is level, so a -0.1 rad
         # roll is 0.1 rad of roll error
         ctrl = PdController(params=params)
-        out = ctrl.step(0.0, vehicle_state(z=1.5, phi=-0.1),
+        out = ctrl.step(vehicle_state(z=1.5, phi=-0.1),
                         hover_reference(0.0))
         assert out[1] == pytest.approx(0.15, rel=1e-12)
         assert out[2] == 0.0
@@ -144,21 +146,21 @@ class TestPdController:
     def test_attitude_yaw_torque(self, params):
         # 0.1 rad of yaw error
         ctrl = PdController(params=params)
-        out = ctrl.step(0.0, vehicle_state(z=1.5, psi=-0.1),
+        out = ctrl.step(vehicle_state(z=1.5, psi=-0.1),
                         hover_reference(0.0))
         assert out[3] == pytest.approx(0.026, rel=1e-12)
 
     def test_thrust_cap_flagged(self, params):
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 3.0), vel=REST, acc=REST)
-        out = ctrl.step(0.0, hover_state(), ref)  # 1.5 m z error -> 39.8 N
+        out = ctrl.step(hover_state(), ref)  # 1.5 m z error -> 39.8 N
         assert out[0] == params.U1_max
         assert out[6]
 
     def test_thrust_floor_flagged(self, params):
         ctrl = PdController(params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 0.0), vel=REST, acc=REST)
-        out = ctrl.step(0.0, hover_state(), ref)  # -1.5 m error -> negative
+        out = ctrl.step(hover_state(), ref)  # -1.5 m error -> negative
         assert out[0] > 0.0
         assert out[6]
 
@@ -168,8 +170,8 @@ class TestSmcController:
         smc = SmcController(params=params)
         pd = PdController(params=params)
         ref = hover_reference(0.0)
-        a = smc.step(0.0, hover_state(), ref)
-        b = pd.step(0.0, hover_state(), ref)
+        a = smc.step(hover_state(), ref)
+        b = pd.step(hover_state(), ref)
         assert a[0] == b[0] == params.m_q * params.g
         assert a[:4] == b[:4]
 
@@ -179,7 +181,7 @@ class TestSmcController:
         smc = SmcController(gains=SmcGains(boundary_layer=0.0),
                             params=params)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.52), vel=REST, acc=REST)
-        out = smc.step(0.0, hover_state(), ref)
+        out = smc.step(hover_state(), ref)
         U1, U2, U3, U4, phi_d, theta_d, _ = out
         assert U1 == pytest.approx(params.m_q * (params.g + 0.4), rel=1e-12)
         # horizontal surfaces were zero: no tilt, no torques on first tick
@@ -192,7 +194,7 @@ class TestSmcController:
         smc = SmcController(params=params)
         bl = smc.gains.boundary_layer
         ref = ReferencePoint(pos=(0.0, 0.0, 1.508), vel=REST, acc=REST)
-        out = smc.step(0.0, hover_state(), ref)
+        out = smc.step(hover_state(), ref)
         expected = params.m_q * (params.g + 0.4 * (0.04 / bl))
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
@@ -205,8 +207,7 @@ class TestSmcController:
         outs = []
         for _ in range(2):
             smc = SmcController(params=params)
-            outs.append([smc.step(0.01 * i, hover_state(), r)
-                         for i, r in enumerate(refs)])
+            outs.append([smc.step(hover_state(), r) for r in refs])
         assert outs[0] == outs[1]
 
     def test_command_rate_memory_feeds_attitude(self, params):
@@ -215,9 +216,9 @@ class TestSmcController:
         smc = SmcController(params=params)
         ref_a = ReferencePoint(pos=(0.3, 0.0, 1.5), vel=REST, acc=REST)
         ref_b = ReferencePoint(pos=(-0.3, 0.0, 1.5), vel=REST, acc=REST)
-        smc.step(0.0, hover_state(), ref_a)
-        warm = smc.step(0.01, hover_state(), ref_b)
-        fresh = SmcController(params=params).step(0.0, hover_state(), ref_b)
+        smc.step(hover_state(), ref_a)
+        warm = smc.step(hover_state(), ref_b)
+        fresh = SmcController(params=params).step(hover_state(), ref_b)
         assert warm[2] != fresh[2]
 
     def test_overload_starves_tilt(self, params):
@@ -230,7 +231,7 @@ class TestSmcController:
         ref = ReferencePoint(pos=(0.1, 0.0, 1.5),
                              vel=(0.0, 0.0, 6.0), acc=REST)
         out = SmcController(gains=gains, params=params).step(
-            0.0, hover_state(), ref)
+            hover_state(), ref)
         # z demand: m_q*(g + 5*6 + 0.4) = 40.2 N, conditioned to 1.5*U1_max
         assert out[0] == params.U1_max
         assert out[6]
@@ -238,6 +239,54 @@ class TestSmcController:
         frac = 1.0 / DEMAND_CEILING
         expected = math.asin(frac * 0.6 / (params.g * params.g))
         assert out[5] == pytest.approx(expected, rel=1e-12)
+
+
+def _offset(z=0.0, vz=0.0):
+    return [0.0, 0.0, z, 0.0, 0.0, vz] + [0.0] * 6
+
+
+@pytest.mark.parametrize("make", [PdController, SmcController,
+                                  MpcController], ids=["PD", "SMC", "MPC"])
+@settings(max_examples=100, deadline=None)
+@given(s=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       scales=st.lists(st.sampled_from([0.0, 1.0, 1e6]),
+                       min_size=3, max_size=3),
+       t=st.floats(0.0, 75.0),
+       U1_max=st.one_of(st.floats(0.0, U1_FLOOR, exclude_min=True),
+                        st.floats(U1_FLOOR, 30.0)))
+# level and over the reference: 1e6 m high and climbing at 1e6 m/s, clipped
+# at the floor; 5 cm low, asking 10.2-11.6 N of a 10 N ceiling; a ceiling
+# below the floor
+@example(s=_offset(z=1.0, vz=1.0), scales=[0.0, 1e6, 0.0], t=0.0,
+         U1_max=20.0)
+@example(s=_offset(z=-0.05), scales=[0.0, 1.0, 0.0], t=0.0, U1_max=10.0)
+@example(s=_offset(z=-0.05), scales=[0.0, 1.0, 0.0], t=0.0, U1_max=1e-4)
+def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
+                                                    U1_max):
+    # the loop applies U1 as returned, so each controller bounds its own
+    # thrust to [min(U1_FLOOR, U1_max), U1_max] and flags a clip.  A twin
+    # on a vehicle without a working ceiling shows a clip at U1_max; MPC
+    # applies on its second tick the input it decided on the first, and
+    # the twins share that history only while their thrusts agree.  The
+    # state is drawn as an offset from the reference with its horizontal,
+    # vertical and attitude parts scaled apart, so a thrust clip also
+    # comes without a tilt clamp that would set the flag anyway.  Offsets
+    # stop at 1e6: near 1e308 PD's gain terms overflow to inf - inf, and
+    # the NaN thrust ends the run as a non-finite state after the tick.
+    ctrl = make(params=VehicleParams(U1_max=U1_max))
+    twin = make(params=VehicleParams(U1_max=1e300))
+    ref = square_reference(t)
+    h, v, a = scales
+    s = [f * x for f, x in zip((h, h, v, h, h, v) + (a,) * 6, s)]
+    s[:3] = [r + d for r, d in zip(ref.pos, s[:3])]
+    for _ in range(2):
+        U1, *_, saturated = ctrl.step(s, ref)
+        U1_twin = twin.step(s, ref)[0]
+        assert min(U1_FLOOR, U1_max) <= U1 <= U1_max
+        if U1 == U1_FLOOR or U1 != U1_twin:
+            assert saturated
+        if U1 != U1_twin:
+            break
 
 
 def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
@@ -256,7 +305,7 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
         t = k * dt_c
         state = y[:12]
         ref = ref_fn(t)
-        out = ctrl.step(t, state, ref)
+        out = ctrl.step(state, ref)
         records.append((t, state, ref, out))
         u = out[:4]
         for _ in range(n_sub):

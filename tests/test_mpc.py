@@ -31,9 +31,9 @@ def params():
     return VehicleParams()
 
 
-def scalar_model(a, b, c, dt=1.0):
+def scalar_model(a, b, c):
     return DiscreteModel(A=np.array([[float(a)]]), B=np.array([[float(b)]]),
-                         C=np.array([[float(c)]]), dt=dt)
+                         C=np.array([[float(c)]]))
 
 
 def hover_ref(pos=(0.0, 0.0, 1.5)):
@@ -71,11 +71,6 @@ class TestDiscretization:
         md = discretize_translational(0.0, params)
         assert np.array_equal(md.A, np.eye(6))
         assert not md.B.any()
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            DiscreteModel(A=np.eye(2), B=np.zeros((3, 1)),
-                          C=np.zeros((1, 2)), dt=0.01)
 
 
 class TestRiccati:
@@ -178,7 +173,7 @@ class TestSolver:
     def test_scalar_toy_reaches_in_two_steps(self):
         md = scalar_model(1.0, 1.0, 1.0)
         pm = build_prediction(md, 2)
-        w = MpcWeights(y=1.0, s=1e-9)
+        w = MpcWeights(s=1e-9)
         x = np.array([0.7])
         r2 = 3.0
         refs = np.array([md.C[0, 0] * x[0], r2])  # first output is free
@@ -238,8 +233,8 @@ class TestRecedingGain:
 
     @pytest.mark.parametrize("horizon, weights_pos, weights_att", [
         (HORIZON, None, None),
-        (7, MpcWeights(y=(2.0, 1.0, 0.5), s=(0.3, 0.6, 0.01)),
-         MpcWeights(y=0.7, s=(0.001, 0.0005, 0.002))),
+        (7, MpcWeights(s=(0.3, 0.6, 0.01)),
+         MpcWeights(s=(0.001, 0.0005, 0.002))),
     ], ids=["default", "custom"])
     def test_matches_first_block_of_solve(self, params, horizon,
                                           weights_pos, weights_att):
@@ -272,7 +267,7 @@ class TestController:
     def test_first_tick_is_hover(self, params):
         ctrl = MpcController(params=params)
         U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
-            0.0, vehicle_state(z=1.5), hover_ref())
+            vehicle_state(z=1.5), hover_ref())
         assert U1 == pytest.approx(params.m_q * params.g)
         assert U2 == 0.0 and U3 == 0.0 and U4 == 0.0
         assert phi_d == 0.0 and theta_d == 0.0
@@ -282,16 +277,16 @@ class TestController:
         # at the reference with zero velocity the loop never leaves hover
         ctrl = MpcController(params=params)
         st = vehicle_state(z=1.5)
-        for k in range(50):
-            out = ctrl.step(0.01 * k, st, hover_ref())
+        for _ in range(50):
+            out = ctrl.step(st, hover_ref())
             assert out[0] == pytest.approx(params.m_q * params.g, abs=1e-12)
             assert abs(out[4]) < 1e-12 and abs(out[5]) < 1e-12
 
     def test_displacement_tilts_toward_target(self, params):
         ctrl = MpcController(params=params)
         st = vehicle_state(x=-0.5, z=1.5)
-        ctrl.step(0.0, st, hover_ref())
-        out = ctrl.step(0.01, st, hover_ref())
+        ctrl.step(st, hover_ref())
+        out = ctrl.step(st, hover_ref())
         # positive pitch command accelerates +x, toward the target
         assert out[5] > 0.0
         assert abs(out[4]) < 1e-9
@@ -301,8 +296,8 @@ class TestController:
         far = hover_ref(pos=(50.0, -50.0, 80.0))
         st = vehicle_state(z=1.5)
         saturated = False
-        for k in range(20):
-            out = ctrl.step(0.01 * k, st, far)
+        for _ in range(20):
+            out = ctrl.step(st, far)
             assert abs(out[4]) <= ANGLE_CAP + 1e-12
             assert abs(out[5]) <= ANGLE_CAP + 1e-12
             assert 0.0 < out[0] <= params.U1_max
@@ -315,7 +310,6 @@ class TestController:
         outs = []
         for _ in range(2):
             ctrl = MpcController(params=params)
-            outs.append([ctrl.step(0.01 * k, s, hover_ref())
-                         for k, s in enumerate(seq)])
+            outs.append([ctrl.step(s, hover_ref()) for s in seq])
         assert outs[0] == outs[1]
 

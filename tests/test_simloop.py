@@ -317,7 +317,7 @@ class TestRun:
         outs = []
         for m in (0.0, 0.3):
             ctrl = make_controller(SimConfig(controller=name, m_L=m))
-            outs.append([ctrl.step(0.01 * k, s, square_reference(0.01 * k))
+            outs.append([ctrl.step(s, square_reference(0.01 * k))
                          for k, s in enumerate(states)])
         assert outs[0] == outs[1]
 
