@@ -46,7 +46,7 @@ class SweepSpec:
             raise ConfigError("sweep.masses: list must not be empty")
         prev = 0.0
         for m in self.masses:
-            if m <= prev:
+            if not prev < m < math.inf:
                 raise ConfigError("sweep.masses: masses must be strictly "
                                   f"increasing and positive, got {m}")
             prev = m

@@ -7,10 +7,11 @@ returns the plain tuple
 
     (U1, U2, U3, U4, phi_d, theta_d, saturated)
 
-of six Python floats and a bool: the inputs to apply over the next tick,
-the tilt command the attitude loop tracked (its yaw command is always 0),
-and whether any demand was clipped.  Each run builds a fresh controller, so controller state lives
-only as long as the run.
+of six finite Python floats and a bool: the inputs to apply over the next
+tick, the tilt command the attitude loop tracked (its yaw command is
+always 0), and whether any demand was clipped.  A step that cannot keep
+its floats finite raises an ArithmeticError instead.  Each run builds a
+fresh controller, so controller state lives only as long as the run.
 
 Both controllers share one architecture: an outer position loop turns the
 tracking error into a collective-thrust demand and a pair of desired tilt
@@ -36,6 +37,13 @@ integrates the altitude sag up against the ceiling even for statically
 liftable loads, so the fraction is not an overload signal there.
 
 All angle commands are capped well inside the asin/cascade validity region.
+Every limit (thrust floor and ceilings, asin arguments, tilt caps, the
+boundary-layer ramp) goes through one helper, `_limit`, which clips and
+flags.  A NaN demand would pass any comparison, so `_limit` raises
+FloatingPointError for it; the torques have no limit, and an overflowing
+one raises the same error.  `simloop.run` turns that arithmetic error into
+an abort, and the first-step check of `config.build_sim_config` into a
+config error.
 """
 
 from __future__ import annotations
@@ -55,6 +63,19 @@ U1_FLOOR = 1e-3  # N; keeps the thrust demand positive for the tilt division
 DEMAND_CEILING = 1.5
 
 
+def _limit(v: float, lo: float, hi: float):
+    """(v clipped to lo, then to hi; whether it was clipped).
+
+    A ceiling below the floor wins and flags.  A NaN raises
+    FloatingPointError, because it would pass every comparison.
+    """
+    if lo <= v <= hi:
+        return v, False
+    if v != v:
+        raise FloatingPointError("NaN demand")
+    return min(hi, max(lo, v)), True
+
+
 @dataclass(frozen=True)
 class PdGains:
     Kpx: float = 10.0
@@ -72,7 +93,7 @@ class PdGains:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v <= 0.0:
+            if not 0.0 < v < math.inf:
                 raise ValueError(f"PdGains.{name} must be positive")
 
 
@@ -98,10 +119,16 @@ class SmcGains:
     def __post_init__(self):
         if len(self.k) != 6 or len(self.lam) != 6:
             raise ValueError("k and lam must each have six entries")
-        if min(self.k) <= 0.0 or min(self.lam) <= 0.0:
+        if not all(0.0 < v < math.inf for v in (*self.k, *self.lam)):
             raise ValueError("reaching gains and slopes must be positive")
-        if self.boundary_layer < 0.0:
+        if not 0.0 <= self.boundary_layer < math.inf:
             raise ValueError("boundary_layer must be >= 0")
+
+
+def _check_torques(U2: float, U3: float, U4: float):
+    """No limit bounds the torques, so an overflow raises here instead."""
+    if not math.isfinite(U2 + U3 + U4):
+        raise FloatingPointError("torque demand overflows")
 
 
 def desired_angles(ax_des: float, ay_des: float, U1: float, m_q: float):
@@ -109,41 +136,26 @@ def desired_angles(ax_des: float, ay_des: float, U1: float, m_q: float):
 
     phi_d = asin(-m_q*ay_des/U1); theta_d = asin(m_q*ax_des/(U1*cos(phi_d))).
     Arguments outside [-1, 1] are clamped and flagged, and the resulting
-    angles are capped to +/-ANGLE_CAP.
+    angles are capped to +/-ANGLE_CAP; a NaN argument raises
+    FloatingPointError.
 
     Returns:
         (phi_d, theta_d, clamped)
     """
     if U1 <= 0.0:
         raise ValueError("desired_angles requires U1 > 0")
-    clamped = False
-
-    a = -m_q * ay_des / U1
-    if a > 1.0 or a < -1.0:
-        a = math.copysign(1.0, a)
-        clamped = True
+    a, clip_a = _limit(-m_q * ay_des / U1, -1.0, 1.0)
     phi_d = math.asin(a)
-
-    b = m_q * ax_des / (U1 * math.cos(phi_d))
-    if b > 1.0 or b < -1.0:
-        b = math.copysign(1.0, b)
-        clamped = True
-    theta_d = math.asin(b)
-
-    if phi_d > ANGLE_CAP or phi_d < -ANGLE_CAP:
-        phi_d = math.copysign(ANGLE_CAP, phi_d)
-        clamped = True
-    if theta_d > ANGLE_CAP or theta_d < -ANGLE_CAP:
-        theta_d = math.copysign(ANGLE_CAP, theta_d)
-        clamped = True
-    return phi_d, theta_d, clamped
+    b, clip_b = _limit(m_q * ax_des / (U1 * math.cos(phi_d)), -1.0, 1.0)
+    phi_d, cap_phi = _limit(phi_d, -ANGLE_CAP, ANGLE_CAP)
+    theta_d, cap_theta = _limit(math.asin(b), -ANGLE_CAP, ANGLE_CAP)
+    return phi_d, theta_d, clip_a or clip_b or cap_phi or cap_theta
 
 
 def _switch(S: float, boundary_layer: float) -> float:
     """sgn(S), with sgn(0) = 0; linear ramp inside the boundary layer."""
     if boundary_layer > 0.0:
-        v = S / boundary_layer
-        return max(-1.0, min(1.0, v))
+        return _limit(S / boundary_layer, -1.0, 1.0)[0]
     if S > 0.0:
         return 1.0
     if S < 0.0:
@@ -155,7 +167,9 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
                      params: VehicleParams, starve: bool):
     """Saturate the thrust demand and extract the tilt command.
 
-    Returns (phi_d, theta_d, U1_applied, saturated).
+    Returns (phi_d, theta_d, U1_applied, saturated).  `_limit` conditions
+    the demand to [U1_FLOOR, DEMAND_CEILING*U1_max] and then applies at
+    most U1_max; a NaN demand raises FloatingPointError.
 
     The tilt extraction runs against the nominal hover thrust, so the
     horizontal loop gain stays independent of whatever load the thrust
@@ -169,25 +183,16 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
     (the PD one) winds its demand up against the ceiling even for loads
     it could statically carry, so PD passes starve=False.
     """
-    saturated = False
-    U1_dem = U1_raw
-    if U1_dem < U1_FLOOR:
-        U1_dem = U1_FLOOR
-        saturated = True
-    if U1_dem > DEMAND_CEILING * params.U1_max:
-        U1_dem = DEMAND_CEILING * params.U1_max
-        saturated = True
-    U1_applied = U1_dem
-    if U1_applied > params.U1_max:
-        U1_applied = params.U1_max
-        saturated = True
+    U1_dem, clip_dem = _limit(U1_raw, U1_FLOOR,
+                              DEMAND_CEILING * params.U1_max)
+    U1_applied, clip_max = _limit(U1_dem, -math.inf, params.U1_max)
     hover = params.m_q * params.g
     pre = params.m_q / hover
     if starve:
         pre *= U1_applied / U1_dem
     phi_d, theta_d, clamped = desired_angles(pre * a_cx, pre * a_cy,
                                              hover, params.m_q)
-    return phi_d, theta_d, U1_applied, saturated or clamped
+    return phi_d, theta_d, U1_applied, clip_dem or clip_max or clamped
 
 
 class PdController:
@@ -215,6 +220,7 @@ class PdController:
         U3 = (p.I_y / p.l) * (g.Kpt * (theta_d - theta) - g.Kdt * q_rate)
         # psi_d = 0; 0.0 - psi (not -psi) keeps U4 at +0.0 for psi = 0
         U4 = p.I_z * (g.Kpps * (0.0 - psi) - g.Kdps * r_rate)
+        _check_torques(U2, U3, U4)
         return U1, U2, U3, U4, phi_d, theta_d, saturated
 
 
@@ -234,7 +240,7 @@ class SmcController:
                  dt: float = 0.01):
         self.gains = gains if gains is not None else SmcGains()
         self.params = params if params is not None else VehicleParams()
-        if dt <= 0.0:
+        if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive")
         self.dt = dt
         self._prev_phi_d = None
@@ -293,4 +299,5 @@ class SmcController:
                               - (p.I_z - p.I_x) / p.I_y * p_rate * r_rate)
         U4 = p.I_z * (k_psi * _switch(S_psi, bl) + l_psi * ed_psi
                       - (p.I_x - p.I_y) / p.I_z * q_rate * p_rate)
+        _check_torques(U2, U3, U4)
         return U1, U2, U3, U4, phi_d, theta_d, saturated

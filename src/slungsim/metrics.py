@@ -145,8 +145,6 @@ def arrival_time(log: SimLog) -> float:
     if len(outside) == 0:
         return float(log.t[0])
     k = outside[-1] + 1
-    if k >= len(log.t):
-        return float("nan")
     return float(log.t[k])
 
 

@@ -39,12 +39,11 @@ measures the full state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ANGLE_CAP, U1_FLOOR
+from .controllers import ANGLE_CAP, U1_FLOOR, _check_torques, _limit
 from .dynamics import VehicleParams
 from .trajectory import ReferencePoint
 
@@ -308,20 +307,10 @@ class MpcController:
         # input decided last tick, applied now, saturated to what the
         # vehicle can actually do
         theta_d, phi_d, G = self._u_pos
-        saturated = False
-        if abs(theta_d) > ANGLE_CAP:
-            theta_d = math.copysign(ANGLE_CAP, theta_d)
-            saturated = True
-        if abs(phi_d) > ANGLE_CAP:
-            phi_d = math.copysign(ANGLE_CAP, phi_d)
-            saturated = True
-        U1 = par.m_q * (par.g - G)
-        if U1 < U1_FLOOR:
-            U1 = U1_FLOOR
-            saturated = True
-        if U1 > par.U1_max:
-            U1 = par.U1_max
-            saturated = True
+        theta_d, cap_theta = _limit(theta_d, -ANGLE_CAP, ANGLE_CAP)
+        phi_d, cap_phi = _limit(phi_d, -ANGLE_CAP, ANGLE_CAP)
+        U1, clip_U1 = _limit(par.m_q * (par.g - G), U1_FLOOR, par.U1_max)
+        saturated = cap_theta or cap_phi or clip_U1
         G_app = par.g - U1 / par.m_q
         U2, U3, U4 = self._u_att
 
@@ -342,4 +331,6 @@ class MpcController:
         # the attitude model decides torques; the roll/pitch inputs are
         # rotor force differences with moment arm l, so those two are
         # converted (yaw moments pass straight through)
-        return U1, U2 / par.l, U3 / par.l, U4, phi_d, theta_d, saturated
+        F2, F3 = U2 / par.l, U3 / par.l
+        _check_torques(F2, F3, U4)
+        return U1, F2, F3, U4, phi_d, theta_d, saturated

@@ -92,7 +92,7 @@ class SimConfig:
         if self.trajectory not in TRAJECTORIES:
             raise ValueError(f"trajectory must be one of {TRAJECTORIES}, "
                              f"got {self.trajectory!r}")
-        if self.m_L < 0.0:
+        if not 0.0 <= self.m_L < math.inf:
             raise ValueError("m_L must be non-negative")
         if self.m_L > self.params.M_max:
             raise ValueError(f"m_L={self.m_L} exceeds maximum payload "

@@ -28,7 +28,7 @@ from slungsim.config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
 from slungsim.dynamics import VehicleParams, cable_offset
 from slungsim.simloop import (CONTROLLERS, LOG_WIDTH, MAX_MPC_HORIZON,
                               MAX_SUBSTEPS, SimConfig, SimLog, run)
-from slungsim.controllers import PdGains
+from slungsim.controllers import PdGains, SmcController
 
 
 class TestKvParsing:
@@ -114,6 +114,11 @@ class TestSweepSpecBuild:
     def test_non_increasing_rejected(self):
         with pytest.raises(ConfigError):
             build_sweep_spec({"sweep.masses": "0.3, 0.1"})
+        for m in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="strictly increasing"):
+                SweepSpec(masses=(0.1, m))
+            with pytest.raises(ConfigError, match="strictly increasing"):
+                SweepSpec(masses=(m, 0.1))
 
     def test_over_capacity_mass_rejected(self):
         with pytest.raises(ConfigError):
@@ -561,24 +566,48 @@ def _simulate_lines(lines):
         return code, err.getvalue(), os.path.exists(out)
 
 
-def test_controller_arithmetic_errors_end_in_exit_codes():
-    """A vehicle a controller cannot step in floats never tracebacks.
+def test_controller_arithmetic_errors_end_in_exit_codes(tmp_path,
+                                                       monkeypatch, capsys):
+    """A controller arithmetic error never tracebacks.
 
-    The MPC cannot take its first step with a subnormal quadrotor mass
-    (its gain product meets an infinite acceleration), so that config is
-    a config error with no output; the SMC divides by zero on its second
-    tick under a subnormal g, so that run aborts with a partial trace.
+    On the first step, which the config check takes from the start
+    state, it is a config error with no output: the MPC's gain product
+    meets an infinite acceleration under a subnormal quadrotor mass, and
+    the SMC's tilt demand is NaN under a subnormal g.  On a later tick
+    the run aborts and keeps the rows logged so far.
     """
     base = ["duration = 0.1"]
-    code, err, made_out = _simulate_lines(
-        base + ["controller = MPC", "vehicle.m_q = 5e-324"])
-    assert (code, made_out) == (EXIT_CONFIG, False)
-    assert err.startswith("config error: MPC controller cannot be built")
-    code, err, made_out = _simulate_lines(
-        base + ["controller = SMC", "vehicle.g = 5e-324"])
-    assert (code, made_out) == (EXIT_ABORT, True)
+    for controller, key in (("MPC", "vehicle.m_q"), ("SMC", "vehicle.g")):
+        code, err, made_out = _simulate_lines(
+            base + [f"controller = {controller}", f"{key} = 5e-324"])
+        assert (code, made_out) == (EXIT_CONFIG, False)
+        assert err.startswith(f"config error: {controller} controller "
+                              "cannot be built")
+        assert "Traceback" not in err
+
+    # no config found reaches a later tick, so a step raises on its second
+    # call per controller: the check's controller passes, the run's fails
+    step = SmcController.step
+
+    def second_step_raises(self, s, ref):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == 2:
+            raise ZeroDivisionError("float division by zero")
+        return step(self, s, ref)
+
+    monkeypatch.setattr(SmcController, "step", second_step_raises)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("controller = SMC\nduration = 0.1\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ABORT
     assert "ZeroDivisionError in the SMC controller at t=0.010" in err
     assert "Traceback" not in err
+    trace = read_trace(str(out / "trace.csv"))
+    assert trace.failed and trace.rows.shape == (1, LOG_WIDTH)
+    assert trace.reason.startswith("ZeroDivisionError in the SMC "
+                                   "controller at t=0.010")
 
 
 KNOWN_KEYS = NUMERIC_KEYS + ("controller", "trajectory")

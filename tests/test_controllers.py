@@ -13,6 +13,7 @@ from slungsim.controllers import (
     PdGains,
     SmcController,
     SmcGains,
+    _limit,
     _switch,
     desired_angles,
 )
@@ -82,6 +83,33 @@ def test_desired_angles_always_capped(ax, ay, U1):
     assert abs(phi) <= ANGLE_CAP and abs(theta) <= ANGLE_CAP
 
 
+class TestLimit:
+    def test_clips_and_flags(self):
+        assert _limit(0.5, -1.0, 1.0) == (0.5, False)
+        assert _limit(-1.0, -1.0, 1.0) == (-1.0, False)
+        assert _limit(2.0, -1.0, 1.0) == (1.0, True)
+        assert _limit(-math.inf, -1.0, 1.0) == (-1.0, True)
+
+    def test_ceiling_below_floor_wins(self):
+        for v in (0.0, 1.5, 3.0):
+            assert _limit(v, 2.0, 1.0) == (1.0, True)
+
+    def test_nan_raises(self):
+        with pytest.raises(FloatingPointError, match="NaN demand"):
+            _limit(math.nan, -1.0, 1.0)
+        with pytest.raises(FloatingPointError):
+            _limit(math.nan, -math.inf, math.inf)
+
+
+def test_overflowing_torque_raises():
+    # a subnormal arm turns the MPC's rotor-force conversion into inf
+    ctrl = MpcController(params=VehicleParams(l=5e-324))
+    s = vehicle_state(z=1.5, phi=0.1, theta=0.1)
+    ctrl.step(s, hover_reference(0.0))
+    with pytest.raises(FloatingPointError, match="torque"):
+        ctrl.step(s, hover_reference(0.0))
+
+
 class TestSwitch:
     def test_sign_zero_is_zero(self):
         assert _switch(0.0, 0.0) == 0.0
@@ -95,12 +123,28 @@ class TestSwitch:
 
 class TestGainValidation:
     def test_pd_positive(self):
-        with pytest.raises(ValueError):
-            PdGains(Kpx=0.0)
+        for v in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="PdGains.Kpx must be "
+                               "positive"):
+                PdGains(Kpx=v)
 
     def test_smc_positive(self):
-        with pytest.raises(ValueError):
-            SmcGains(k=(0.4, 0.4, 0.4, 0.6, 0.6, 0.0))
+        for v in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be positive"):
+                SmcGains(k=(0.4, 0.4, 0.4, 0.6, 0.6, v))
+            with pytest.raises(ValueError, match="must be positive"):
+                SmcGains(k=(v,) * 6)
+            with pytest.raises(ValueError, match="must be positive"):
+                SmcGains(lam=(v, 0.5, 0.5, 2.25, 2.25, 5.0))
+
+    def test_smc_boundary_layer_and_dt(self):
+        SmcGains(boundary_layer=0.0)
+        for v in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="boundary_layer"):
+                SmcGains(boundary_layer=v)
+        for dt in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                SmcController(dt=dt)
 
     def test_smc_shape(self):
         with pytest.raises(ValueError):
@@ -245,22 +289,35 @@ def _offset(z=0.0, vz=0.0):
     return [0.0, 0.0, z, 0.0, 0.0, vz] + [0.0] * 6
 
 
+def _step_as_run(ctrl, s, ref):
+    """ctrl.step under run's float errors; None if it raised one."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return ctrl.step(s, ref)
+        except ArithmeticError:
+            return None
+
+
 @pytest.mark.parametrize("make", [PdController, SmcController,
                                   MpcController], ids=["PD", "SMC", "MPC"])
 @settings(max_examples=100, deadline=None)
 @given(s=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
-       scales=st.lists(st.sampled_from([0.0, 1.0, 1e6]),
+       scales=st.lists(st.sampled_from([0.0, 1.0, 1e6, 1e308]),
                        min_size=3, max_size=3),
        t=st.floats(0.0, 75.0),
        U1_max=st.one_of(st.floats(0.0, U1_FLOOR, exclude_min=True),
                         st.floats(U1_FLOOR, 30.0)))
 # level and over the reference: 1e6 m high and climbing at 1e6 m/s, clipped
 # at the floor; 5 cm low, asking 10.2-11.6 N of a 10 N ceiling; a ceiling
-# below the floor
+# below the floor; 1e308 m low and climbing at 1e308 m/s, where PD's
+# thrust demand is inf - inf, SMC's is clipped at the floor and the MPC's
+# gain product overflows
 @example(s=_offset(z=1.0, vz=1.0), scales=[0.0, 1e6, 0.0], t=0.0,
          U1_max=20.0)
 @example(s=_offset(z=-0.05), scales=[0.0, 1.0, 0.0], t=0.0, U1_max=10.0)
 @example(s=_offset(z=-0.05), scales=[0.0, 1.0, 0.0], t=0.0, U1_max=1e-4)
+@example(s=_offset(z=-1.0, vz=1.0), scales=[0.0, 1e308, 0.0], t=0.0,
+         U1_max=20.0)
 def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
                                                     U1_max):
     # the loop applies U1 as returned, so each controller bounds its own
@@ -270,9 +327,10 @@ def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
     # the twins share that history only while their thrusts agree.  The
     # state is drawn as an offset from the reference with its horizontal,
     # vertical and attitude parts scaled apart, so a thrust clip also
-    # comes without a tilt clamp that would set the flag anyway.  Offsets
-    # stop at 1e6: near 1e308 PD's gain terms overflow to inf - inf, and
-    # the NaN thrust ends the run as a non-finite state after the tick.
+    # comes without a tilt clamp that would set the flag anyway.  Each
+    # step runs under run's float errors and either returns finite floats
+    # or raises an arithmetic error, which run turns into an abort; a NaN
+    # demand, which no comparison clips, raises.
     ctrl = make(params=VehicleParams(U1_max=U1_max))
     twin = make(params=VehicleParams(U1_max=1e300))
     ref = square_reference(t)
@@ -280,12 +338,18 @@ def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
     s = [f * x for f, x in zip((h, h, v, h, h, v) + (a,) * 6, s)]
     s[:3] = [r + d for r, d in zip(ref.pos, s[:3])]
     for _ in range(2):
-        U1, *_, saturated = ctrl.step(s, ref)
-        U1_twin = twin.step(s, ref)[0]
+        out = _step_as_run(ctrl, s, ref)
+        if out is None:
+            break
+        U1, *_, saturated = out
+        assert all(map(math.isfinite, out[:6]))
         assert min(U1_FLOOR, U1_max) <= U1 <= U1_max
-        if U1 == U1_FLOOR or U1 != U1_twin:
+        out_twin = _step_as_run(twin, s, ref)
+        if out_twin is None:
+            break
+        if U1 == U1_FLOOR or U1 != out_twin[0]:
             assert saturated
-        if U1 != U1_twin:
+        if U1 != out_twin[0]:
             break
 
 

@@ -50,8 +50,10 @@ class TestConfig:
             SimConfig(m_L=0.7)
 
     def test_negative_mass(self):
-        with pytest.raises(ValueError):
-            SimConfig(m_L=-0.1)
+        SimConfig(m_L=0.0)
+        for m_L in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SimConfig(m_L=m_L)
 
     def test_non_multiple_steps(self):
         with pytest.raises(ValueError):
