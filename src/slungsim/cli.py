@@ -272,8 +272,9 @@ def read_sweep(path: str):
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    # run first, so a config error from the run leaves no output directory
     log = run(cfg)
+    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     metrics_path = os.path.join(args.out, "metrics.csv")
     write_trace(log, trace_path, cfg.params)

@@ -41,9 +41,8 @@ Every limit (thrust floor and ceilings, asin arguments, tilt caps, the
 boundary-layer ramp) goes through one helper, `_limit`, which clips and
 flags.  A NaN demand would pass any comparison, so `_limit` raises
 FloatingPointError for it; the torques have no limit, and an overflowing
-one raises the same error.  `simloop.run` turns that arithmetic error into
-an abort, and the first-step check of `config.build_sim_config` into a
-config error.
+one raises the same error.  `simloop.run` makes that arithmetic error a
+config error on the first step (tick 0) and an abort on any later tick.
 """
 
 from __future__ import annotations

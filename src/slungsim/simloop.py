@@ -63,6 +63,10 @@ MAX_TICKS = 10 ** 6
 MAX_MPC_HORIZON = 200
 
 
+class ConfigError(ValueError):
+    """Bad config file, key or value; message names the key or controller."""
+
+
 @dataclass
 class SimConfig:
     """One closed-loop scenario.
@@ -258,15 +262,16 @@ def rk4_step(f: Callable, y, u, dt: float, *args) -> list:
 def run(config: SimConfig) -> SimLog:
     """Simulate one scenario tick by tick.
 
-    A taut-cable or attitude singularity, a non-finite state or an
-    arithmetic error in the controller aborts the run; the rows logged so
-    far are returned with the failure marker set.  numpy arithmetic raises
-    FloatingPointError here instead of warning, so a vehicle that the MPC
-    gain products overflow on aborts like one the scalar controllers
-    divide by zero on.
+    A controller that cannot be built from the config or take its first
+    step (tick 0) raises ConfigError, so a run never returns an empty log.
+    From tick 1 on, a taut-cable or attitude singularity, a non-finite
+    state or an arithmetic error in the controller aborts the run; the
+    rows logged so far are returned with the failure marker set.  numpy
+    arithmetic raises FloatingPointError here instead of warning, so a
+    vehicle that the MPC gain products overflow on fails like one the
+    scalar controllers divide by zero on.
     """
     par = config.params
-    ctrl = make_controller(config)
     ref_fn = reference_function(config)
     dt_c = config.dt_control
     dt_p = config.dt_physics
@@ -277,24 +282,22 @@ def run(config: SimConfig) -> SimLog:
     y = [*START_POS] + [0.0] * 13
     L = par.L
     zeta = cable_offset(y[12], y[13], L)
+    ref = ref_fn(0.0)
+    try:
+        ctrl = make_controller(config)
+        # the controller sees the vehicle floats only, never the load
+        out = ctrl.step(y[:12], ref)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{config.controller} controller cannot be built "
+                          f"from this config: {type(exc).__name__}: {exc}")
 
     n = n_ticks + 1
     rows = np.empty((n, LOG_WIDTH))
-    failed = False
     reason = ""
 
     for k in range(n):
         t = k * dt_c
-        ref = ref_fn(t)
-        try:
-            # the controller sees the vehicle floats only, never the load
-            U1, U2, U3, U4, _, _, saturated = ctrl.step(y[:12], ref)
-        except ArithmeticError as exc:
-            failed = True
-            reason = (f"{type(exc).__name__} in the {config.controller} "
-                      f"controller at t={t:.3f}: {exc}")
-            rows = rows[:k]
-            break
+        U1, U2, U3, U4, _, _, saturated = out
         u_vec = [U1, U2, U3, U4]
 
         rx, ry, rz = ref.pos
@@ -313,9 +316,18 @@ def run(config: SimConfig) -> SimLog:
             zeta = cable_offset(y[12], y[13], L)
         except (TautCableError, GimbalLockError, ArithmeticError,
                 FloatingPointError) as exc:
-            failed = True
             reason = f"{type(exc).__name__} at t={t + dt_c:.3f}: {exc}"
-            rows = rows[:k + 1]
             break
 
-    return SimLog(rows=rows, failed=failed, failure_reason=reason)
+        t_next = (k + 1) * dt_c
+        ref = ref_fn(t_next)
+        try:
+            out = ctrl.step(y[:12], ref)
+        except ArithmeticError as exc:
+            reason = (f"{type(exc).__name__} in the {config.controller} "
+                      f"controller at t={t_next:.3f}: {exc}")
+            break
+
+    # an abort keeps the rows up to its last logged tick, k
+    return SimLog(rows=rows[:k + 1], failed=bool(reason),
+                  failure_reason=reason)

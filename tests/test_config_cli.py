@@ -128,6 +128,10 @@ class TestSweepSpecBuild:
         with pytest.raises(ConfigError):
             build_sweep_spec({"sweep.controllers": "PD, LQR"})
 
+    def test_misspelled_sweep_key_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"^unknown key: sweep\.mass$"):
+            build_sweep_spec({"sweep.mass": "0.1"})
+
     def test_repeated_controller_rejected(self):
         with pytest.raises(ConfigError, match="'PD' is listed twice"):
             build_sweep_spec({"sweep.controllers": "PD, PD",
@@ -486,6 +490,36 @@ class TestCliExitCodes:
         rows = read_sweep(str(out / "sweep.csv"))
         assert len(rows) == 2
 
+    def _sweep_failed_flags(self, tmp_path, text):
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == EXIT_OK
+        return [(r["controller"], r["failed"])
+                for r in read_sweep(str(out / "sweep.csv"))]
+
+    def test_sweep_case_keeps_its_own_config_error(self, tmp_path, capsys):
+        # under a subnormal quadrotor mass the MPC cannot take its first
+        # step; its row's reason is that error, not an empty log
+        flags = self._sweep_failed_flags(
+            tmp_path, "vehicle.m_q = 5e-324\nsweep.controllers = PD, MPC\n"
+            "sweep.masses = 0.1\nduration = 0.1\n")
+        assert flags == [("PD", True), ("MPC", True)]
+        err = capsys.readouterr().err
+        assert ("sweep case MPC m_L=0.1 failed: ConfigError: MPC controller "
+                "cannot be built from this config: FloatingPointError") in err
+        assert "empty log" not in err
+
+    def test_unswept_base_controller_does_not_stop_sweep(self, tmp_path,
+                                                         capsys):
+        flags = self._sweep_failed_flags(
+            tmp_path, "controller = MPC\nvehicle.m_q = 5e-324\n"
+            "sweep.controllers = PD\nsweep.masses = 0.1\n"
+            "duration = 0.1\n")
+        assert flags == [("PD", True)]
+        assert "config error" not in capsys.readouterr().err
+
 
 NUMERIC_KEYS = (
     ("m_L", "duration", "dt_physics", "dt_control")
@@ -570,8 +604,7 @@ def test_controller_arithmetic_errors_end_in_exit_codes(tmp_path,
                                                        monkeypatch, capsys):
     """A controller arithmetic error never tracebacks.
 
-    On the first step, which the config check takes from the start
-    state, it is a config error with no output: the MPC's gain product
+    On the run's first step (tick 0) it is a config error with no output: the MPC's gain product
     meets an infinite acceleration under a subnormal quadrotor mass, and
     the SMC's tilt demand is NaN under a subnormal g.  On a later tick
     the run aborts and keeps the rows logged so far.
@@ -585,8 +618,8 @@ def test_controller_arithmetic_errors_end_in_exit_codes(tmp_path,
                               "cannot be built")
         assert "Traceback" not in err
 
-    # no config found reaches a later tick, so a step raises on its second
-    # call per controller: the check's controller passes, the run's fails
+    # no config found reaches a later tick, so the step raises on its
+    # second call, which is tick 1 of the run's only controller
     step = SmcController.step
 
     def second_step_raises(self, s, ref):

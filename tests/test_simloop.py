@@ -8,8 +8,8 @@ import pytest
 from slungsim import simloop
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
 from slungsim.simloop import (MAX_MPC_HORIZON, MAX_SUBSTEPS, MAX_TICKS,
-                              SimConfig, SimLog, make_controller,
-                              rk4_step, run)
+                              ConfigError, SimConfig, SimLog,
+                              make_controller, rk4_step, run)
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
 from slungsim.trajectory import square_reference
@@ -336,6 +336,33 @@ class TestRun:
         assert 0 < log.n_rows < 7501
         # rows logged before the abort are still coherent
         assert np.all(np.isfinite(log.quad))
+
+    @pytest.mark.parametrize("phase", ["build", "tick 0"])
+    def test_controller_failing_before_any_row_is_a_config_error(
+            self, monkeypatch, phase):
+        # a ValueError or an arithmetic error in the build or the first
+        # step raises instead of returning an empty log
+        if phase == "build":
+            def fail(*args, **kwargs):
+                raise ValueError("bad gains")
+            monkeypatch.setattr(simloop, "PdController", fail)
+            reason = "ValueError: bad gains"
+        else:
+            def fail(self, s, ref):
+                raise ZeroDivisionError("float division by zero")
+            monkeypatch.setattr(PdController, "step", fail)
+            reason = "ZeroDivisionError: float division by zero"
+        with pytest.raises(ConfigError) as exc:
+            run(SimConfig(controller="PD", duration=0.1))
+        assert str(exc.value) == ("PD controller cannot be built from this "
+                                  f"config: {reason}")
+
+    def test_mpc_first_step_overflow_is_a_config_error(self):
+        cfg = SimConfig(controller="MPC", duration=0.1,
+                        params=VehicleParams(m_q=5e-324))
+        with pytest.raises(ConfigError, match="^MPC controller cannot be "
+                           "built from this config: FloatingPointError"):
+            run(cfg)
 
     def test_smc_square_roll_bound(self):
         log = run(SimConfig(controller="SMC", m_L=0.3))
