@@ -223,17 +223,28 @@ def _sweep_case(case):
             met.t_smax, log.failed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
     """All (controller, mass) cases; failures become flagged rows.
 
     Rows come back sorted by controller (PD, SMC, MPC) then mass.  Worker
-    processes only simulate; the caller writes any files.
+    processes only simulate; the caller writes any files.  jobs (default:
+    the usable CPUs) is capped at the usable CPUs and at the case count;
+    jobs < 1 raises ConfigError.
     """
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cases = [(c, m, spec.base) for c in spec.controllers
              for m in spec.masses]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(cases)))
+    cpus = _usable_cpus()
+    jobs = min(cpus if jobs is None else jobs, cpus, len(cases))
     if jobs == 1:
         results = [_sweep_case(c) for c in cases]
     else:
@@ -289,8 +300,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    # run first, so a config error from the sweep leaves no output directory
     results = run_sweep(spec, jobs=args.jobs)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     write_sweep(results, path)
     n_failed = sum(1 for r in results if r[6])

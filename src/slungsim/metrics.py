@@ -60,14 +60,8 @@ class CriticalMassReport:
     feasible: bool
 
 
-def _require_rows(log: SimLog):
-    if log.n_rows == 0:
-        raise ValueError("empty log")
-
-
 def max_tracking_error(log: SimLog):
     """(err_x_max, err_y_max, e_max) over the horizontal axes, metres."""
-    _require_rows(log)
     ex = float(np.abs(log.err[:, 0]).max())
     ey = float(np.abs(log.err[:, 1]).max())
     return ex, ey, max(ex, ey)
@@ -75,7 +69,6 @@ def max_tracking_error(log: SimLog):
 
 def max_attitude(log: SimLog):
     """(phi_max, theta_max) in degrees."""
-    _require_rows(log)
     phi = float(np.degrees(np.abs(log.quad[:, 6]).max()))
     theta = float(np.degrees(np.abs(log.quad[:, 7]).max()))
     return phi, theta
@@ -107,7 +100,6 @@ def _recovery_time(t: np.ndarray, ang: np.ndarray, transition: float,
 def stabilization_times(log: SimLog,
                         transitions: Sequence[float]) -> StabilizationReport:
     """Attitude recovery per stage transition, band BAND_DEG, dwell DWELL_S."""
-    _require_rows(log)
     t = log.t
     if len(t) > 1:
         dt = float(t[1] - t[0])
@@ -135,7 +127,6 @@ def arrival_time(log: SimLog) -> float:
 
     Sustained to the end of the log; nan if the error never settles.
     """
-    _require_rows(log)
     norm = np.hypot(log.err[:, 0], log.err[:, 1])
     inside = norm < ARRIVAL_THRESHOLD_M
     if not inside[-1]:

@@ -12,12 +12,16 @@ the load stays hidden from it, and returns the float tuple
 (U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.
 Each controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself,
 so the loop applies the inputs as returned.
-Each sub-step is one rk4_step call on coupled_derivative_array, both looked
-up by name in this module at call time; a 16-float state takes rk4_step's
-unrolled path, any other length its generic comprehension path.
+Each sub-step is one rk4_step call on a derivative f(y, u) that the run
+defines once and that binds the load mass and the vehicle; rk4_step and
+the coupled_derivative_array that f calls are both looked up by name in
+this module at call time, so each sub-step makes one call to the first
+and four to the second.  A 16-float state takes rk4_step's unrolled path,
+any other length its generic comprehension path; both return a tuple.
 
 The log is one preallocated float array with a row per tick, written once
-per tick.  Its first 27 columns are the trace file's columns in file order
+per tick by packing the row's floats into a byte view of the array.  Its
+first 27 columns are the trace file's columns in file order
 (TRACE_COLUMNS, with load_zeta from the taut-cable geometry of the logged
 state); the last two are the load velocities r_dot and s_dot, which the
 file does not carry.
@@ -26,6 +30,7 @@ file does not carry.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,6 +58,8 @@ TRACE_COLUMNS = (
 )
 # SimLog rows: the trace columns, then load_r_dot and load_s_dot
 LOG_WIDTH = len(TRACE_COLUMNS) + 2
+# writes one log row of native float64s into a byte buffer at an offset
+_pack_row = struct.Struct(f"{LOG_WIDTH}d").pack_into
 
 # Size caps, checked before anything is rounded or allocated.  Sub-steps:
 # 1000 per tick (50x the default) already make a 75 s run take minutes.
@@ -150,12 +157,16 @@ class SimLog:
     controller would apply next.  The named columns are views of rows, so
     an edit through one edits the log, except load, whose r, s, r_dot,
     s_dot are not adjacent and come back as a copy.  err is reference
-    minus actual position; sat is 0.0 or 1.0.
+    minus actual position; sat is 0.0 or 1.0.  A log has at least one row.
     """
 
     rows: np.ndarray
     failed: bool = False
     failure_reason: str = ""
+
+    def __post_init__(self):
+        if len(self.rows) == 0:
+            raise ValueError("empty log")
 
     n_rows = property(lambda self: len(self.rows))
     t = property(lambda self: self.rows[:, 0])
@@ -190,57 +201,56 @@ def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
     return lambda t: hover_reference(t, START_POS)
 
 
-def rk4_step(f: Callable, y, u, dt: float, *args) -> list:
-    """One classical Runge-Kutta step of y' = f(y, u, *args), u held constant.
+def rk4_step(f: Callable, y, u, dt: float) -> tuple:
+    """One classical Runge-Kutta step of y' = f(y, u), u held constant.
 
-    y and f's return values are float sequences of one length; the step
-    returns a new list.  Each element is formed in the order numpy uses for
-    y + (0.5*dt)*k and y + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so it matches
-    the vector form bit for bit.
+    f takes the state and u only; a model with more parameters is passed
+    as a closure that binds them.  y and f's return values are float
+    sequences of one length; the step returns a new tuple.  Each element is
+    formed in the order numpy uses for y + (0.5*dt)*k and
+    y + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so it matches the vector form bit
+    for bit.
 
     A 16-float state (the coupled model's) takes an unrolled path: y and the
     elements of k1..k4 (named a, b, c, d) are unpacked into locals, and the
-    stage states and the update are written out element by element.  Any
-    other length takes the generic comprehension path, which is also the
-    reference the unrolled path is tested against.
+    stage states and the update are written out element by element as
+    tuples.  Any other length takes the generic comprehension path, which
+    is also the reference the unrolled path is tested against.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
     w = dt / 6.0
     if len(y) != 16:
-        k1 = f(y, u, *args)
-        k2 = f([a + h * b for a, b in zip(y, k1)], u, *args)
-        k3 = f([a + h * b for a, b in zip(y, k2)], u, *args)
-        k4 = f([a + dt * b for a, b in zip(y, k3)], u, *args)
-        return [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        k1 = f(y, u)
+        k2 = f([a + h * b for a, b in zip(y, k1)], u)
+        k3 = f([a + h * b for a, b in zip(y, k2)], u)
+        k4 = f([a + dt * b for a, b in zip(y, k3)], u)
+        return tuple([a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
     (y0, y1, y2, y3, y4, y5, y6, y7,
      y8, y9, y10, y11, y12, y13, y14, y15) = y
     (a0, a1, a2, a3, a4, a5, a6, a7,
-     a8, a9, a10, a11, a12, a13, a14, a15) = f(y, u, *args)
+     a8, a9, a10, a11, a12, a13, a14, a15) = f(y, u)
     (b0, b1, b2, b3, b4, b5, b6, b7,
      b8, b9, b10, b11, b12, b13, b14, b15) = f(
-        [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3,
+        (y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3,
          y4 + h * a4, y5 + h * a5, y6 + h * a6, y7 + h * a7,
          y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11,
-         y12 + h * a12, y13 + h * a13, y14 + h * a14, y15 + h * a15],
-        u, *args)
+         y12 + h * a12, y13 + h * a13, y14 + h * a14, y15 + h * a15), u)
     (c0, c1, c2, c3, c4, c5, c6, c7,
      c8, c9, c10, c11, c12, c13, c14, c15) = f(
-        [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3,
+        (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3,
          y4 + h * b4, y5 + h * b5, y6 + h * b6, y7 + h * b7,
          y8 + h * b8, y9 + h * b9, y10 + h * b10, y11 + h * b11,
-         y12 + h * b12, y13 + h * b13, y14 + h * b14, y15 + h * b15],
-        u, *args)
+         y12 + h * b12, y13 + h * b13, y14 + h * b14, y15 + h * b15), u)
     (d0, d1, d2, d3, d4, d5, d6, d7,
      d8, d9, d10, d11, d12, d13, d14, d15) = f(
-        [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+        (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
          y4 + dt * c4, y5 + dt * c5, y6 + dt * c6, y7 + dt * c7,
          y8 + dt * c8, y9 + dt * c9, y10 + dt * c10, y11 + dt * c11,
-         y12 + dt * c12, y13 + dt * c13, y14 + dt * c14, y15 + dt * c15],
-        u, *args)
-    return [y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+         y12 + dt * c12, y13 + dt * c13, y14 + dt * c14, y15 + dt * c15), u)
+    return (y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
             y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
             y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
             y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
@@ -255,7 +265,7 @@ def rk4_step(f: Callable, y, u, dt: float, *args) -> list:
             y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
             y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
             y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14),
-            y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15)]
+            y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15))
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -279,6 +289,10 @@ def run(config: SimConfig) -> SimLog:
     n_ticks = config.n_ticks
     m_L = config.m_L
 
+    def deriv(y, u):
+        # the module global, so a rebound coupled_derivative_array is seen
+        return coupled_derivative_array(y, u, m_L, par)
+
     y = [*START_POS] + [0.0] * 13
     L = par.L
     zeta = cable_offset(y[12], y[13], L)
@@ -293,6 +307,8 @@ def run(config: SimConfig) -> SimLog:
 
     n = n_ticks + 1
     rows = np.empty((n, LOG_WIDTH))
+    row_bytes = memoryview(rows).cast("B")
+    stride = rows.strides[0]
     reason = ""
 
     for k in range(n):
@@ -301,16 +317,15 @@ def run(config: SimConfig) -> SimLog:
         u_vec = [U1, U2, U3, U4]
 
         rx, ry, rz = ref.pos
-        rows[k] = (t, *y[:14], zeta, U1, U2, U3, U4, rx, ry, rz,
-                   rx - y[0], ry - y[1], rz - y[2],
-                   1.0 if saturated else 0.0, y[14], y[15])
+        _pack_row(row_bytes, k * stride, t, *y[:14], zeta, U1, U2, U3, U4,
+                  rx, ry, rz, rx - y[0], ry - y[1], rz - y[2],
+                  1.0 if saturated else 0.0, y[14], y[15])
         if k == n_ticks:
             break
 
         try:
             for _ in range(n_sub):
-                y = rk4_step(coupled_derivative_array, y, u_vec, dt_p,
-                             m_L, par)
+                y = rk4_step(deriv, y, u_vec, dt_p)
             if not all(map(math.isfinite, y)):
                 raise FloatingPointError("non-finite state")
             zeta = cable_offset(y[12], y[13], L)

@@ -5,18 +5,17 @@ seconds, cruises at V_CRUISE = A_PEAK * T_ACCEL for T_CRUISE seconds, and
 decelerates back to rest over T_ACCEL, covering LEG_LENGTH = 1.0 m in
 T_LEG = 15 s.  The square visits (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0)
 at constant altitude, one leg per stage, then holds the origin for a
-fifth stage.  A ReferencePoint is three (x, y, z) float tuples; yaw is
-never commanded.
+fifth stage.  A ReferencePoint is a typing.NamedTuple of three (x, y, z)
+float tuples, read-only like the tuples it holds; yaw is never commanded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
+class ReferencePoint(NamedTuple):
     """Desired position, velocity and acceleration at one instant."""
 
     pos: tuple

@@ -268,6 +268,31 @@ class TestTraceRoundTrip:
         assert peak <= 3 * tr.rows.nbytes, (peak, tr.rows.nbytes)
 
 
+def _serial_pool(monkeypatch):
+    """Replace multiprocessing.Pool with one that maps in this process.
+
+    Returns the list that each pool's requested size is appended to, so a
+    test can check the size without starting worker processes.
+    """
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
 class TestSweepCsv:
     def test_rows_sorted_and_round_trip(self, tmp_path):
         spec = SweepSpec(masses=(0.1, 0.3), controllers=("SMC", "PD"),
@@ -296,6 +321,43 @@ class TestSweepCsv:
         spec = SweepSpec(masses=(0.1, 0.2), controllers=("PD",),
                          base=SimConfig(duration=2.0))
         assert run_sweep(spec, jobs=1) == run_sweep(spec, jobs=2)
+
+    @pytest.mark.parametrize("cpus, jobs, processes", [
+        (3, None, 3), (3, 2, 2), (3, 64, 3), (8, 64, 4), (3, 1, None)])
+    def test_pool_capped_at_usable_cpus_and_cases(self, monkeypatch, cpus,
+                                                  jobs, processes):
+        sizes = _serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        spec = SweepSpec(masses=(0.1, 0.2), controllers=("PD", "SMC"),
+                         base=SimConfig(duration=0.1))
+        assert len(run_sweep(spec, jobs=jobs)) == 4
+        assert sizes == ([] if processes is None else [processes])
+
+    def test_pool_falls_back_to_cpu_count(self, monkeypatch):
+        sizes = _serial_pool(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = SweepSpec(masses=(0.1, 0.2, 0.3), controllers=("PD",),
+                         base=SimConfig(duration=0.1))
+        run_sweep(spec)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, monkeypatch,
+                                              capsys, jobs):
+        sizes = _serial_pool(monkeypatch)
+        with pytest.raises(ConfigError, match="--jobs must be at least 1"):
+            run_sweep(SweepSpec(), jobs=jobs)
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text("duration = 0.1\nsweep.masses = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --jobs must be at least 1, got {jobs}\n")
+        assert not out.exists()
+        assert sizes == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_case_becomes_flagged_row(self, tmp_path, monkeypatch,

@@ -7,8 +7,8 @@ import pytest
 
 from slungsim import simloop
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
-from slungsim.simloop import (MAX_MPC_HORIZON, MAX_SUBSTEPS, MAX_TICKS,
-                              ConfigError, SimConfig, SimLog,
+from slungsim.simloop import (LOG_WIDTH, MAX_MPC_HORIZON, MAX_SUBSTEPS,
+                              MAX_TICKS, ConfigError, SimConfig, SimLog,
                               make_controller, rk4_step, run)
 from slungsim.controllers import PdController, SmcController
 from slungsim.mpc import MpcController
@@ -210,25 +210,29 @@ class TestScalarPhysics:
                 ys, ul = y.tolist(), u.tolist()
                 yv = y
                 for _ in range(10):
-                    ys = rk4_step(coupled_derivative_array, ys, ul, 1e-3,
-                                  m_L, p)
+                    ys = rk4_step(
+                        lambda v, w: coupled_derivative_array(v, w, m_L, p),
+                        ys, ul, 1e-3)
                     yv = _vector_rk4(
                         lambda v, w: _vector_derivative(v, w, m_L, p),
                         yv, u, 1e-3)
-                assert ys == yv.tolist()
+                assert list(ys) == yv.tolist()
 
     def test_unrolled_step_bitwise_equal_to_generic_path(self):
         # padding the state to 17 floats sends it down the comprehension
         # path, the reference for the unrolled 16-float one
-        def padded(v, w, m_L, p):
-            return coupled_derivative_array(v[:16], w, m_L, p) + [0.0]
-
         p = self.OTHER_VEHICLE
         for y, u, m_L in self._random_taut_states(100, seed=3, L=p.L):
+            def deriv(v, w):
+                return coupled_derivative_array(v, w, m_L, p)
+
+            def padded(v, w):
+                return coupled_derivative_array(v[:16], w, m_L, p) + [0.0]
+
             ys, ul = y.tolist(), u.tolist()
-            fast = rk4_step(coupled_derivative_array, ys, ul, 1e-3, m_L, p)
-            ref = rk4_step(padded, ys + [0.0], ul, 1e-3, m_L, p)
-            assert fast == ref[:16]
+            fast = rk4_step(deriv, ys, ul, 1e-3)
+            ref = rk4_step(padded, ys + [0.0], ul, 1e-3)
+            assert list(fast) == list(ref[:16])
 
     def test_array_and_list_inputs_agree(self):
         for p in (VehicleParams(), self.OTHER_VEHICLE):
@@ -241,7 +245,9 @@ class TestScalarPhysics:
 
 
 class TestRun:
-    def test_physics_goes_through_the_traced_names(self, monkeypatch):
+    @pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
+    def test_physics_goes_through_the_traced_names(self, monkeypatch,
+                                                   controller):
         # the benchmark's tracer times physics by rebinding these two
         # module names; a run must look both up on every call
         calls = {"rk4_step": 0, "coupled_derivative_array": 0}
@@ -256,7 +262,7 @@ class TestRun:
 
         for name in calls:
             monkeypatch.setattr(simloop, name, counting(name))
-        cfg = SimConfig(controller="PD", duration=0.2)
+        cfg = SimConfig(controller=controller, duration=0.2)
         assert not run(cfg).failed
         n = cfg.n_ticks * cfg.n_sub
         assert calls == {"rk4_step": n, "coupled_derivative_array": 4 * n}
@@ -336,6 +342,25 @@ class TestRun:
         assert 0 < log.n_rows < 7501
         # rows logged before the abort are still coherent
         assert np.all(np.isfinite(log.quad))
+
+    @pytest.mark.parametrize("aborted", [False, True])
+    def test_log_is_a_writable_float_array(self, aborted):
+        # rows are packed through a byte view of the preallocated array;
+        # what run returns must still be a plain float64 array whose named
+        # columns are views of it
+        from slungsim.controllers import PdGains
+        bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
+        cfg = SimConfig(controller="PD", m_L=0.5, duration=2.0,
+                        pd_gains=bad if aborted else None)
+        log = run(cfg)
+        assert log.failed == aborted
+        assert (log.n_rows < cfg.n_ticks + 1) == aborted
+        rows = log.rows
+        assert rows.dtype == np.float64
+        assert rows.shape == (log.n_rows, LOG_WIDTH)
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        log.t[-1] = -1.0
+        assert log.rows[-1, 0] == -1.0
 
     @pytest.mark.parametrize("phase", ["build", "tick 0"])
     def test_controller_failing_before_any_row_is_a_config_error(

@@ -153,3 +153,11 @@ def test_hover_reference_constant():
     b = hover_reference(123.0)
     assert a.pos == b.pos
     assert a.vel == REST and a.acc == REST
+
+
+@pytest.mark.parametrize("name", ["pos", "vel", "acc"])
+def test_reference_point_is_read_only(name):
+    # one point is shared by the controller step and the log row of a tick
+    ref = square_reference(20.0)
+    with pytest.raises(AttributeError):
+        setattr(ref, name, REST)
