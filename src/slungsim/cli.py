@@ -34,7 +34,7 @@ EXIT_ABORT = 3
 EXIT_IO = 4
 
 SWEEP_COLUMNS = ("controller", "m_L", "e_max", "phi_max", "theta_max",
-                 "t_smax", "failed")
+                 "t_smax", "failed", "failure_reason")
 
 
 def _fmt(v: float) -> str:
@@ -42,21 +42,26 @@ def _fmt(v: float) -> str:
 
 
 _TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
+_BLOCK_ROWS = 256
+_TRACE_BLOCK = _TRACE_ROW * _BLOCK_ROWS
 
 
 def write_trace(log: SimLog, path: str, params: VehicleParams):
     """Emit the trace CSV; aborted runs get a trailing comment marker.
 
-    The log's rows are already in file order, so params is not needed; it
-    stays in the signature for existing callers.
+    Rows go out 256 at a time: one `%` of `_TRACE_ROW`, repeated once
+    per row, formats a block's values as Python floats, so memory stays
+    bounded by one block.  The log's rows are already in file order, so
+    params is not needed; it stays in the signature for existing callers.
     """
     n_cols = len(TRACE_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        # rows go out as Python floats, a block at a time to bound memory
-        for k0 in range(0, log.n_rows, 64):
-            block = log.rows[k0:k0 + 64, :n_cols].tolist()
-            fh.write("".join([_TRACE_ROW % tuple(row) for row in block]))
+        for k0 in range(0, log.n_rows, _BLOCK_ROWS):
+            block = log.rows[k0:k0 + _BLOCK_ROWS, :n_cols]
+            fmt = (_TRACE_BLOCK if len(block) == _BLOCK_ROWS
+                   else _TRACE_ROW * len(block))
+            fh.write(fmt % tuple(block.ravel().tolist()))
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
 
@@ -208,19 +213,24 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
 
 
 def _sweep_case(case):
-    """One sweep row; a case that raises becomes a flagged row of NaNs."""
+    """One sweep row and its failure reason ("" for a passing run).
+
+    A case that raises becomes a flagged row of NaNs whose reason is the
+    error; an aborted run keeps its metrics and its abort reason.
+    """
     controller, m_L, base = case
     try:
         cfg = replace(base, controller=controller, m_L=m_L)
         log = run(cfg)
         met = compute_run_metrics(log, trajectory=cfg.trajectory)
     except Exception as exc:
-        print(f"sweep case {controller} m_L={m_L:g} failed: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return (controller, m_L, math.nan, math.nan, math.nan, math.nan,
-                True)
-    return (controller, m_L, met.e_max, met.phi_max, met.theta_max,
-            met.t_smax, log.failed)
+        reason = f"{type(exc).__name__}: {exc}"
+        print(f"sweep case {controller} m_L={m_L:g} failed: {reason}",
+              file=sys.stderr)
+        return ((controller, m_L, math.nan, math.nan, math.nan, math.nan,
+                 True), reason)
+    return ((controller, m_L, met.e_max, met.phi_max, met.theta_max,
+             met.t_smax, log.failed), log.failure_reason)
 
 
 def _usable_cpus() -> int:
@@ -231,14 +241,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
-    """All (controller, mass) cases; failures become flagged rows.
-
-    Rows come back sorted by controller (PD, SMC, MPC) then mass.  Worker
-    processes only simulate; the caller writes any files.  jobs (default:
-    the usable CPUs) is capped at the usable CPUs and at the case count;
-    jobs < 1 raises ConfigError.
-    """
+def _sweep_cases(spec: SweepSpec, jobs: Optional[int]):
+    """`run_sweep`'s rows, each paired with its failure reason."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cases = [(c, m, spec.base) for c in spec.controllers
@@ -250,22 +254,42 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_sweep_case, cases, chunksize=1)
-    results.sort(key=lambda r: (CONTROLLERS.index(r[0]), r[1]))
+    results.sort(key=lambda r: (CONTROLLERS.index(r[0][0]), r[0][1]))
     return results
 
 
-def write_sweep(results, path: str):
+def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
+    """All (controller, mass) cases; failures become flagged rows.
+
+    Rows come back sorted by controller (PD, SMC, MPC) then mass, as
+    7-tuples (controller, m_L, e_max, phi_max, theta_max, t_smax,
+    failed).  Worker processes only simulate; the caller writes any
+    files.  jobs (default: the usable CPUs) is capped at the usable CPUs
+    and at the case count; jobs < 1 raises ConfigError.
+    """
+    return [row for row, _ in _sweep_cases(spec, jobs)]
+
+
+def write_sweep(results, path: str,
+                reasons: Optional[Sequence[str]] = None):
+    """Write `run_sweep` rows and their failure reasons as sweep.csv.
+
+    reasons pairs with results row by row (default: all empty).  The
+    reason is the one column that csv may quote.
+    """
+    if reasons is None:
+        reasons = [""] * len(results)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for controller, m_L, e_max, phi_max, theta_max, t_smax, failed in \
-                results:
-            fh.write("%s,%s,%s,%s,%s,%s,%d\n" % (
-                controller, _fmt(m_L), _fmt(e_max), _fmt(phi_max),
-                _fmt(theta_max), _fmt(t_smax), int(failed)))
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(SWEEP_COLUMNS)
+        for (controller, m_L, e_max, phi_max, theta_max, t_smax, failed), \
+                reason in zip(results, reasons):
+            w.writerow((controller, _fmt(m_L), _fmt(e_max), _fmt(phi_max),
+                        _fmt(theta_max), _fmt(t_smax), int(failed), reason))
 
 
 def read_sweep(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
         for row in reader:
@@ -277,6 +301,7 @@ def read_sweep(path: str):
                 "theta_max": float(row["theta_max"]),
                 "t_smax": float(row["t_smax"]),
                 "failed": bool(int(row["failed"])),
+                "failure_reason": row["failure_reason"],
             })
     return rows
 
@@ -301,10 +326,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
     # run first, so a config error from the sweep leaves no output directory
-    results = run_sweep(spec, jobs=args.jobs)
+    results, reasons = zip(*_sweep_cases(spec, jobs=args.jobs))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
-    write_sweep(results, path)
+    write_sweep(results, path, reasons)
     n_failed = sum(1 for r in results if r[6])
     print(f"wrote {path} ({len(results)} rows, {n_failed} failed)")
     return EXIT_OK

@@ -108,6 +108,9 @@ class SimConfig:
         if self.m_L > self.params.M_max:
             raise ValueError(f"m_L={self.m_L} exceeds maximum payload "
                              f"{self.params.M_max}")
+        for name in ("dt_physics", "dt_control", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt_physics <= 0.0 or self.dt_control <= 0.0:
             raise ValueError("time steps must be positive")
         if self.duration <= 0.0:

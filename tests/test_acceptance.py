@@ -1,9 +1,11 @@
 """Acceptance checks for the benchmark as a whole.
 
 One test per criterion, each printing the measured evidence.  Criteria
-1-4 share one full default sweep (11 masses x 3 controllers, 75 s each).
+1-4 and the behaviour fingerprint share one full default sweep (11
+masses x 3 controllers, 75 s each).
 """
 
+import hashlib
 import math
 import os
 import time
@@ -30,7 +32,8 @@ HEAVY = [m for m in MASSES if m >= 0.05]
 
 @pytest.fixture(scope="session")
 def sweep():
-    """Full default sweep plus its wall time; shared by criteria 1-4."""
+    """Full default sweep plus its wall time; shared by criteria 1-4 and
+    the behaviour fingerprint."""
     t0 = time.monotonic()
     results = run_sweep(SweepSpec(), jobs=None)
     wall = time.monotonic() - t0
@@ -131,6 +134,74 @@ def test_criterion_4_attitude_bounds(sweep):
     assert not any_failed, "a sweep run aborted"
     assert worst <= 6.0
     assert worst3 <= 4.5
+
+
+# The default sweep's rows as perfbench/fingerprint.py prints them (%.17g;
+# sha256 93e6347c56626086597f1a8f1a2c8c2c30bb185dd991b1ae294414ac8db21b11).
+FINGERPRINT = """\
+PD,0.0050000000000000001,0.044160961407290644,0.31738983950059185,0.31739124361949894,1.8900000000000041,0
+PD,0.050000000000000003,0.044191402636271082,0.31766744452960061,0.31766977843902966,1.8900000000000041,0
+PD,0.10000000000000001,0.044215461567890801,0.31804582639421752,0.31804395607200825,1.8900000000000006,0
+PD,0.14999999999999999,0.044253302851822829,0.31801275917327465,0.31802072642205614,1.8900000000000006,0
+PD,0.20000000000000001,0.044287942148798609,0.31857727622273868,0.31857425470086714,1.8900000000000006,0
+PD,0.25,0.044316832238384229,0.31870984965455662,0.31871318843887697,1.8900000000000006,0
+PD,0.29999999999999999,0.044359056138595032,0.31908590782696356,0.31909645803036052,1.8900000000000006,0
+PD,0.34999999999999998,0.044345871869691966,0.31896933881906919,0.31895535668909764,1.8900000000000006,0
+PD,0.40000000000000002,0.044468756519867036,0.31975805039187416,0.31979260842045348,1.8900000000000006,0
+PD,0.45000000000000001,0.044410329914261082,0.32007908809074931,0.32004352131280611,1.8999999999999986,0
+PD,0.5,0.044449084075080636,0.32004560989551734,0.32004557626357427,1.8999999999999986,0
+SMC,0.0050000000000000001,0.023941850267124795,0.28187068513317759,0.29322210244581381,1.7000000000000028,0
+SMC,0.050000000000000003,0.023985923977915484,0.28261131020160768,0.29407235119941905,1.6900000000000048,0
+SMC,0.10000000000000001,0.024045649976180243,0.28404047403521604,0.29519581043943716,1.7000000000000028,0
+SMC,0.14999999999999999,0.024090735415655297,0.28412068420044523,0.29607414948615524,1.6900000000000013,0
+SMC,0.20000000000000001,0.024130403425827313,0.28425973011177125,0.29680145642290795,1.6999999999999993,0
+SMC,0.25,0.024168500404530724,0.28437653922291733,0.2974043009737557,1.6899999999999977,0
+SMC,0.29999999999999999,0.024208030355963889,0.28456166901693142,0.29790921669345188,1.6899999999999977,0
+SMC,0.34999999999999998,0.024251508588337897,0.28423011010160787,0.29835064305765158,1.7000000000000028,0
+SMC,0.40000000000000002,0.024300558512184219,0.28448615681688327,0.29874200813275276,1.7000000000000028,0
+SMC,0.45000000000000001,0.02435595434494732,0.28502314478086366,0.29910541132910456,1.7000000000000028,0
+SMC,0.5,0.024417976988653098,0.28452141715255763,0.29946500744236282,1.6999999999999993,0
+MPC,0.0050000000000000001,0.014000087843585085,0.25392118726948587,0.25392240058662274,1.240000000000002,0
+MPC,0.050000000000000003,0.013999432913653909,0.2551089982842798,0.25512975026727364,1.9199999999999982,0
+MPC,0.10000000000000001,0.014040557721738844,0.26934127026875238,0.26940029359400164,2.2100000000000009,0
+MPC,0.14999999999999999,0.014081325970723646,0.30297362321283788,0.30305367769245972,2.220000000000006,0
+MPC,0.20000000000000001,0.014160009981408428,0.32968718647441131,0.32977155136708658,2.2299999999999986,0
+MPC,0.25,0.014213789108602382,0.33260191446954973,0.33262488028693354,2.2700000000000014,0
+MPC,0.29999999999999999,0.014228768412397841,0.31859641396793764,0.31855287356628509,1.990000000000002,0
+MPC,0.34999999999999998,0.014200081017614052,0.31608715767939799,0.31610312480210673,1.9800000000000004,0
+MPC,0.40000000000000002,0.014219200405510612,0.32815830212787156,0.32802915413643963,1.9700000000000006,0
+MPC,0.45000000000000001,0.01423096712928873,0.32438518227362811,0.3251144016039591,1.9599999999999991,0
+MPC,0.5,0.014200697143721186,0.32227960529049626,0.32152684126077002,1.9299999999999997,0
+"""
+
+
+def test_behaviour_fingerprint(sweep):
+    """Every default-sweep metric within 1e-9 of the recorded rows.
+
+    A change that moves any metric by more fails here, listing each moved
+    metric; the printed digest tells a bit-identical sweep (93e6347c...)
+    from one that only stays within the tolerance.
+    """
+    table, _ = sweep
+    fields = ("e_max", "phi_max", "theta_max", "t_smax")
+    lines, moved, worst = [], [], 0.0
+    for want in FINGERPRINT.splitlines():
+        c, m, *metrics, failed = want.split(",")
+        row = table[(c, float(m))]
+        for name, w in zip(fields, map(float, metrics)):
+            g = row[name]
+            rel = abs(g - w) / abs(w) if w else abs(g)
+            worst = max(worst, rel)
+            if not rel <= 1e-9:
+                moved.append(f"{c} m_L={m} {name}: {g!r} vs {w!r} "
+                             f"(relative {rel:.3g})")
+        assert bool(row["failed"]) == bool(int(failed)), (c, m)
+        lines.append("%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
+            c, float(m), *(row[k] for k in fields), row["failed"]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"worst relative change {worst:.3g}; sha256 {digest}")
+    assert len(table) == len(lines)
+    assert not moved, "\n".join(moved)
 
 
 def test_criterion_5_critical_mass_and_overload_arrival(capsys):

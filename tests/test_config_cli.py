@@ -267,6 +267,31 @@ class TestTraceRoundTrip:
         assert tr.rows.tobytes() == rows.tobytes()
         assert peak <= 3 * tr.rows.nbytes, (peak, tr.rows.nbytes)
 
+    @pytest.mark.parametrize("n_rows, failed", [
+        (1, False), (255, False), (256, False), (257, False), (513, False),
+        (257, True)])
+    def test_block_edges_match_per_row_format(self, tmp_path, n_rows,
+                                              failed):
+        """Full, short and lone blocks give the per-row format's bytes."""
+        rng = np.random.default_rng(n_rows)
+        n = len(TRACE_COLUMNS)
+        rows = np.zeros((n_rows, LOG_WIDTH))
+        rows[:, 0] = np.arange(n_rows) * 0.01
+        rows[:, 1:n - 1] = rng.standard_normal((n_rows, n - 2))
+        rows[:, n - 1] = rng.integers(0, 2, n_rows)
+        reason = "GimbalLockError at t=2.560: injected" if failed else ""
+        path = tmp_path / "trace.csv"
+        write_trace(SimLog(rows=rows, failed=failed, failure_reason=reason),
+                    str(path), VehicleParams())
+        want = (HEADER
+                + "".join(cli._TRACE_ROW % tuple(row)
+                          for row in rows[:, :n].tolist())
+                + (f"# aborted: {reason}\n" if failed else ""))
+        assert path.read_bytes() == want.encode()
+        tr = read_trace(str(path))
+        assert tr.rows.tobytes() == rows.tobytes()
+        assert (tr.failed, tr.reason) == (failed, reason)
+
 
 def _serial_pool(monkeypatch):
     """Replace multiprocessing.Pool with one that maps in this process.
@@ -307,6 +332,27 @@ class TestSweepCsv:
         assert rows[0]["controller"] == "PD"
         assert rows[0]["m_L"] == 0.1
         assert rows[0]["e_max"] == results[0][2]
+        assert all(row["failure_reason"] == "" for row in rows)
+
+    def test_failure_reason_column(self, tmp_path):
+        """The reason trails the seven numeric columns, quoted by csv."""
+        results = [("PD", 0.1, 0.5, 1.0, 2.0, 3.0, True),
+                   ("PD", 0.2, math.nan, math.nan, math.nan, math.nan, True),
+                   ("SMC", 0.1, 0.25, 1.5, 2.5, 3.5, False)]
+        reasons = ['GimbalLockError at t=0.140: attitude (phi=0.0, '
+                   'theta="-1.7")', "RuntimeError: two\nlines", ""]
+        path = tmp_path / "sweep.csv"
+        write_sweep(results, str(path), reasons)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+        assert lines[1] == ("PD,0.10000000000000001,0.5,1,2,3,1,"
+                            '"GimbalLockError at t=0.140: attitude '
+                            '(phi=0.0, theta=""-1.7"")"')
+        assert lines[-2] == "SMC,0.10000000000000001,0.25,1.5,2.5,3.5,0,"
+        rows = read_sweep(str(path))
+        assert [r["failure_reason"] for r in rows] == reasons
+        assert [r["failed"] for r in rows] == [True, True, False]
+        assert math.isnan(rows[1]["e_max"])
 
     def test_failed_runs_flagged_and_sweep_continues(self, tmp_path):
         bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
@@ -386,6 +432,8 @@ class TestSweepCsv:
             ("PD", 0.1), ("PD", 0.2), ("PD", 0.3)]
         bad = rows[1]
         assert bad["failed"]
+        assert [r["failure_reason"] for r in rows] == [
+            "", "RuntimeError: injected failure", ""]
         assert all(math.isnan(bad[k])
                    for k in ("e_max", "phi_max", "theta_max", "t_smax"))
         for row, ref in ((rows[0], clean[0]), (rows[2], clean[2])):
@@ -572,6 +620,10 @@ class TestCliExitCodes:
         assert ("sweep case MPC m_L=0.1 failed: ConfigError: MPC controller "
                 "cannot be built from this config: FloatingPointError") in err
         assert "empty log" not in err
+        pd, mpc = read_sweep(str(tmp_path / "out" / "sweep.csv"))
+        assert pd["failure_reason"].startswith("ZeroDivisionError at t=")
+        assert mpc["failure_reason"].startswith(
+            "ConfigError: MPC controller cannot be built")
 
     def test_unswept_base_controller_does_not_stop_sweep(self, tmp_path,
                                                          capsys):

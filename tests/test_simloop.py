@@ -59,6 +59,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(dt_physics=3e-3, dt_control=1e-2)
 
+    @pytest.mark.parametrize("field", ["dt_physics", "dt_control",
+                                       "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SimConfig(**{field: value})
+
     @pytest.mark.parametrize("duration", [0.005, 1.005])
     def test_partial_tick_rejected(self, duration):
         with pytest.raises(ValueError, match="dt_control"):
