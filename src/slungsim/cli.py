@@ -33,12 +33,31 @@ EXIT_CONFIG = 2
 EXIT_ABORT = 3
 EXIT_IO = 4
 
+# RunMetrics fields, in the order metrics.csv (which then ends in
+# failure_reason) and analyze give them
+RUN_FIELDS = ("e_max", "err_x_max", "err_y_max", "phi_max", "theta_max",
+              "t_smax", "stage_times", "arrival_time", "saturation_count",
+              "failed")
+
+# run_sweep's 7-tuple, then the failure reason; read_sweep parses the
+# columns named in _SWEEP_PARSERS as given there, the others as floats
 SWEEP_COLUMNS = ("controller", "m_L", "e_max", "phi_max", "theta_max",
                  "t_smax", "failed", "failure_reason")
+_SWEEP_METRICS = SWEEP_COLUMNS[2:-2]    # the RunMetrics fields of a row
+_SWEEP_PARSERS = {"controller": str, "failed": lambda v: bool(int(v)),
+                  "failure_reason": str}
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def _cell(v, fmt: str = "%.17g") -> str:
+    """One value as text: floats by fmt, stage times joined by ';',
+    counts and flags as integers, text as it is."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return ";".join(fmt % x for x in v)
+    if isinstance(v, int):
+        return "%d" % v
+    return fmt % v
 
 
 _TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
@@ -202,14 +221,9 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
     m = compute_run_metrics(log, trajectory=trajectory)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["e_max", "err_x_max", "err_y_max", "phi_max",
-                    "theta_max", "t_smax", "stage_times", "arrival_time",
-                    "saturation_count", "failed", "failure_reason"])
-        w.writerow([_fmt(m.e_max), _fmt(m.err_x_max), _fmt(m.err_y_max),
-                    _fmt(m.phi_max), _fmt(m.theta_max), _fmt(m.t_smax),
-                    ";".join(_fmt(v) for v in m.stage_times),
-                    _fmt(m.arrival_time), m.saturation_count,
-                    int(m.failed), log.failure_reason])
+        w.writerow(RUN_FIELDS + ("failure_reason",))
+        w.writerow([_cell(getattr(m, f)) for f in RUN_FIELDS]
+                   + [log.failure_reason])
 
 
 def _sweep_case(case):
@@ -227,10 +241,10 @@ def _sweep_case(case):
         reason = f"{type(exc).__name__}: {exc}"
         print(f"sweep case {controller} m_L={m_L:g} failed: {reason}",
               file=sys.stderr)
-        return ((controller, m_L, math.nan, math.nan, math.nan, math.nan,
-                 True), reason)
-    return ((controller, m_L, met.e_max, met.phi_max, met.theta_max,
-             met.t_smax, log.failed), log.failure_reason)
+        nans = [math.nan] * len(_SWEEP_METRICS)
+        return (controller, m_L, *nans, True), reason
+    return ((controller, m_L, *(getattr(met, f) for f in _SWEEP_METRICS),
+             log.failed), log.failure_reason)
 
 
 def _usable_cpus() -> int:
@@ -282,28 +296,14 @@ def write_sweep(results, path: str,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(SWEEP_COLUMNS)
-        for (controller, m_L, e_max, phi_max, theta_max, t_smax, failed), \
-                reason in zip(results, reasons):
-            w.writerow((controller, _fmt(m_L), _fmt(e_max), _fmt(phi_max),
-                        _fmt(theta_max), _fmt(t_smax), int(failed), reason))
+        for row, reason in zip(results, reasons):
+            w.writerow([_cell(v) for v in (*row, reason)])
 
 
 def read_sweep(path: str):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            rows.append({
-                "controller": row["controller"],
-                "m_L": float(row["m_L"]),
-                "e_max": float(row["e_max"]),
-                "phi_max": float(row["phi_max"]),
-                "theta_max": float(row["theta_max"]),
-                "t_smax": float(row["t_smax"]),
-                "failed": bool(int(row["failed"])),
-                "failure_reason": row["failure_reason"],
-            })
-    return rows
+        return [{c: _SWEEP_PARSERS.get(c, float)(row[c])
+                 for c in SWEEP_COLUMNS} for row in csv.DictReader(fh)]
 
 
 def _cmd_simulate(args) -> int:
@@ -339,16 +339,8 @@ def _cmd_analyze(args) -> int:
     trace = read_trace(args.trace)
     log = trace.to_log()
     m = compute_run_metrics(log, trajectory=args.trajectory)
-    print(f"e_max = {m.e_max:.6f}")
-    print(f"err_x_max = {m.err_x_max:.6f}")
-    print(f"err_y_max = {m.err_y_max:.6f}")
-    print(f"phi_max = {m.phi_max:.6f}")
-    print(f"theta_max = {m.theta_max:.6f}")
-    print(f"t_smax = {m.t_smax:.6f}")
-    print("stage_times = " + ";".join(f"{v:.6f}" for v in m.stage_times))
-    print(f"arrival_time = {m.arrival_time:.6f}")
-    print(f"saturation_count = {m.saturation_count}")
-    print(f"failed = {int(m.failed)}")
+    for f in RUN_FIELDS:
+        print(f"{f} = {_cell(getattr(m, f), '%.6f')}")
     return EXIT_OK
 
 
@@ -401,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="thrust-budget mass and acceleration table")
     p.add_argument("--u1max", type=float, required=True)
     p.add_argument("--accel", type=float, required=True)
-    p.add_argument("--m-q", type=float, default=1.0)
-    p.add_argument("--g", type=float, default=9.81)
+    p.add_argument("--m-q", type=float, default=VehicleParams.m_q)
+    p.add_argument("--g", type=float, default=VehicleParams.g)
     p.set_defaults(func=_cmd_critical_mass)
     return parser
 

@@ -98,85 +98,73 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def _parse_floats(key: str, value: str, n: Optional[int] = None) -> tuple:
-    items = [v for v in (s.strip() for s in value.split(",")) if v]
-    out = tuple(_parse_float(key, v) for v in items)
-    if n is not None and len(out) != n:
-        raise ConfigError(f"{key}: expected {n} comma-separated numbers, "
-                          f"got {len(out)}")
-    return out
+def _split(value: str) -> list:
+    """The non-empty items of a comma-separated value, stripped."""
+    return [v for v in (s.strip() for s in value.split(",")) if v]
 
 
-def _parse_choice(key: str, value: str, choices) -> str:
-    if value not in choices:
-        raise ConfigError(f"{key}: expected one of {', '.join(choices)}, "
-                          f"got {value!r}")
-    return value
+def _choice(choices):
+    """Parser of one name out of choices."""
+    def parse(key: str, value: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{key}: expected one of {', '.join(choices)}, "
+                              f"got {value!r}")
+        return value
+    return parse
 
 
-_VEHICLE_FIELDS = {f.name for f in fields(VehicleParams)}
-_PD_FIELDS = {f.name for f in fields(PdGains)}
+def _floats(n: Optional[int] = None):
+    """Parser of a comma-separated list of n numbers (any count if None)."""
+    def parse(key: str, value: str) -> tuple:
+        out = tuple(_parse_float(key, v) for v in _split(value))
+        if n is not None and len(out) != n:
+            raise ConfigError(f"{key}: expected {n} comma-separated "
+                              f"numbers, got {len(out)}")
+        return out
+    return parse
 
-_TOP_FLOATS = ("m_L", "duration", "dt_physics", "dt_control")
+
+# Every accepted key, section by section ("" is the top level), and the
+# parser of its value.  Only build_sweep_spec reads the sweep section.
+KEYS = {
+    "": {"controller": _choice(CONTROLLERS),
+         "trajectory": _choice(TRAJECTORIES),
+         "m_L": _parse_float, "duration": _parse_float,
+         "dt_physics": _parse_float, "dt_control": _parse_float},
+    "vehicle": dict.fromkeys((f.name for f in fields(VehicleParams)),
+                             _parse_float),
+    "pd": dict.fromkeys((f.name for f in fields(PdGains)), _parse_float),
+    "smc": {"k": _floats(6), "lam": _floats(6),
+            "boundary_layer": _parse_float},
+    "mpc": {"horizon": _parse_int, "move_pos": _floats(3),
+            "move_att": _parse_float},
+    "sweep": {"masses": _floats(),
+              "controllers": lambda key, value: tuple(_split(value))},
+}
 
 
 def build_sim_config(kv: dict) -> SimConfig:
-    """Validated SimConfig from parsed keys; unknown keys are errors."""
-    kv = dict(kv)
-    top = {}
-    if "controller" in kv:
-        top["controller"] = _parse_choice("controller", kv.pop("controller"),
-                                          CONTROLLERS)
-    if "trajectory" in kv:
-        top["trajectory"] = _parse_choice("trajectory", kv.pop("trajectory"),
-                                          TRAJECTORIES)
-    for name in _TOP_FLOATS:
-        if name in kv:
-            top[name] = _parse_float(name, kv.pop(name))
+    """Validated SimConfig from parsed keys; unknown keys are errors.
 
-    vehicle = {}
-    pd_kw = {}
-    smc_kw = {}
-    mpc_kw = {}
-    for key in list(kv):
-        if "." not in key:
-            raise ConfigError(f"unknown key: {key}")
-        section, _, name = key.partition(".")
-        value = kv.pop(key)
-        if section == "vehicle":
-            if name not in _VEHICLE_FIELDS:
-                raise ConfigError(f"unknown key: {key}")
-            vehicle[name] = _parse_float(key, value)
-        elif section == "pd":
-            if name not in _PD_FIELDS:
-                raise ConfigError(f"unknown key: {key}")
-            pd_kw[name] = _parse_float(key, value)
-        elif section == "smc":
-            if name == "k" or name == "lam":
-                smc_kw[name] = _parse_floats(key, value, 6)
-            elif name == "boundary_layer":
-                smc_kw[name] = _parse_float(key, value)
-            else:
-                raise ConfigError(f"unknown key: {key}")
-        elif section == "mpc":
-            if name == "horizon":
-                mpc_kw["horizon"] = _parse_int(key, value)
-            elif name == "move_pos":
-                mpc_kw["move_pos"] = _parse_floats(key, value, 3)
-            elif name == "move_att":
-                mpc_kw["move_att"] = _parse_float(key, value)
-            else:
-                raise ConfigError(f"unknown key: {key}")
-        elif section == "sweep":
-            # build_sweep_spec has popped the sweep keys it knows
+    Keys are checked in the order they first appear, so of several bad
+    keys the first one is reported.
+    """
+    values = {section: {} for section in KEYS}
+    for key, value in kv.items():
+        section, name = key.split(".", 1) if "." in key else ("", key)
+        if section == "sweep":
+            # build_sweep_spec has popped the sweep keys
             raise ConfigError(f"sweep key in a single-run config: {key}")
-        else:
+        parse = KEYS.get(section, {}).get(name)
+        # ".controller" has an empty section but is no top-level key
+        if parse is None or key.startswith("."):
             raise ConfigError(f"unknown key: {key}")
+        values[section][name] = parse(key, value)
 
+    pd_kw, smc_kw, mpc_kw = values["pd"], values["smc"], values["mpc"]
     try:
-        params = VehicleParams(**vehicle)
         return SimConfig(
-            params=params,
+            params=VehicleParams(**values["vehicle"]),
             pd_gains=PdGains(**pd_kw) if pd_kw else None,
             smc_gains=SmcGains(**smc_kw) if smc_kw else None,
             mpc_horizon=mpc_kw.get("horizon"),
@@ -184,7 +172,7 @@ def build_sim_config(kv: dict) -> SimConfig:
                              if "move_pos" in mpc_kw else None),
             mpc_weights_att=(MpcWeights(s=mpc_kw["move_att"])
                              if "move_att" in mpc_kw else None),
-            **top)
+            **values[""])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -192,19 +180,13 @@ def build_sim_config(kv: dict) -> SimConfig:
 def build_sweep_spec(kv: dict) -> SweepSpec:
     """SweepSpec from parsed keys; sweep.* select masses and controllers."""
     kv = dict(kv)
-    masses = DEFAULT_SWEEP_MASSES
-    controllers = CONTROLLERS
-    if "sweep.masses" in kv:
-        masses = _parse_floats("sweep.masses", kv.pop("sweep.masses"))
-    if "sweep.controllers" in kv:
-        raw = kv.pop("sweep.controllers")
-        controllers = tuple(v for v in (s.strip() for s in raw.split(","))
-                            if v)
-    for key in kv:
-        if key.startswith("sweep."):
+    sweep = {}
+    for key in [k for k in kv if k.startswith("sweep.")]:
+        name = key[len("sweep."):]
+        if name not in KEYS["sweep"]:
             raise ConfigError(f"unknown key: {key}")
-    base = build_sim_config(kv)
-    return SweepSpec(masses=masses, controllers=controllers, base=base)
+        sweep[name] = KEYS["sweep"][name](key, kv.pop(key))
+    return SweepSpec(base=build_sim_config(kv), **sweep)
 
 
 def load_config(path: str) -> SimConfig:

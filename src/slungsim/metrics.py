@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import VehicleParams
 from .simloop import SimLog
 from .trajectory import stage_transition_times
 
@@ -155,7 +156,8 @@ def compute_run_metrics(log: SimLog, trajectory: str = "square"
 
 
 def critical_motion_mass(U1_max: float, a_desired: float,
-                         m_q: float = 1.0, g: float = 9.81) -> float:
+                         m_q: float = VehicleParams.m_q,
+                         g: float = VehicleParams.g) -> float:
     """Largest load mass whose hover-plus-tilt thrust fits under U1_max.
 
     The thrust vector tilts by atan(a_desired/g) to produce the horizontal
@@ -171,7 +173,7 @@ def critical_motion_mass(U1_max: float, a_desired: float,
 
 
 def max_feasible_accel(U1_max: float, m_q: float, m_L: float,
-                       g: float = 9.81) -> float:
+                       g: float = VehicleParams.g) -> float:
     """Horizontal acceleration the thrust ceiling affords at a given load.
 
     The vertical thrust component must hold the total weight; what is left
@@ -184,8 +186,9 @@ def max_feasible_accel(U1_max: float, m_q: float, m_L: float,
     return math.sqrt(U1_max * U1_max - total * total) / (m_q + m_L)
 
 
-def critical_mass_report(U1_max: float, a_desired: float, m_q: float = 1.0,
-                         g: float = 9.81) -> CriticalMassReport:
+def critical_mass_report(U1_max: float, a_desired: float,
+                         m_q: float = VehicleParams.m_q,
+                         g: float = VehicleParams.g) -> CriticalMassReport:
     """m_cm and the acceleration left when carrying it.
 
     At m_cm the weight takes exactly U1_max cos(tilt), so the remaining

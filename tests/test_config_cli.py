@@ -6,6 +6,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from slungsim import cli
 from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           TRACE_COLUMNS, main, read_sweep, read_trace,
                           run_sweep, write_sweep, write_trace)
-from slungsim.config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
-                             build_sim_config, build_sweep_spec,
+from slungsim.config import (DEFAULT_SWEEP_MASSES, KEYS, ConfigError,
+                             SweepSpec, build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
 from slungsim.dynamics import VehicleParams, cable_offset
 from slungsim.simloop import (CONTROLLERS, LOG_WIDTH, MAX_MPC_HORIZON,
@@ -98,6 +99,47 @@ class TestSimConfigBuild:
     def test_sweep_key_rejected_for_single_run(self):
         with pytest.raises(ConfigError, match="sweep"):
             build_sim_config({"sweep.masses": "0.1"})
+
+
+# a valid value for each key of KEYS that 0.45 does not suit; 0.45 is a
+# valid value of every other key and the default of none
+_VALID_VALUE = {
+    "controller": "MPC", "trajectory": "hover", "dt_physics": "0.005",
+    "dt_control": "0.02", "smc.k": "1,1,1,1,1,1", "smc.lam": "1,1,1,1,1,1",
+    "mpc.horizon": "10", "mpc.move_pos": "1,1,1",
+    "sweep.masses": "0.1, 0.2", "sweep.controllers": "MPC, PD"}
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", [
+        f"{section}.{name}" if section else name
+        for section, names in KEYS.items() for name in names])
+    def test_each_key_accepted(self, key):
+        """Each key, given alone with a valid value, changes the result."""
+        build = (build_sweep_spec if key.startswith("sweep.")
+                 else build_sim_config)
+        assert build({key: _VALID_VALUE.get(key, "0.45")}) != build({})
+
+    @pytest.mark.parametrize("key", ["controler", "vehicle.mass", "pd.kpz",
+                                     "smc.K", "mpc.Horizon", "a.b.c",
+                                     ".controller"])
+    def test_misspelled_key_is_unknown(self, key):
+        with pytest.raises(ConfigError,
+                           match=f"^unknown key: {re.escape(key)}$"):
+            build_sim_config({"m_L": "0.2", key: "1"})
+
+    @pytest.mark.parametrize("key", ["sweep.masses", "sweep.a.b"])
+    def test_sweep_key_in_single_run(self, key):
+        with pytest.raises(ConfigError, match="^sweep key in a single-run "
+                           f"config: {re.escape(key)}$"):
+            build_sim_config({key: "0.1"})
+
+    def test_first_bad_key_in_file_order_reported(self):
+        kv = {"vehicle.mass": "1", "m_L": "heavy"}
+        with pytest.raises(ConfigError, match="^unknown key: vehicle.mass$"):
+            build_sim_config(kv)
+        with pytest.raises(ConfigError, match="^m_L: expected a number"):
+            build_sim_config(dict(reversed(kv.items())))
 
 
 class TestSweepSpecBuild:
@@ -353,6 +395,11 @@ class TestSweepCsv:
         assert [r["failure_reason"] for r in rows] == reasons
         assert [r["failed"] for r in rows] == [True, True, False]
         assert math.isnan(rows[1]["e_max"])
+        # every field comes back, the flagged NaN row too
+        assert [list(r) for r in rows] == [list(cli.SWEEP_COLUMNS)] * 3
+        np.testing.assert_equal(
+            [tuple(r.values()) for r in rows],
+            [(*row, reason) for row, reason in zip(results, reasons)])
 
     def test_failed_runs_flagged_and_sweep_continues(self, tmp_path):
         bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
@@ -443,6 +490,35 @@ class TestSweepCsv:
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"
+
+
+_METRICS_HEADER = (b"e_max,err_x_max,err_y_max,phi_max,theta_max,t_smax,"
+                   b"stage_times,arrival_time,saturation_count,failed,"
+                   b"failure_reason\r\n")
+
+# config, simulate exit code, metrics.csv bytes, analyze stdout
+GOLDEN_RUNS = {
+    "smc-2s": (
+        "controller = SMC\nm_L = 0.1\nduration = 2.0\n", EXIT_OK,
+        _METRICS_HEADER
+        + b"0.023656354955662665,0.023656354955662665,0,0,"
+          b"0.29519581043943716,0,0;0;0;0,nan,0,0,\r\n",
+        "e_max = 0.023656\nerr_x_max = 0.023656\nerr_y_max = 0.000000\n"
+        "phi_max = 0.000000\ntheta_max = 0.295196\nt_smax = 0.000000\n"
+        "stage_times = 0.000000;0.000000;0.000000;0.000000\n"
+        "arrival_time = nan\nsaturation_count = 0\nfailed = 0\n"),
+    "pd-abort": (
+        "controller = PD\nm_L = 0.5\npd.Kpp = 5e4\npd.Kpt = 5e4\n"
+        "pd.Kdp = 1e-3\npd.Kdt = 1e-3\n", EXIT_ABORT,
+        _METRICS_HEADER
+        + b"0.00049234256972846601,0.00049234256972846601,0,0,"
+          b"60.738955408908346,0,0;0;0;0,nan,2,1,\"GimbalLockError at "
+          b"t=0.140: attitude out of range (phi=0.000, theta=-1.734)\"\r\n",
+        "e_max = 0.000492\nerr_x_max = 0.000492\nerr_y_max = 0.000000\n"
+        "phi_max = 0.000000\ntheta_max = 60.738955\nt_smax = 0.000000\n"
+        "stage_times = 0.000000;0.000000;0.000000;0.000000\n"
+        "arrival_time = nan\nsaturation_count = 2\nfailed = 1\n"),
+}
 
 
 class TestCliExitCodes:
@@ -547,17 +623,18 @@ class TestCliExitCodes:
         assert "(feasible)" in line
 
     def test_analyze_round_trip(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("controller = SMC\nm_L = 0.1\nduration = 2.0\n")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["analyze", "--trace",
-                     str(out / "trace.csv")]) == EXIT_OK
-        text = capsys.readouterr().out
-        assert "e_max = " in text
-        assert "t_smax = " in text
+        """metrics.csv and analyze stdout keep their recorded bytes."""
+        for name, (config, code, metrics, analyzed) in GOLDEN_RUNS.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == code
+            capsys.readouterr()
+            assert (out / "metrics.csv").read_bytes() == metrics
+            assert main(["analyze", "--trace",
+                         str(out / "trace.csv")]) == EXIT_OK
+            assert capsys.readouterr().out == analyzed
 
     @pytest.mark.parametrize("text, reason", [
         ("t,x,y\n0,0,0\n", "unexpected trace header"),
