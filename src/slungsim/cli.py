@@ -23,7 +23,7 @@ import numpy as np
 from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                      load_config, load_sweep_spec)
 from .dynamics import VehicleParams
-from .metrics import (compute_run_metrics, critical_mass_report,
+from .metrics import (compute_run_metrics, critical_motion_mass,
                       max_feasible_accel)
 from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, TRAJECTORIES,
                       SimConfig, SimLog, run)
@@ -259,17 +259,15 @@ def _sweep_cases(spec: SweepSpec, jobs: Optional[int]):
     """`run_sweep`'s rows, each paired with its failure reason."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cases = [(c, m, spec.base) for c in spec.controllers
-             for m in spec.masses]
+    # in CONTROLLERS order, then by mass, which pool.map keeps
+    cases = [(c, m, spec.base) for c in CONTROLLERS
+             if c in spec.controllers for m in spec.masses]
     cpus = _usable_cpus()
     jobs = min(cpus if jobs is None else jobs, cpus, len(cases))
     if jobs == 1:
-        results = [_sweep_case(c) for c in cases]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_sweep_case, cases, chunksize=1)
-    results.sort(key=lambda r: (CONTROLLERS.index(r[0][0]), r[0][1]))
-    return results
+        return [_sweep_case(c) for c in cases]
+    with multiprocessing.Pool(processes=jobs) as pool:
+        return pool.map(_sweep_case, cases, chunksize=1)
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
@@ -284,15 +282,12 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
     return [row for row, _ in _sweep_cases(spec, jobs)]
 
 
-def write_sweep(results, path: str,
-                reasons: Optional[Sequence[str]] = None):
+def write_sweep(results, path: str, reasons: Sequence[str]):
     """Write `run_sweep` rows and their failure reasons as sweep.csv.
 
-    reasons pairs with results row by row (default: all empty).  The
+    reasons pairs with results row by row, "" for a passing run.  The
     reason is the one column that csv may quote.
     """
-    if reasons is None:
-        reasons = [""] * len(results)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(SWEEP_COLUMNS)
@@ -351,11 +346,14 @@ def _cmd_critical_mass(args) -> int:
             raise ConfigError(f"{flag} must be positive and finite")
     if not (math.isfinite(args.accel) and args.accel >= 0.0):
         raise ConfigError("--accel must be non-negative and finite")
-    rep = critical_mass_report(args.u1max, args.accel, m_q=args.m_q,
-                               g=args.g)
-    state = "feasible" if rep.feasible else "infeasible"
-    print(f"m_cm = {rep.m_cm:.6f} kg ({state})")
-    print(f"a_cm = {rep.a_cm:.6f} m/s^2")
+    m_cm = critical_motion_mass(args.u1max, args.accel, args.m_q, args.g)
+    feasible = m_cm > 0.0
+    # At m_cm the weight takes U1_max cos(tilt), leaving g tan(tilt) =
+    # accel; max_feasible_accel could round that weight above U1_max.
+    a_cm = args.accel if feasible else 0.0
+    state = "feasible" if feasible else "infeasible"
+    print(f"m_cm = {m_cm:.6f} kg ({state})")
+    print(f"a_cm = {a_cm:.6f} m/s^2")
     print("m_L,a_max")
     for m_L in DEFAULT_SWEEP_MASSES:
         try:

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
-from .mpc import MpcWeights
 from .simloop import CONTROLLERS, TRAJECTORIES, ConfigError, SimConfig
 
 DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
@@ -146,8 +145,10 @@ KEYS = {
 def build_sim_config(kv: dict) -> SimConfig:
     """Validated SimConfig from parsed keys; unknown keys are errors.
 
-    Keys are checked in the order they first appear, so of several bad
-    keys the first one is reported.
+    Each key sets the SimConfig, VehicleParams, PdGains or SmcGains field
+    of its name (mpc.<key> sets SimConfig.mpc_<key>); an unset key keeps
+    that field's default.  Keys are checked in the order they first
+    appear, so of several bad keys the first one is reported.
     """
     values = {section: {} for section in KEYS}
     for key, value in kv.items():
@@ -161,17 +162,12 @@ def build_sim_config(kv: dict) -> SimConfig:
             raise ConfigError(f"unknown key: {key}")
         values[section][name] = parse(key, value)
 
-    pd_kw, smc_kw, mpc_kw = values["pd"], values["smc"], values["mpc"]
     try:
         return SimConfig(
             params=VehicleParams(**values["vehicle"]),
-            pd_gains=PdGains(**pd_kw) if pd_kw else None,
-            smc_gains=SmcGains(**smc_kw) if smc_kw else None,
-            mpc_horizon=mpc_kw.get("horizon"),
-            mpc_weights_pos=(MpcWeights(s=mpc_kw["move_pos"])
-                             if "move_pos" in mpc_kw else None),
-            mpc_weights_att=(MpcWeights(s=mpc_kw["move_att"])
-                             if "move_att" in mpc_kw else None),
+            pd_gains=PdGains(**values["pd"]),
+            smc_gains=SmcGains(**values["smc"]),
+            **{f"mpc_{name}": v for name, v in values["mpc"].items()},
             **values[""])
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -197,9 +197,9 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
 class PdController:
     """Proportional-derivative cascade with acceleration feedforward."""
 
-    def __init__(self, gains: PdGains = None, params: VehicleParams = None):
-        self.gains = gains if gains is not None else PdGains()
-        self.params = params if params is not None else VehicleParams()
+    def __init__(self, gains: PdGains, params: VehicleParams):
+        self.gains = gains
+        self.params = params
 
     def step(self, s, ref: ReferencePoint):
         g = self.gains
@@ -232,13 +232,13 @@ class SmcController:
     by backward-differencing the tilt command between ticks.  With the
     default boundary layer the command is smooth and the difference is a
     faithful rate; with a zero layer the command dithers tick-to-tick
-    and the feedforward (like the rest of the loop) degrades.
+    and the feedforward (like the rest of the loop) degrades.  dt is
+    the control period, the time between two tilt commands.
     """
 
-    def __init__(self, gains: SmcGains = None, params: VehicleParams = None,
-                 dt: float = 0.01):
-        self.gains = gains if gains is not None else SmcGains()
-        self.params = params if params is not None else VehicleParams()
+    def __init__(self, gains: SmcGains, params: VehicleParams, dt: float):
+        self.gains = gains
+        self.params = params
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive")
         self.dt = dt

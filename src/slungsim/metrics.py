@@ -54,13 +54,6 @@ class RunMetrics:
     failed: bool
 
 
-@dataclass(frozen=True)
-class CriticalMassReport:
-    m_cm: float
-    a_cm: float             # max feasible accel when carrying exactly m_cm
-    feasible: bool
-
-
 def max_tracking_error(log: SimLog):
     """(err_x_max, err_y_max, e_max) over the horizontal axes, metres."""
     ex = float(np.abs(log.err[:, 0]).max())
@@ -185,17 +178,3 @@ def max_feasible_accel(U1_max: float, m_q: float, m_L: float,
                          f"({total:.3f} N needed, {U1_max:.3f} N available)")
     return math.sqrt(U1_max * U1_max - total * total) / (m_q + m_L)
 
-
-def critical_mass_report(U1_max: float, a_desired: float,
-                         m_q: float = VehicleParams.m_q,
-                         g: float = VehicleParams.g) -> CriticalMassReport:
-    """m_cm and the acceleration left when carrying it.
-
-    At m_cm the weight takes exactly U1_max cos(tilt), so the remaining
-    thrust affords g tan(tilt) = a_desired.  Evaluating that through
-    max_feasible_accel can round the weight above U1_max and raise.
-    """
-    m_cm = critical_motion_mass(U1_max, a_desired, m_q, g)
-    if m_cm <= 0.0:
-        return CriticalMassReport(m_cm=m_cm, a_cm=0.0, feasible=False)
-    return CriticalMassReport(m_cm=m_cm, a_cm=a_desired, feasible=True)

@@ -48,6 +48,14 @@ from .dynamics import VehicleParams
 from .trajectory import ReferencePoint
 
 HORIZON = 25
+# The attitude move weight must sit far below the tilt move weight: the
+# position loop crosses over near the attitude bandwidth, and a sluggish
+# inner loop eats the cascade phase margin and pumps a growing swing at
+# every load mass.  The tilt weight cannot rescue that (a move penalty adds
+# lag without cutting gain), so the inner loop is made fast instead.
+# Stable plateau measured at tilt move weight 0.2-0.8 x attitude move
+# weight 1e-4 to 5e-4.
+MOVE_ATT = 0.0002
 
 
 @dataclass(frozen=True)
@@ -72,27 +80,26 @@ def _double_integrators(dt: float, b) -> DiscreteModel:
     return DiscreteModel(A=A, B=B, C=C)
 
 
-def discretize_translational(dt: float, params: VehicleParams = None) -> DiscreteModel:
+def discretize_translational(dt: float, params: VehicleParams) -> DiscreteModel:
     """Euler-discretized translational model, inputs (theta_d, phi_d, G).
 
     State [x, vx, y, vy, z, vz]; outputs (x, y, z).  A positive pitch
     command accelerates +x, a positive roll command accelerates -y, and a
     positive thrust deficit G accelerates -z, so the input columns carry
-    (+g dt, -g dt, -dt) into the respective velocity rows.
+    (+g dt, -g dt, -dt) into the respective velocity rows, g from params.
     """
-    p = params if params is not None else VehicleParams()
-    return _double_integrators(dt, (p.g * dt, -p.g * dt, -dt))
+    return _double_integrators(dt, (params.g * dt, -params.g * dt, -dt))
 
 
-def discretize_rotational(dt: float, params: VehicleParams = None) -> DiscreteModel:
+def discretize_rotational(dt: float, params: VehicleParams) -> DiscreteModel:
     """Euler-discretized attitude model, inputs (U2, U3, U4).
 
     State [phi, p, theta, q, psi, r]; outputs (phi, theta, psi).  The
     angular cross terms are dropped and each rate row is driven through
-    the corresponding inverse inertia.
+    the corresponding inverse inertia of params.
     """
-    p = params if params is not None else VehicleParams()
-    return _double_integrators(dt, (dt / p.I_x, dt / p.I_y, dt / p.I_z))
+    return _double_integrators(
+        dt, (dt / params.I_x, dt / params.I_y, dt / params.I_z))
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,8 @@ class PredictionModel:
     N: int
 
 
-def build_prediction(model: DiscreteModel, N: int = HORIZON) -> PredictionModel:
+def build_prediction(model: DiscreteModel, N: int) -> PredictionModel:
+    """The model's stacked prediction over an N-step horizon, N >= 1."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     A, B, C = model.A, model.B, model.C
@@ -272,33 +280,26 @@ class MpcController:
     one second times any unmodeled force; the optimizer leans against
     that phantom velocity, the slung load leans back harder, and the loop
     runs away for heavy loads.
+
+    move_pos and move_att are the move weights of the position and the
+    attitude loop; move_pos None gives the tilt-equalised default below.
     """
 
-    def __init__(self, params: VehicleParams = None, dt: float = 0.01,
-                 horizon: int = HORIZON,
-                 weights_pos: MpcWeights = None,
-                 weights_att: MpcWeights = None):
-        self.params = params if params is not None else VehicleParams()
+    def __init__(self, params: VehicleParams, dt: float, horizon: int,
+                 move_pos, move_att):
+        self.params = params
         # the G channel moves the velocity 1/g as far per unit input as the
         # tilt channels do, so its move weight is scaled by 1/g^2 to give
         # all three position inputs equal authority per unit penalty; a
-        # uniform move weight leaves the vertical loop oscillatory.
-        # The attitude move weight must sit far below the tilt move weight:
-        # the position loop crosses over near the attitude bandwidth, and a
-        # sluggish inner loop eats the cascade phase margin and pumps a
-        # growing swing at every load mass.  The tilt weight cannot rescue
-        # that (a move penalty adds lag without cutting gain), so the inner
-        # loop is made fast instead.  Stable plateau measured at tilt move
-        # weight 0.2-0.8 x attitude move weight 1e-4 to 5e-4.
-        g = self.params.g
-        wp = weights_pos if weights_pos is not None else MpcWeights(
-            s=(0.4, 0.4, 0.05 / g ** 2))
-        wa = weights_att if weights_att is not None else MpcWeights(s=0.0002)
+        # uniform move weight leaves the vertical loop oscillatory.  The
+        # attitude weight sits far below these (see MOVE_ATT).
+        if move_pos is None:
+            move_pos = (0.4, 0.4, 0.05 / params.g ** 2)
         # u_next = K @ [ref(3), x(6), u(3)] per loop
-        self.K_pos = receding_gain(discretize_translational(dt, self.params),
-                                   wp, horizon)
-        self.K_att = receding_gain(discretize_rotational(dt, self.params),
-                                   wa, horizon)
+        self.K_pos = receding_gain(discretize_translational(dt, params),
+                                   MpcWeights(s=move_pos), horizon)
+        self.K_att = receding_gain(discretize_rotational(dt, params),
+                                   MpcWeights(s=move_att), horizon)
         self._u_pos = [0.0, 0.0, 0.0]  # (theta_d, phi_d, G) applied this tick
         self._u_att = [0.0, 0.0, 0.0]  # (U2, U3, U4) applied this tick
 

@@ -39,16 +39,14 @@ import numpy as np
 from .dynamics import (VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
                        coupled_derivative_array)
-from .trajectory import (ReferencePoint, square_reference,
+from .trajectory import (START_POS, ReferencePoint, square_reference,
                          single_leg_reference, hover_reference,
                          reference_window)
 from .controllers import PdController, SmcController, PdGains, SmcGains
-from .mpc import MpcController, MpcWeights
+from .mpc import HORIZON, MOVE_ATT, MpcController, MpcWeights
 
 CONTROLLERS = ("PD", "SMC", "MPC")
 TRAJECTORIES = ("square", "single_leg", "hover")
-
-START_POS = (0.0, 0.0, 1.5)
 
 TRACE_COLUMNS = (
     "t", "x", "y", "z", "vx", "vy", "vz", "phi", "theta", "psi",
@@ -79,8 +77,10 @@ class SimConfig:
     """One closed-loop scenario.
 
     The quadrotor starts at rest at START_POS with the load hanging
-    straight down at rest.  Controller gain/weight blocks default to the
-    tuned values baked into each controller class.
+    straight down at rest.  Every field holds the value the run uses,
+    the tuned controller settings included, except mpc_move_pos: None
+    there is the tilt-equalised default, which MpcController derives
+    from params.g so that replacing params cannot leave it stale.
     """
 
     controller: str = "PD"
@@ -90,13 +90,17 @@ class SimConfig:
     duration: float = 75.0
     trajectory: str = "square"
     params: VehicleParams = field(default_factory=VehicleParams)
-    pd_gains: Optional[PdGains] = None
-    smc_gains: Optional[SmcGains] = None
-    mpc_horizon: Optional[int] = None
-    mpc_weights_pos: Optional[MpcWeights] = None
-    mpc_weights_att: Optional[MpcWeights] = None
+    pd_gains: PdGains = field(default_factory=PdGains)
+    smc_gains: SmcGains = field(default_factory=SmcGains)
+    mpc_horizon: int = HORIZON
+    mpc_move_pos: Optional[tuple] = None
+    mpc_move_att: float = MOVE_ATT
 
     def __post_init__(self):
+        # the move weights are checked first, so their errors win
+        if self.mpc_move_pos is not None:
+            MpcWeights(s=self.mpc_move_pos)
+        MpcWeights(s=self.mpc_move_att)
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}, "
                              f"got {self.controller!r}")
@@ -137,8 +141,7 @@ class SimConfig:
             raise ValueError(f"duration {self.duration} exceeds the "
                              f"{self.trajectory} reference window "
                              f"[0, {window}]")
-        if self.mpc_horizon is not None and not (
-                1 <= self.mpc_horizon <= MAX_MPC_HORIZON):
+        if not 1 <= self.mpc_horizon <= MAX_MPC_HORIZON:
             raise ValueError(f"mpc.horizon must be in [1, {MAX_MPC_HORIZON}]"
                              f", got {self.mpc_horizon}")
 
@@ -182,18 +185,14 @@ class SimLog:
 
 
 def make_controller(config: SimConfig):
-    """Instantiate the configured controller with any gain overrides."""
+    """The configured controller, built from the config's settings."""
     if config.controller == "PD":
-        return PdController(gains=config.pd_gains, params=config.params)
+        return PdController(config.pd_gains, config.params)
     if config.controller == "SMC":
-        return SmcController(gains=config.smc_gains, params=config.params,
-                             dt=config.dt_control)
-    kwargs = {}
-    if config.mpc_horizon is not None:
-        kwargs["horizon"] = config.mpc_horizon
-    return MpcController(params=config.params, dt=config.dt_control,
-                         weights_pos=config.mpc_weights_pos,
-                         weights_att=config.mpc_weights_att, **kwargs)
+        return SmcController(config.smc_gains, config.params,
+                             config.dt_control)
+    return MpcController(config.params, config.dt_control, config.mpc_horizon,
+                         config.mpc_move_pos, config.mpc_move_att)
 
 
 def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
@@ -201,7 +200,7 @@ def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
         return square_reference
     if config.trajectory == "single_leg":
         return single_leg_reference
-    return lambda t: hover_reference(t, START_POS)
+    return hover_reference
 
 
 def rk4_step(f: Callable, y, u, dt: float) -> tuple:
@@ -332,8 +331,7 @@ def run(config: SimConfig) -> SimLog:
             if not all(map(math.isfinite, y)):
                 raise FloatingPointError("non-finite state")
             zeta = cable_offset(y[12], y[13], L)
-        except (TautCableError, GimbalLockError, ArithmeticError,
-                FloatingPointError) as exc:
+        except (TautCableError, GimbalLockError, ArithmeticError) as exc:
             reason = f"{type(exc).__name__} at t={t + dt_c:.3f}: {exc}"
             break
 

@@ -52,7 +52,8 @@ _CORNERS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 
 N_STAGES = 5
 
-_Z_HOLD = 1.5    # reference altitude of the square and the single leg, m
+START_POS = (0.0, 0.0, 1.5)    # where every run starts, at rest
+_Z_HOLD = START_POS[2]    # altitude of the square and the single leg, m
 
 _REST = (0.0, 0.0, 0.0)
 
@@ -101,8 +102,8 @@ def single_leg_reference(t: float) -> ReferencePoint:
                           acc=(a, 0.0, 0.0))
 
 
-def hover_reference(t: float, pos_xyz=(0.0, 0.0, 1.5)) -> ReferencePoint:
-    """Constant set-point; used for equilibrium-hold checks."""
+def hover_reference(t: float, pos_xyz=START_POS) -> ReferencePoint:
+    """Constant set-point, START_POS unless given: the hover trajectory."""
     return ReferencePoint(pos=tuple(map(float, pos_xyz)), vel=_REST,
                           acc=_REST)
 

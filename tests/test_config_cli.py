@@ -29,7 +29,7 @@ from slungsim.config import (DEFAULT_SWEEP_MASSES, KEYS, ConfigError,
 from slungsim.dynamics import VehicleParams, cable_offset
 from slungsim.simloop import (CONTROLLERS, LOG_WIDTH, MAX_MPC_HORIZON,
                               MAX_SUBSTEPS, SimConfig, SimLog, run)
-from slungsim.controllers import PdGains, SmcController
+from slungsim.controllers import PdGains, SmcController, SmcGains
 
 
 class TestKvParsing:
@@ -62,7 +62,7 @@ class TestSimConfigBuild:
         assert cfg.params.m_q == 1.0
         assert cfg.params.U1_max == 14.72
         assert cfg.duration == 75.0
-        assert cfg.mpc_horizon is None   # controller default, 25
+        assert cfg.mpc_horizon == 25
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="controler"):
@@ -86,7 +86,18 @@ class TestSimConfigBuild:
                                 "mpc.move_att": "0.001"})
         assert cfg.pd_gains.Kpz == 25.0
         assert cfg.smc_gains.boundary_layer == 0.1
-        assert cfg.mpc_weights_att.s == 0.001
+        assert cfg.mpc_move_att == 0.001
+
+    def test_move_pos_spelled_out_is_the_default_run(self):
+        """The tilt-equalised weights, stated in full, change no row."""
+        g = VehicleParams().g
+        triple = ", ".join("%.17g" % v for v in (0.4, 0.4, 0.05 / g ** 2))
+        kv = {"controller": "MPC", "m_L": "0.3", "duration": "2"}
+        stated = build_sim_config({**kv, "mpc.move_pos": triple})
+        default = build_sim_config(kv)
+        assert default.mpc_move_pos is None
+        assert stated.mpc_move_pos == (0.4, 0.4, 0.05 / g ** 2)
+        assert run(stated).rows.tobytes() == run(default).rows.tobytes()
 
     def test_smc_list_length_checked(self):
         with pytest.raises(ConfigError, match="smc.k"):
@@ -133,6 +144,52 @@ class TestKeyTable:
         with pytest.raises(ConfigError, match="^sweep key in a single-run "
                            f"config: {re.escape(key)}$"):
             build_sim_config({key: "0.1"})
+
+    def test_keys_name_config_fields(self):
+        """Each key sets one field, and every setting has its key."""
+        owners = {"": (SimConfig, ""), "vehicle": (VehicleParams, ""),
+                  "pd": (PdGains, ""), "smc": (SmcGains, ""),
+                  "mpc": (SimConfig, "mpc_")}
+        named = []
+        for section, (owner, prefix) in owners.items():
+            names = {f.name for f in fields(owner)}
+            for key in KEYS[section]:
+                assert prefix + key in names, (section, key)
+                named.append((owner, prefix + key))
+        assert sorted(KEYS) == sorted([*owners, "sweep"])
+        assert len(set(named)) == len(named)
+        # the fields no key names are the sections' own containers
+        holders = {"params", "pd_gains", "smc_gains"}
+        for owner in (SimConfig, VehicleParams, PdGains, SmcGains):
+            unnamed = {f.name for f in fields(owner)
+                       if (owner, f.name) not in named}
+            assert unnamed == (holders if owner is SimConfig else set())
+
+    def test_every_default_stated_is_the_default_config(self, tmp_path):
+        """A file stating each key at its default builds SimConfig().
+
+        mpc.move_pos is left out: its default is derived from vehicle.g.
+        """
+        cfg = SimConfig()
+        owners = {"": cfg, "vehicle": cfg.params, "pd": cfg.pd_gains,
+                  "smc": cfg.smc_gains}
+        lines = []
+        for section, names in KEYS.items():
+            for name in names:
+                if section == "sweep" or (section, name) == ("mpc",
+                                                             "move_pos"):
+                    continue
+                v = (getattr(cfg, "mpc_" + name) if section == "mpc"
+                     else getattr(owners[section], name))
+                text = (", ".join(map(repr, v)) if isinstance(v, tuple)
+                        else str(v))
+                key = f"{section}.{name}" if section else name
+                lines.append(f"{key} = {text}\n")
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(lines))
+        # every key but the sweep keys and mpc.move_pos
+        assert len(lines) == sum(map(len, KEYS.values())) - 3
+        assert load_config(str(path)) == SimConfig() == build_sim_config({})
 
     def test_first_bad_key_in_file_order_reported(self):
         kv = {"vehicle.mass": "1", "m_L": "heavy"}
@@ -368,7 +425,7 @@ class TestSweepCsv:
         assert [(r[0], r[1]) for r in results] == [
             ("PD", 0.1), ("PD", 0.3), ("SMC", 0.1), ("SMC", 0.3)]
         path = str(tmp_path / "sweep.csv")
-        write_sweep(results, path)
+        write_sweep(results, path, [""] * len(results))
         rows = read_sweep(path)
         assert len(rows) == 4
         assert rows[0]["controller"] == "PD"

@@ -18,8 +18,8 @@ from slungsim.controllers import (
     desired_angles,
 )
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
-from slungsim.mpc import MpcController
-from slungsim.simloop import rk4_step
+from slungsim.mpc import HORIZON, MOVE_ATT, MpcController
+from slungsim.simloop import SimConfig, make_controller, rk4_step
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
 
 from test_dynamics import vehicle_state
@@ -103,7 +103,8 @@ class TestLimit:
 
 def test_overflowing_torque_raises():
     # a subnormal arm turns the MPC's rotor-force conversion into inf
-    ctrl = MpcController(params=VehicleParams(l=5e-324))
+    ctrl = MpcController(VehicleParams(l=5e-324), 0.01, HORIZON, None,
+                         MOVE_ATT)
     s = vehicle_state(z=1.5, phi=0.1, theta=0.1)
     ctrl.step(s, hover_reference(0.0))
     with pytest.raises(FloatingPointError, match="torque"):
@@ -144,7 +145,7 @@ class TestGainValidation:
                 SmcGains(boundary_layer=v)
         for dt in (0.0, -0.01, math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be positive"):
-                SmcController(dt=dt)
+                SmcController(SmcGains(), VehicleParams(), dt)
 
     def test_smc_shape(self):
         with pytest.raises(ValueError):
@@ -153,7 +154,7 @@ class TestGainValidation:
 
 class TestPdController:
     def test_hover_fixed_point(self, params):
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
             hover_state(), hover_reference(0.0))
         assert U1 == params.m_q * params.g
@@ -163,7 +164,7 @@ class TestPdController:
 
     def test_x_error_tilt(self, params):
         # 0.1 m x-error => a_cx = 1.0 m/s^2 => theta_d = asin(a_cx/g^2)
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         ref = ReferencePoint(pos=(0.1, 0.0, 1.5), vel=REST, acc=REST)
         out = ctrl.step(hover_state(), ref)
         expected = math.asin(1.0 / (params.g * params.g))
@@ -172,7 +173,7 @@ class TestPdController:
 
     def test_z_error_thrust(self, params):
         # 0.1 m z-error => a_cz = 2.0 m/s^2 => U1 = m_q*(g + 2)
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.6), vel=REST, acc=REST)
         out = ctrl.step(hover_state(), ref)
         assert out[0] == pytest.approx(params.m_q * (params.g + 2.0),
@@ -181,7 +182,7 @@ class TestPdController:
     def test_attitude_roll_torque(self, params):
         # at the hover reference the tilt command is level, so a -0.1 rad
         # roll is 0.1 rad of roll error
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         out = ctrl.step(vehicle_state(z=1.5, phi=-0.1),
                         hover_reference(0.0))
         assert out[1] == pytest.approx(0.15, rel=1e-12)
@@ -189,20 +190,20 @@ class TestPdController:
 
     def test_attitude_yaw_torque(self, params):
         # 0.1 rad of yaw error
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         out = ctrl.step(vehicle_state(z=1.5, psi=-0.1),
                         hover_reference(0.0))
         assert out[3] == pytest.approx(0.026, rel=1e-12)
 
     def test_thrust_cap_flagged(self, params):
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         ref = ReferencePoint(pos=(0.0, 0.0, 3.0), vel=REST, acc=REST)
         out = ctrl.step(hover_state(), ref)  # 1.5 m z error -> 39.8 N
         assert out[0] == params.U1_max
         assert out[6]
 
     def test_thrust_floor_flagged(self, params):
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         ref = ReferencePoint(pos=(0.0, 0.0, 0.0), vel=REST, acc=REST)
         out = ctrl.step(hover_state(), ref)  # -1.5 m error -> negative
         assert out[0] > 0.0
@@ -211,8 +212,8 @@ class TestPdController:
 
 class TestSmcController:
     def test_hover_fixed_point_matches_pd(self, params):
-        smc = SmcController(params=params)
-        pd = PdController(params=params)
+        smc = SmcController(SmcGains(), params, 0.01)
+        pd = PdController(PdGains(), params)
         ref = hover_reference(0.0)
         a = smc.step(hover_state(), ref)
         b = pd.step(hover_state(), ref)
@@ -222,8 +223,7 @@ class TestSmcController:
     def test_thrust_reaching_term(self, params):
         # e_z = 0.02 m with zero rate puts S_z at +0.1, outside the layer:
         # the switch saturates and U1 = m_q*(g + k_z)
-        smc = SmcController(gains=SmcGains(boundary_layer=0.0),
-                            params=params)
+        smc = SmcController(SmcGains(boundary_layer=0.0), params, 0.01)
         ref = ReferencePoint(pos=(0.0, 0.0, 1.52), vel=REST, acc=REST)
         out = smc.step(hover_state(), ref)
         U1, U2, U3, U4, phi_d, theta_d, _ = out
@@ -235,7 +235,7 @@ class TestSmcController:
     def test_thrust_ramps_inside_layer(self, params):
         # e_z = 0.008 m -> S_z = 0.04, half the default 0.08 layer:
         # the switch contributes k_z/2
-        smc = SmcController(params=params)
+        smc = SmcController(SmcGains(), params, 0.01)
         bl = smc.gains.boundary_layer
         ref = ReferencePoint(pos=(0.0, 0.0, 1.508), vel=REST, acc=REST)
         out = smc.step(hover_state(), ref)
@@ -250,19 +250,20 @@ class TestSmcController:
                 for x in (0.3, 0.2, 0.25)]
         outs = []
         for _ in range(2):
-            smc = SmcController(params=params)
+            smc = SmcController(SmcGains(), params, 0.01)
             outs.append([smc.step(hover_state(), r) for r in refs])
         assert outs[0] == outs[1]
 
     def test_command_rate_memory_feeds_attitude(self, params):
         # a moving tilt command adds a rate term to the attitude surfaces,
         # so the second tick differs from a fresh controller's first tick
-        smc = SmcController(params=params)
+        smc = SmcController(SmcGains(), params, 0.01)
         ref_a = ReferencePoint(pos=(0.3, 0.0, 1.5), vel=REST, acc=REST)
         ref_b = ReferencePoint(pos=(-0.3, 0.0, 1.5), vel=REST, acc=REST)
         smc.step(hover_state(), ref_a)
         warm = smc.step(hover_state(), ref_b)
-        fresh = SmcController(params=params).step(hover_state(), ref_b)
+        fresh = SmcController(SmcGains(), params, 0.01).step(hover_state(),
+                                                             ref_b)
         assert warm[2] != fresh[2]
 
     def test_overload_starves_tilt(self, params):
@@ -274,7 +275,7 @@ class TestSmcController:
         gains = SmcGains(boundary_layer=0.0)
         ref = ReferencePoint(pos=(0.1, 0.0, 1.5),
                              vel=(0.0, 0.0, 6.0), acc=REST)
-        out = SmcController(gains=gains, params=params).step(
+        out = SmcController(gains, params, 0.01).step(
             hover_state(), ref)
         # z demand: m_q*(g + 5*6 + 0.4) = 40.2 N, conditioned to 1.5*U1_max
         assert out[0] == params.U1_max
@@ -298,8 +299,7 @@ def _step_as_run(ctrl, s, ref):
             return None
 
 
-@pytest.mark.parametrize("make", [PdController, SmcController,
-                                  MpcController], ids=["PD", "SMC", "MPC"])
+@pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
 @settings(max_examples=100, deadline=None)
 @given(s=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
        scales=st.lists(st.sampled_from([0.0, 1.0, 1e6, 1e308]),
@@ -318,8 +318,8 @@ def _step_as_run(ctrl, s, ref):
 @example(s=_offset(z=-0.05), scales=[0.0, 1.0, 0.0], t=0.0, U1_max=1e-4)
 @example(s=_offset(z=-1.0, vz=1.0), scales=[0.0, 1e308, 0.0], t=0.0,
          U1_max=20.0)
-def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
-                                                    U1_max):
+def test_thrust_stays_in_range_and_clips_are_flagged(controller, s, scales,
+                                                    t, U1_max):
     # the loop applies U1 as returned, so each controller bounds its own
     # thrust to [min(U1_FLOOR, U1_max), U1_max] and flags a clip.  A twin
     # on a vehicle without a working ceiling shows a clip at U1_max; MPC
@@ -331,8 +331,10 @@ def test_thrust_stays_in_range_and_clips_are_flagged(make, s, scales, t,
     # step runs under run's float errors and either returns finite floats
     # or raises an arithmetic error, which run turns into an abort; a NaN
     # demand, which no comparison clips, raises.
-    ctrl = make(params=VehicleParams(U1_max=U1_max))
-    twin = make(params=VehicleParams(U1_max=1e300))
+    ctrl = make_controller(SimConfig(
+        controller=controller, params=VehicleParams(U1_max=U1_max)))
+    twin = make_controller(SimConfig(
+        controller=controller, params=VehicleParams(U1_max=1e300)))
     ref = square_reference(t)
     h, v, a = scales
     s = [f * x for f, x in zip((h, h, v, h, h, v) + (a,) * 6, s)]
@@ -390,7 +392,7 @@ class TestClosedLoopNominal:
         rather than passed vacuously.
         """
         gains = SmcGains()
-        ctrl = SmcController(gains=gains, params=params)
+        ctrl = SmcController(gains, params, 0.01)
         records = _closed_loop_nominal(ctrl, duration=20.0,
                                        start=(-0.5, 0.4, 1.2),
                                        ref_fn=hover_reference)
@@ -431,14 +433,14 @@ class TestClosedLoopNominal:
         assert exercised >= 3  # x, y, z all start outside the layer
 
     def test_pd_tracks_square_nominally(self, params):
-        ctrl = PdController(params=params)
+        ctrl = PdController(PdGains(), params)
         records = _closed_loop_nominal(ctrl, duration=20.0)
         err = max(abs(ref.pos[0] - s[0]) for _, s, ref, _ in records)
         erry = max(abs(ref.pos[1] - s[1]) for _, s, ref, _ in records)
         assert max(err, erry) < 0.1
 
     def test_smc_tracks_square_nominally(self, params):
-        ctrl = SmcController(params=params)
+        ctrl = SmcController(SmcGains(), params, 0.01)
         records = _closed_loop_nominal(ctrl, duration=20.0)
         err = max(max(abs(ref.pos[0] - s[0]), abs(ref.pos[1] - s[1]))
                   for _, s, ref, _ in records)

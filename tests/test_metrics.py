@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from slungsim.cli import EXIT_OK, main
 from slungsim.metrics import (
-    CriticalMassReport,
     arrival_time,
     compute_run_metrics,
-    critical_mass_report,
     critical_motion_mass,
     max_attitude,
     max_feasible_accel,
@@ -20,6 +19,17 @@ from slungsim.metrics import (
 from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, run
 
 G = 9.81
+
+
+def critical_mass_verb(capsys, u1max, accel):
+    """(m_cm, its feasibility, a_cm) as the critical-mass verb prints them."""
+    assert main(["critical-mass", "--u1max", repr(u1max),
+                 "--accel", repr(accel)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    m_cm, state = lines[0].removeprefix("m_cm = ").split(" kg ")
+    assert lines[1].startswith("a_cm = ") and lines[1].endswith(" m/s^2")
+    a_cm = lines[1].removeprefix("a_cm = ").removesuffix(" m/s^2")
+    return float(m_cm), state == "(feasible)", float(a_cm)
 
 
 def make_log(t, err_x=None, err_y=None, phi_deg=None, theta_deg=None,
@@ -150,10 +160,11 @@ class TestCriticalMass:
         assert abs(critical_motion_mass(14.72, 0.0) -
                    (14.72 / G - 1.0)) < 1e-12
 
-    def test_zero_margin(self):
+    def test_zero_margin(self, capsys):
         assert critical_motion_mass(G, 0.0) == 0.0
-        rep = critical_mass_report(G, 0.0)
-        assert not rep.feasible
+        m_cm, feasible, a_cm = critical_mass_verb(capsys, G, 0.0)
+        assert not feasible
+        assert m_cm == 0.0 and a_cm == 0.0
 
     def test_half_kilogram_budget(self):
         m_cm = critical_motion_mass(14.72, 0.032)
@@ -192,15 +203,15 @@ class TestMaxAccel:
         a_heavy = max_feasible_accel(14.72, 1.0, m + dm)
         assert a_heavy < a_light
 
-    def test_budget_consistency(self):
+    def test_budget_consistency(self, capsys):
         # carrying exactly the critical mass still affords the design
         # acceleration up to the small-angle gap between the two formulas
-        rep = critical_mass_report(14.72, 0.032)
-        assert rep.feasible
-        assert rep.a_cm >= 0.9 * 0.032
+        _, feasible, a_cm = critical_mass_verb(capsys, 14.72, 0.032)
+        assert feasible
+        assert a_cm >= 0.9 * 0.032
         # here (m_q + m_cm) g rounds to just above U1_max = 11
-        rep = critical_mass_report(11.0, 0.0)
-        assert rep.feasible and rep.a_cm == 0.0
+        _, feasible, a_cm = critical_mass_verb(capsys, 11.0, 0.0)
+        assert feasible and a_cm == 0.0
 
 
 class TestRunMetricsBundle:

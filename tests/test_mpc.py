@@ -10,6 +10,7 @@ from slungsim.dynamics import VehicleParams
 from slungsim.mpc import (
     HORIZON,
     DiscreteModel,
+    MOVE_ATT,
     EstimatorConfig,
     MpcController,
     MpcWeights,
@@ -38,6 +39,11 @@ def scalar_model(a, b, c):
 
 def hover_ref(pos=(0.0, 0.0, 1.5)):
     return hover_reference(0.0, pos_xyz=pos)
+
+
+def default_mpc(params):
+    """The controller with the settings a default SimConfig runs."""
+    return MpcController(params, 0.01, HORIZON, None, MOVE_ATT)
 
 
 class TestDiscretization:
@@ -231,20 +237,18 @@ class TestRecedingGain:
     reference the controller's collapsed law is checked against.
     """
 
-    @pytest.mark.parametrize("horizon, weights_pos, weights_att", [
-        (HORIZON, None, None),
-        (7, MpcWeights(s=(0.3, 0.6, 0.01)),
-         MpcWeights(s=(0.001, 0.0005, 0.002))),
+    @pytest.mark.parametrize("horizon, move_pos, move_att", [
+        (HORIZON, None, MOVE_ATT),
+        (7, (0.3, 0.6, 0.01), (0.001, 0.0005, 0.002)),
     ], ids=["default", "custom"])
     def test_matches_first_block_of_solve(self, params, horizon,
-                                          weights_pos, weights_att):
-        ctrl = MpcController(params=params, horizon=horizon,
-                             weights_pos=weights_pos,
-                             weights_att=weights_att)
-        # the controller's defaults, restated
-        if weights_pos is None:
-            weights_pos = MpcWeights(s=(0.4, 0.4, 0.05 / params.g ** 2))
-            weights_att = MpcWeights(s=0.0002)
+                                          move_pos, move_att):
+        ctrl = MpcController(params, 0.01, horizon, move_pos, move_att)
+        # the controller's tilt-equalised default, restated
+        if move_pos is None:
+            move_pos = (0.4, 0.4, 0.05 / params.g ** 2)
+        weights_pos = MpcWeights(s=move_pos)
+        weights_att = MpcWeights(s=move_att)
         rng = np.random.default_rng(23)
         for K, md, w in ((ctrl.K_pos, discretize_translational(0.01, params),
                           weights_pos),
@@ -265,7 +269,7 @@ class TestRecedingGain:
 
 class TestController:
     def test_first_tick_is_hover(self, params):
-        ctrl = MpcController(params=params)
+        ctrl = default_mpc(params)
         U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
             vehicle_state(z=1.5), hover_ref())
         assert U1 == pytest.approx(params.m_q * params.g)
@@ -275,7 +279,7 @@ class TestController:
 
     def test_hover_is_fixed_point(self, params):
         # at the reference with zero velocity the loop never leaves hover
-        ctrl = MpcController(params=params)
+        ctrl = default_mpc(params)
         st = vehicle_state(z=1.5)
         for _ in range(50):
             out = ctrl.step(st, hover_ref())
@@ -283,7 +287,7 @@ class TestController:
             assert abs(out[4]) < 1e-12 and abs(out[5]) < 1e-12
 
     def test_displacement_tilts_toward_target(self, params):
-        ctrl = MpcController(params=params)
+        ctrl = default_mpc(params)
         st = vehicle_state(x=-0.5, z=1.5)
         ctrl.step(st, hover_ref())
         out = ctrl.step(st, hover_ref())
@@ -292,7 +296,7 @@ class TestController:
         assert abs(out[4]) < 1e-9
 
     def test_angle_and_thrust_caps(self, params):
-        ctrl = MpcController(params=params)
+        ctrl = default_mpc(params)
         far = hover_ref(pos=(50.0, -50.0, 80.0))
         st = vehicle_state(z=1.5)
         saturated = False
@@ -309,7 +313,7 @@ class TestController:
                for k in range(10)]
         outs = []
         for _ in range(2):
-            ctrl = MpcController(params=params)
+            ctrl = default_mpc(params)
             outs.append([ctrl.step(s, hover_ref()) for s in seq])
         assert outs[0] == outs[1]
 

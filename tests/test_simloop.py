@@ -358,7 +358,7 @@ class TestRun:
         from slungsim.controllers import PdGains
         bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
         cfg = SimConfig(controller="PD", m_L=0.5, duration=2.0,
-                        pd_gains=bad if aborted else None)
+                        pd_gains=bad if aborted else PdGains())
         log = run(cfg)
         assert log.failed == aborted
         assert (log.n_rows < cfg.n_ticks + 1) == aborted
