@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 simulation abort,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import math
@@ -111,91 +110,60 @@ class TraceError(ValueError):
     """Malformed trace file; the message names the file."""
 
 
-def _data_lines(fh, path: str, linenos: list, aborted: list):
-    """Yield the stripped data lines of an open trace, as log rows.
-
-    Each line gets a zero for every log column a trace does not carry
-    (the load velocities), so the parsed rows are in SimLog layout.  The
-    line numbers go to ``linenos`` and ``# aborted:`` reasons to
-    ``aborted``; a wrong field count raises TraceError.
-    """
-    n_cols = len(TRACE_COLUMNS)
-    pad = ",0" * (LOG_WIDTH - n_cols)
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            if line.startswith("# aborted:"):
-                aborted.append(line[len("# aborted:"):].strip())
-            continue
-        n_fields = line.count(",") + 1
-        if n_fields != n_cols:
-            raise TraceError(f"{path}:{lineno}: expected {n_cols} "
-                             f"fields, got {n_fields}")
-        linenos.append(lineno)
-        yield line + pad
-
-
-def _parse_rows(lines) -> np.ndarray:
-    """numpy's C reader on an iterable of text rows: a 2-D float array."""
-    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-
-
-@contextlib.contextmanager
-def _open_trace(path: str):
-    """The trace opened as text, past a checked header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
-            raise TraceError(f"{path}: unexpected trace header")
-        yield fh
-
-
-def _first_unparsable_line(path: str) -> int:
-    """Line number of the first data line numpy's reader refuses.
-
-    Runs only after the streamed parse has failed, so every line up to
-    the refused one already passed the field-count and UTF-8 checks.
-    """
-    linenos = []
-    with _open_trace(path) as fh:
-        for line in _data_lines(fh, path, linenos, []):
-            try:
-                _parse_rows((line,))
-            except ValueError:
-                return linenos[-1]
-    raise AssertionError(f"{path}: numpy refused no single line")
-
-
 def read_trace(path: str) -> Trace:
     """Parse a trace file written by `write_trace`, checking every line.
 
     A trace is a header naming `TRACE_COLUMNS`, then data rows of 27
     comma-separated numbers in UTF-8. Blank lines are skipped and ``#``
     lines are comments; the last ``# aborted: <reason>`` marker sets
-    `failed` and `reason`. numpy's C reader parses the rows as they are
-    streamed from the file, so a field must be a number as numpy reads
-    it (ASCII digits, no ``_`` separators). Every value must be finite,
-    ``sat_flag`` 0 or 1, and ``t`` must rise from row to row. Anything
-    else raises TraceError naming the file and, for a row, its line.
+    `failed` and `reason`. The file is read once: numpy's C reader
+    converts the rows as they are streamed from it, so a field must be a
+    number as numpy reads it (ASCII digits, no ``_`` separators). Every
+    value must be finite, ``sat_flag`` 0 or 1, and ``t`` must rise from
+    row to row. Anything else raises TraceError naming the file and, for
+    a row, the line of the first row refused.
     """
     n_cols = len(TRACE_COLUMNS)
+    pad = ",0" * (LOG_WIDTH - n_cols)
     linenos = []
     aborted = []
+
+    def data_lines(fh):
+        # pad each row with zeros for the load velocities a trace lacks
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                if line.startswith("# aborted:"):
+                    aborted.append(line[len("# aborted:"):].strip())
+                continue
+            n_fields = line.count(",") + 1
+            if n_fields != n_cols:
+                raise TraceError(f"{path}:{lineno}: expected {n_cols} "
+                                 f"fields, got {n_fields}")
+            linenos.append(lineno)
+            yield line + pad
+
     try:
-        with _open_trace(path) as fh:
-            lines = _data_lines(fh, path, linenos, aborted)
+        with open(path, "r", encoding="utf-8") as fh:
+            if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
+                raise TraceError(f"{path}: unexpected trace header")
+            lines = data_lines(fh)
             # peek first: np.loadtxt warns on an input with no lines
             first = next(lines, None)
             if first is None:
                 raise TraceError(f"{path}: no data rows")
             try:
-                rows = _parse_rows(itertools.chain((first,), lines))
+                rows = np.loadtxt(itertools.chain((first,), lines),
+                                  delimiter=",", ndmin=2, comments=None)
             except (TraceError, UnicodeDecodeError):
                 # raised by the line generator; both are ValueErrors too
                 raise
             except ValueError:
-                raise TraceError(f"{path}:{_first_unparsable_line(path)}: "
+                # numpy converts a row before it pulls the next one, so
+                # the refused row is the last line the generator yielded
+                raise TraceError(f"{path}:{linenos[-1]}: "
                                  "non-numeric field") from None
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -141,6 +141,11 @@ class SimConfig:
             raise ValueError(f"duration {self.duration} exceeds the "
                              f"{self.trajectory} reference window "
                              f"[0, {window}]")
+        # a bool passes operator.index, but is no horizon
+        if isinstance(self.mpc_horizon, bool) or not hasattr(
+                type(self.mpc_horizon), "__index__"):
+            raise ValueError(f"mpc.horizon must be an integer, "
+                             f"got {self.mpc_horizon!r}")
         if not 1 <= self.mpc_horizon <= MAX_MPC_HORIZON:
             raise ValueError(f"mpc.horizon must be in [1, {MAX_MPC_HORIZON}]"
                              f", got {self.mpc_horizon}")

@@ -56,6 +56,7 @@ START_POS = (0.0, 0.0, 1.5)    # where every run starts, at rest
 _Z_HOLD = START_POS[2]    # altitude of the square and the single leg, m
 
 _REST = (0.0, 0.0, 0.0)
+_HOVER = ReferencePoint(pos=START_POS, vel=_REST, acc=_REST)
 
 
 def _check_time(t: float, duration: float):
@@ -102,10 +103,9 @@ def single_leg_reference(t: float) -> ReferencePoint:
                           acc=(a, 0.0, 0.0))
 
 
-def hover_reference(t: float, pos_xyz=START_POS) -> ReferencePoint:
-    """Constant set-point, START_POS unless given: the hover trajectory."""
-    return ReferencePoint(pos=tuple(map(float, pos_xyz)), vel=_REST,
-                          acc=_REST)
+def hover_reference(t: float) -> ReferencePoint:
+    """The hover trajectory: hold START_POS at rest."""
+    return _HOVER
 
 
 def reference_window(trajectory: str) -> float:

@@ -21,8 +21,8 @@ from hypothesis import assume, given, settings, strategies as st
 import slungsim
 from slungsim import cli
 from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          TRACE_COLUMNS, main, read_sweep, read_trace,
-                          run_sweep, write_sweep, write_trace)
+                          TRACE_COLUMNS, TraceError, main, read_sweep,
+                          read_trace, run_sweep, write_sweep, write_trace)
 from slungsim.config import (DEFAULT_SWEEP_MASSES, KEYS, ConfigError,
                              SweepSpec, build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
@@ -390,6 +390,70 @@ class TestTraceRoundTrip:
         tr = read_trace(str(path))
         assert tr.rows.tobytes() == rows.tobytes()
         assert (tr.failed, tr.reason) == (failed, reason)
+
+
+def _data_row(t, field="0"):
+    """A trace row at time t whose middle field is `field`."""
+    return f"{t}," + "0," * 12 + field + ",0" * 13
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "".join(ln + "\n" for ln in lines),
+                    encoding="utf-8")
+    return str(path)
+
+
+class TestTraceLineAttribution:
+    """A refused row is named by its own file line, from one open."""
+
+    @pytest.mark.parametrize("filler", [[], ["", "# note", " \t"]],
+                             ids=["dense", "blank-and-comment"])
+    @pytest.mark.parametrize("n_rows, bad", [
+        (3, 1), (300, 256), (300, 257), (3000, 3000)])
+    def test_refused_field_names_its_line(self, tmp_path, n_rows, bad,
+                                          filler):
+        lines = list(filler)
+        for i in range(1, n_rows + 1):
+            if i == bad:
+                lines += filler
+                want = len(lines) + 2    # after the header, 1-based
+            lines.append(_data_row(i, "zero" if i == bad else "0"))
+        path = _write_lines(tmp_path, lines)
+        with pytest.raises(TraceError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}:{want}: non-numeric field"
+
+    @pytest.mark.parametrize("third, fourth, reason", [
+        (_data_row(3, "1_0"), "4" + ",0" * 25, ":4: non-numeric field"),
+        ("3" + ",0" * 25, _data_row(4, "1_0"),
+         ":4: expected 27 fields, got 26"),
+    ], ids=["bad-field-then-short-row", "short-row-then-bad-field"])
+    def test_first_bad_line_wins(self, tmp_path, third, fourth, reason):
+        path = _write_lines(tmp_path, [_data_row(1), _data_row(2), third,
+                                       fourth, _data_row(5)])
+        with pytest.raises(TraceError) as exc:
+            read_trace(path)
+        assert str(exc.value) == path + reason
+
+    @pytest.mark.parametrize("refused", [False, True],
+                             ids=["valid", "refused-field"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, refused):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        path = _write_lines(tmp_path, [_data_row(i) for i in range(1, 5)]
+                            + [_data_row(5, "x" if refused else "0")])
+        if refused:
+            with pytest.raises(TraceError, match=r":6: non-numeric field$"):
+                read_trace(path)
+        else:
+            assert read_trace(path).rows.shape == (5, LOG_WIDTH)
+        assert opened == [path]
 
 
 def _serial_pool(monkeypatch):

@@ -22,7 +22,7 @@ from slungsim.mpc import (
     mpc_solve,
     solve_dare,
 )
-from slungsim.trajectory import ReferencePoint, hover_reference
+from slungsim.trajectory import ReferencePoint
 
 from test_dynamics import vehicle_state
 
@@ -38,7 +38,7 @@ def scalar_model(a, b, c):
 
 
 def hover_ref(pos=(0.0, 0.0, 1.5)):
-    return hover_reference(0.0, pos_xyz=pos)
+    return ReferencePoint(pos=pos, vel=(0.0, 0.0, 0.0), acc=(0.0, 0.0, 0.0))
 
 
 def default_mpc(params):

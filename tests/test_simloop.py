@@ -84,6 +84,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(controller="MPC", mpc_horizon=0)
 
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_non_integer_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError,
+                           match=r"^mpc\.horizon must be an integer, got "):
+            SimConfig(controller="MPC", mpc_horizon=horizon, duration=0.1)
+
+    def test_index_horizon_accepted(self):
+        """Any operator.index value but a bool is a horizon."""
+        cfg = SimConfig(controller="MPC", mpc_horizon=np.int64(10),
+                        duration=0.1)
+        want = run(SimConfig(controller="MPC", mpc_horizon=10, duration=0.1))
+        assert run(cfg).rows.tobytes() == want.rows.tobytes()
+
     def test_size_caps_are_inclusive(self):
         assert SimConfig(dt_physics=1e-5).n_sub == MAX_SUBSTEPS
         assert SimConfig(trajectory="hover", duration=1e4).n_ticks == \
