@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .dynamics import VehicleParams
 from .metrics import (compute_run_metrics, critical_motion_mass,
                       max_feasible_accel)
 from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, TRAJECTORIES,
-                      SimConfig, SimLog, run)
+                      SimLog, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,44 +84,24 @@ def write_trace(log: SimLog, path: str, params: VehicleParams):
             fh.write(f"# aborted: {log.failure_reason}\n")
 
 
-@dataclass
-class Trace:
-    """Parsed trace file in SimLog row layout, plus the failure marker.
-
-    Trace files do not carry the load velocities; metrics never read
-    them, so those two columns are zero.
-    """
-
-    rows: np.ndarray
-    failed: bool
-    reason: str
-
-    @property
-    def columns(self) -> dict:
-        """One view per trace column, by name."""
-        return {name: self.rows[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-
-    def to_log(self) -> SimLog:
-        return SimLog(rows=self.rows, failed=self.failed,
-                      failure_reason=self.reason)
-
-
 class TraceError(ValueError):
     """Malformed trace file; the message names the file."""
 
 
-def read_trace(path: str) -> Trace:
-    """Parse a trace file written by `write_trace`, checking every line.
+def read_trace(path: str) -> SimLog:
+    """Parse a trace file written by `write_trace` into a SimLog.
 
     A trace is a header naming `TRACE_COLUMNS`, then data rows of 27
     comma-separated numbers in UTF-8. Blank lines are skipped and ``#``
     lines are comments; the last ``# aborted: <reason>`` marker sets
-    `failed` and `reason`. The file is read once: numpy's C reader
-    converts the rows as they are streamed from it, so a field must be a
-    number as numpy reads it (ASCII digits, no ``_`` separators). Every
-    value must be finite, ``sat_flag`` 0 or 1, and ``t`` must rise from
-    row to row. Anything else raises TraceError naming the file and, for
-    a row, the line of the first row refused.
+    `failed` and `failure_reason`. The file carries no load velocities,
+    so the log's load_r_dot and load_s_dot columns are zero. The file is
+    read once: numpy's C reader converts the rows as they are streamed
+    from it, so a field must be a number as numpy reads it (ASCII digits,
+    no ``_`` separators). Every value must be finite, ``sat_flag`` 0 or
+    1, and ``t`` must rise from row to row. Anything else raises
+    TraceError naming the file and, for a row, the line of the first row
+    refused.
     """
     n_cols = len(TRACE_COLUMNS)
     pad = ",0" * (LOG_WIDTH - n_cols)
@@ -181,8 +161,8 @@ def read_trace(path: str) -> Trace:
                 else "sat_flag must be 0 or 1" if not flag_ok[k]
                 else "t must increase from row to row")
         raise TraceError(f"{path}:{linenos[k]}: {what}")
-    return Trace(rows=rows, failed=bool(aborted),
-                 reason=aborted[-1] if aborted else "")
+    return SimLog(rows=rows, failed=bool(aborted),
+                  failure_reason=aborted[-1] if aborted else "")
 
 
 def write_metrics(log: SimLog, path: str, trajectory: str):
@@ -299,8 +279,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = read_trace(args.trace)
-    log = trace.to_log()
+    log = read_trace(args.trace)
     m = compute_run_metrics(log, trajectory=args.trajectory)
     for f in RUN_FIELDS:
         print(f"{f} = {_cell(getattr(m, f), '%.6f')}")

@@ -12,12 +12,12 @@ the load stays hidden from it, and returns the float tuple
 (U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.
 Each controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself,
 so the loop applies the inputs as returned.
-Each sub-step is one rk4_step call on a derivative f(y, u) that the run
-defines once and that binds the load mass and the vehicle; rk4_step and
-the coupled_derivative_array that f calls are both looked up by name in
-this module at call time, so each sub-step makes one call to the first
-and four to the second.  A 16-float state takes rk4_step's unrolled path,
-any other length its generic comprehension path; both return a tuple.
+Each tick's physics is one advance_tick call: n_sub rk4_step calls on a
+derivative f(y, u) that the run defines once, binding the load mass and
+the vehicle, each making four coupled_derivative_array calls.  All three
+names are looked up in this module at call time, so a rebound one is
+seen.  A 16-float state takes rk4_step's unrolled path, any other length
+its generic comprehension path; both return a tuple.
 
 The log is one preallocated float array with a row per tick, written once
 per tick by packing the row's floats into a byte view of the array.  Its
@@ -169,6 +169,7 @@ class SimLog:
     an edit through one edits the log, except load, whose r, s, r_dot,
     s_dot are not adjacent and come back as a copy.  err is reference
     minus actual position; sat is 0.0 or 1.0.  A log has at least one row.
+    A log that cli.read_trace reads back has zero load velocities.
     """
 
     rows: np.ndarray
@@ -187,6 +188,13 @@ class SimLog:
     ref = property(lambda self: self.rows[:, 20:23])
     err = property(lambda self: self.rows[:, 23:26])
     sat = property(lambda self: self.rows[:, 26])
+    # one view per trace column, by name
+    columns = property(lambda self: {
+        n: self.rows[:, i] for i, n in enumerate(TRACE_COLUMNS)})
+
+    def to_log(self) -> SimLog:
+        """The log itself, for callers that convert a parsed trace."""
+        return self
 
 
 def make_controller(config: SimConfig):
@@ -275,6 +283,20 @@ def rk4_step(f: Callable, y, u, dt: float) -> tuple:
             y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15))
 
 
+def advance_tick(f: Callable, y, u, dt: float, n_sub: int, L: float):
+    """Integrate one control tick: n_sub rk4_step calls of f, u held.
+
+    Returns the new state and its cable offset zeta (for cable length L).
+    A non-finite state raises FloatingPointError, a slack or flat cable
+    TautCableError, and f's own guards propagate as f raises them.
+    """
+    for _ in range(n_sub):
+        y = rk4_step(f, y, u, dt)
+    if not all(map(math.isfinite, y)):
+        raise FloatingPointError("non-finite state")
+    return y, cable_offset(y[12], y[13], L)
+
+
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def run(config: SimConfig) -> SimLog:
     """Simulate one scenario tick by tick.
@@ -331,11 +353,7 @@ def run(config: SimConfig) -> SimLog:
             break
 
         try:
-            for _ in range(n_sub):
-                y = rk4_step(deriv, y, u_vec, dt_p)
-            if not all(map(math.isfinite, y)):
-                raise FloatingPointError("non-finite state")
-            zeta = cable_offset(y[12], y[13], L)
+            y, zeta = advance_tick(deriv, y, u_vec, dt_p, n_sub, L)
         except (TautCableError, GimbalLockError, ArithmeticError) as exc:
             reason = f"{type(exc).__name__} at t={t + dt_c:.3f}: {exc}"
             break

@@ -268,6 +268,21 @@ class TestTraceRoundTrip:
             assert np.array_equal(c[name], log.err[:, i])
         assert np.array_equal(c["sat_flag"].astype(int), log.sat)
 
+    def test_read_back_as_a_simlog(self, tmp_path, short_log):
+        """read_trace gives the log type a run gives, with zero load
+        velocities; to_log() is that same object."""
+        cfg, log = short_log
+        assert log.load[:, 2:].any()
+        path = str(tmp_path / "trace.csv")
+        write_trace(log, path, cfg.params)
+        back = read_trace(path)
+        assert type(back) is SimLog
+        assert back.to_log() is back
+        assert back.rows.shape == log.rows.shape
+        assert not back.load[:, 2:].any()
+        assert (back.failed, back.failure_reason) == (False, "")
+        assert list(back.columns) == list(TRACE_COLUMNS)
+
     def test_duplicate_run_byte_identical(self, tmp_path):
         cfg = SimConfig(controller="PD", m_L=0.15, duration=2.0)
         p1 = tmp_path / "a.csv"
@@ -315,7 +330,7 @@ class TestTraceRoundTrip:
         write_trace(log, path, cfg.params)
         tr = read_trace(path)
         assert tr.failed
-        assert tr.reason
+        assert tr.failure_reason
         assert tr.to_log().failed
 
     @pytest.mark.parametrize("failed", [False, True],
@@ -336,7 +351,7 @@ class TestTraceRoundTrip:
         write_trace(log, path, VehicleParams())
         tr = read_trace(path)
         assert tr.rows.tobytes() == rows.tobytes()
-        assert (tr.failed, tr.reason) == (failed, reason)
+        assert (tr.failed, tr.failure_reason) == (failed, reason)
 
     def test_blank_and_whitespace_lines_skipped(self, tmp_path):
         mid = "0," * 25
@@ -389,7 +404,7 @@ class TestTraceRoundTrip:
         assert path.read_bytes() == want.encode()
         tr = read_trace(str(path))
         assert tr.rows.tobytes() == rows.tobytes()
-        assert (tr.failed, tr.reason) == (failed, reason)
+        assert (tr.failed, tr.failure_reason) == (failed, reason)
 
 
 def _data_row(t, field="0"):
@@ -951,8 +966,8 @@ def test_controller_arithmetic_errors_end_in_exit_codes(tmp_path,
     assert "Traceback" not in err
     trace = read_trace(str(out / "trace.csv"))
     assert trace.failed and trace.rows.shape == (1, LOG_WIDTH)
-    assert trace.reason.startswith("ZeroDivisionError in the SMC "
-                                   "controller at t=0.010")
+    assert trace.failure_reason.startswith("ZeroDivisionError in the SMC "
+                                           "controller at t=0.010")
 
 
 KNOWN_KEYS = NUMERIC_KEYS + ("controller", "trajectory")

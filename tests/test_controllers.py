@@ -19,7 +19,7 @@ from slungsim.controllers import (
 )
 from slungsim.dynamics import VehicleParams, coupled_derivative_array
 from slungsim.mpc import HORIZON, MOVE_ATT, MpcController
-from slungsim.simloop import SimConfig, make_controller, rk4_step
+from slungsim.simloop import SimConfig, advance_tick, make_controller
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
 
 from test_dynamics import vehicle_state
@@ -373,9 +373,7 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
         ref = ref_fn(t)
         out = ctrl.step(state, ref)
         records.append((t, state, ref, out))
-        u = out[:4]
-        for _ in range(n_sub):
-            y = rk4_step(deriv, y, u, dt_p)
+        y, _ = advance_tick(deriv, y, out[:4], dt_p, n_sub, params.L)
     return records
 
 

@@ -31,6 +31,24 @@ def _recording(monkeypatch, owner, name, record):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def _counting_physics(monkeypatch) -> dict:
+    """Rebind simloop's three physics names to wrappers that count their
+    calls in the returned dict."""
+    calls = {"advance_tick": 0, "rk4_step": 0, "coupled_derivative_array": 0}
+
+    def counting(name):
+        fn = getattr(simloop, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simloop, name, counting(name))
+    return calls
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = SimConfig()
@@ -268,24 +286,24 @@ class TestRun:
     @pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
     def test_physics_goes_through_the_traced_names(self, monkeypatch,
                                                    controller):
-        # the benchmark's tracer times physics by rebinding these two
-        # module names; a run must look both up on every call
-        calls = {"rk4_step": 0, "coupled_derivative_array": 0}
-
-        def counting(name):
-            fn = getattr(simloop, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(simloop, name, counting(name))
+        # the benchmark's tracer times physics by rebinding these module
+        # names; a run must look each up on every call
+        calls = _counting_physics(monkeypatch)
         cfg = SimConfig(controller=controller, duration=0.2)
         assert not run(cfg).failed
         n = cfg.n_ticks * cfg.n_sub
-        assert calls == {"rk4_step": n, "coupled_derivative_array": 4 * n}
+        assert calls == {"advance_tick": cfg.n_ticks, "rk4_step": n,
+                         "coupled_derivative_array": 4 * n}
+
+    def test_aborted_run_advances_once_per_logged_row(self, monkeypatch):
+        # the tick that aborts is advanced too, so calls match the rows
+        from slungsim.controllers import PdGains
+        calls = _counting_physics(monkeypatch)
+        bad = PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3)
+        log = run(SimConfig(controller="PD", m_L=0.5, duration=10.0,
+                            pd_gains=bad))
+        assert log.failure_reason.startswith("GimbalLockError at t=0.140")
+        assert calls["advance_tick"] == log.n_rows == 14
 
     @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
     def test_loop_goes_through_the_traced_names(self, monkeypatch, name):
