@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 simulation abort,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -24,8 +25,8 @@ from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
 from .dynamics import VehicleParams
 from .metrics import (compute_run_metrics, critical_motion_mass,
                       max_feasible_accel)
-from .simloop import (CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, TRAJECTORIES,
-                      SimLog, run)
+from .simloop import CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, SimLog, run
+from .trajectory import TRAJECTORIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,13 +60,33 @@ def _cell(v, fmt: str = "%.17g") -> str:
     return fmt % v
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that replaces path whole, or leaves it as it was.
+
+    The block writes a temporary file beside path, which is moved onto
+    path when the block ends.  On any exception, KeyboardInterrupt
+    included, the temporary file is removed and the exception goes on.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 _TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
 _BLOCK_ROWS = 256
 _TRACE_BLOCK = _TRACE_ROW * _BLOCK_ROWS
 
 
 def write_trace(log: SimLog, path: str, params: VehicleParams):
-    """Emit the trace CSV; aborted runs get a trailing comment marker.
+    """Emit the trace CSV, whole or not at all; aborted runs get a
+    trailing comment marker.
 
     Rows go out 256 at a time: one `%` of `_TRACE_ROW`, repeated once
     per row, formats a block's values as Python floats, so memory stays
@@ -73,7 +94,7 @@ def write_trace(log: SimLog, path: str, params: VehicleParams):
     params is not needed; it stays in the signature for existing callers.
     """
     n_cols = len(TRACE_COLUMNS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, log.n_rows, _BLOCK_ROWS):
             block = log.rows[k0:k0 + _BLOCK_ROWS, :n_cols]
@@ -167,7 +188,7 @@ def read_trace(path: str) -> SimLog:
 
 def write_metrics(log: SimLog, path: str, trajectory: str):
     m = compute_run_metrics(log, trajectory=trajectory)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         w = csv.writer(fh)
         w.writerow(RUN_FIELDS + ("failure_reason",))
         w.writerow([_cell(getattr(m, f)) for f in RUN_FIELDS]
@@ -175,7 +196,8 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
 
 
 def _sweep_case(case):
-    """One sweep row and its failure reason ("" for a passing run).
+    """One sweep.csv row: run_sweep's 7-tuple, then the failure reason
+    ("" for a passing run).
 
     A case that raises becomes a flagged row of NaNs whose reason is the
     error; an aborted run keeps its metrics and its abort reason.
@@ -190,9 +212,9 @@ def _sweep_case(case):
         print(f"sweep case {controller} m_L={m_L:g} failed: {reason}",
               file=sys.stderr)
         nans = [math.nan] * len(_SWEEP_METRICS)
-        return (controller, m_L, *nans, True), reason
-    return ((controller, m_L, *(getattr(met, f) for f in _SWEEP_METRICS),
-             log.failed), log.failure_reason)
+        return (controller, m_L, *nans, True, reason)
+    return (controller, m_L, *(getattr(met, f) for f in _SWEEP_METRICS),
+            log.failed, log.failure_reason)
 
 
 def _usable_cpus() -> int:
@@ -203,8 +225,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_cases(spec: SweepSpec, jobs: Optional[int]):
-    """`run_sweep`'s rows, each paired with its failure reason."""
+def _sweep_rows(spec: SweepSpec, jobs: Optional[int]):
+    """The sweep.csv row of every case, in `run_sweep`'s order."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     # in CONTROLLERS order, then by mass, which pool.map keeps
@@ -227,20 +249,18 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
     files.  jobs (default: the usable CPUs) is capped at the usable CPUs
     and at the case count; jobs < 1 raises ConfigError.
     """
-    return [row for row, _ in _sweep_cases(spec, jobs)]
+    return [row[:-1] for row in _sweep_rows(spec, jobs)]
 
 
-def write_sweep(results, path: str, reasons: Sequence[str]):
-    """Write `run_sweep` rows and their failure reasons as sweep.csv.
-
-    reasons pairs with results row by row, "" for a passing run.  The
-    reason is the one column that csv may quote.
+def write_sweep(rows, path: str):
+    """Write sweep.csv: rows of the SWEEP_COLUMNS values, each a `run_sweep`
+    7-tuple and its failure reason ("" for a passing run).  The reason is
+    the one column that csv may quote.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(SWEEP_COLUMNS)
-        for row, reason in zip(results, reasons):
-            w.writerow([_cell(v) for v in (*row, reason)])
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
 def read_sweep(path: str):
@@ -269,12 +289,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.config)
     # run first, so a config error from the sweep leaves no output directory
-    results, reasons = zip(*_sweep_cases(spec, jobs=args.jobs))
+    rows = _sweep_rows(spec, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
-    write_sweep(results, path, reasons)
-    n_failed = sum(1 for r in results if r[6])
-    print(f"wrote {path} ({len(results)} rows, {n_failed} failed)")
+    write_sweep(rows, path)
+    n_failed = sum(1 for r in rows if r[6])
+    print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
-from .simloop import CONTROLLERS, TRAJECTORIES, ConfigError, SimConfig
+from .simloop import CONTROLLERS, ConfigError, SimConfig
+from .trajectory import TRAJECTORIES
 
 DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
                         0.3, 0.35, 0.4, 0.45, 0.5)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import VehicleParams
 from .simloop import SimLog
-from .trajectory import stage_transition_times
+from .trajectory import TRAJECTORIES
 
 BAND_DEG = 0.2
 DWELL_S = 1.0
@@ -138,8 +138,9 @@ def compute_run_metrics(log: SimLog, trajectory: str = "square"
     """Bundle every per-run metric for one completed log."""
     ex, ey, e_max = max_tracking_error(log)
     phi_max, theta_max = max_attitude(log)
-    stab = stabilization_times(log, stage_transition_times(trajectory))
-    arr = arrival_time(log) if trajectory == "single_leg" else float("nan")
+    traj = TRAJECTORIES[trajectory]
+    stab = stabilization_times(log, traj.transitions)
+    arr = arrival_time(log) if traj.arrival else float("nan")
     return RunMetrics(e_max=e_max, err_x_max=ex, err_y_max=ey,
                       phi_max=phi_max, theta_max=theta_max,
                       t_smax=stab.t_smax, stage_times=stab.stage_times,

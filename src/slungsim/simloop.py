@@ -5,13 +5,13 @@ integrated with classical RK4 at dt_physics sub-steps under zero-order-hold
 inputs.  Runs are pure float arithmetic with no random state, so identical
 configs produce bit-identical logs.
 
-Each tick calls the reference function once (this module's
-square_reference for the square trajectory, looked up when the run starts)
-and the controller's step once.  step gets the 12 vehicle floats y[:12], so
-the load stays hidden from it, and returns the float tuple
-(U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.
-Each controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself,
-so the loop applies the inputs as returned.
+Each tick calls the reference function once (the trajectory's entry in
+trajectory.TRAJECTORIES; for the square, this module's square_reference,
+looked up when the run starts) and the controller's step once.  step gets
+the 12 vehicle floats y[:12], so the load stays hidden from it, and returns
+the float tuple (U1, U2, U3, U4, phi_d, theta_d, saturated) described in
+controllers.  Each controller keeps U1 within [min(U1_FLOOR, U1_max),
+U1_max] itself, so the loop applies the inputs as returned.
 Each tick's physics is one advance_tick call: n_sub rk4_step calls on a
 derivative f(y, u) that the run defines once, binding the load mass and
 the vehicle, each making four coupled_derivative_array calls.  All three
@@ -39,14 +39,12 @@ import numpy as np
 from .dynamics import (VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
                        coupled_derivative_array)
-from .trajectory import (START_POS, ReferencePoint, square_reference,
-                         single_leg_reference, hover_reference,
-                         reference_window)
+from .trajectory import (START_POS, TRAJECTORIES, ReferencePoint,
+                         square_reference)
 from .controllers import PdController, SmcController, PdGains, SmcGains
 from .mpc import HORIZON, MOVE_ATT, MpcController, MpcWeights
 
 CONTROLLERS = ("PD", "SMC", "MPC")
-TRAJECTORIES = ("square", "single_leg", "hover")
 
 TRACE_COLUMNS = (
     "t", "x", "y", "z", "vx", "vy", "vz", "phi", "theta", "psi",
@@ -105,8 +103,8 @@ class SimConfig:
             raise ValueError(f"controller must be one of {CONTROLLERS}, "
                              f"got {self.controller!r}")
         if self.trajectory not in TRAJECTORIES:
-            raise ValueError(f"trajectory must be one of {TRAJECTORIES}, "
-                             f"got {self.trajectory!r}")
+            raise ValueError(f"trajectory must be one of "
+                             f"{tuple(TRAJECTORIES)}, got {self.trajectory!r}")
         if not 0.0 <= self.m_L < math.inf:
             raise ValueError("m_L must be non-negative")
         if self.m_L > self.params.M_max:
@@ -136,7 +134,7 @@ class SimConfig:
             raise ValueError("duration must be a positive integer multiple "
                              "of dt_control")
         # the last tick samples the reference at n * dt_control
-        window = reference_window(self.trajectory)
+        window = TRAJECTORIES[self.trajectory].window
         if n * self.dt_control > window:
             raise ValueError(f"duration {self.duration} exceeds the "
                              f"{self.trajectory} reference window "
@@ -209,11 +207,12 @@ def make_controller(config: SimConfig):
 
 
 def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
+    # The square's reference is this module's name, looked up here, because
+    # the benchmark's tracer (perfbench/tracing.py) times the square's
+    # reference samples by rebinding simloop.square_reference.
     if config.trajectory == "square":
         return square_reference
-    if config.trajectory == "single_leg":
-        return single_leg_reference
-    return hover_reference
+    return TRAJECTORIES[config.trajectory].reference
 
 
 def rk4_step(f: Callable, y, u, dt: float) -> tuple:

@@ -7,12 +7,16 @@ T_LEG = 15 s.  The square visits (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0)
 at constant altitude, one leg per stage, then holds the origin for a
 fifth stage.  A ReferencePoint is a typing.NamedTuple of three (x, y, z)
 float tuples, read-only like the tuples it holds; yaw is never commanded.
+
+TRAJECTORIES declares each named trajectory once: its reference, the
+window it can be sampled over, the stage changes (leg boundaries) that
+attitude recovery is timed from, and whether its arrival is scored.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class ReferencePoint(NamedTuple):
@@ -108,25 +112,19 @@ def hover_reference(t: float) -> ReferencePoint:
     return _HOVER
 
 
-def reference_window(trajectory: str) -> float:
-    """Latest time at which the named default trajectory can be sampled."""
-    if trajectory == "hover":
-        return math.inf
-    return N_STAGES * T_LEG
+class Trajectory(NamedTuple):
+    """One named trajectory and the facts its run and metrics read."""
+
+    reference: Callable[[float], ReferencePoint]
+    window: float           # latest time reference can be sampled at
+    transitions: tuple      # stage-change instants, rising
+    arrival: bool           # whether its runs score an arrival time
 
 
-def stage_transition_times(trajectory: str):
-    """Instants at which the trajectory switches stages.
-
-    For the square these are the four leg boundaries (each leg ends at rest
-    and the next accelerates along a new axis); for the single leg, the one
-    boundary where the leg hands over to the hold.  Attitude stabilization
-    times are measured from these instants.
-    """
-    if trajectory == "square":
-        return [k * T_LEG for k in range(1, N_STAGES)]
-    if trajectory == "single_leg":
-        return [T_LEG]
-    if trajectory == "hover":
-        return []
-    raise ValueError(f"unknown trajectory {trajectory!r}")
+TRAJECTORIES = {
+    "square": Trajectory(square_reference, N_STAGES * T_LEG,
+                         tuple(k * T_LEG for k in range(1, N_STAGES)), False),
+    "single_leg": Trajectory(single_leg_reference, N_STAGES * T_LEG,
+                             (T_LEG,), True),
+    "hover": Trajectory(hover_reference, math.inf, (), False),
+}

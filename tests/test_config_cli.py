@@ -407,6 +407,56 @@ class TestTraceRoundTrip:
         assert (tr.failed, tr.failure_reason) == (failed, reason)
 
 
+def _interrupt(*_):
+    raise KeyboardInterrupt
+
+
+class _CutRows:
+    """A log's rows that raise KeyboardInterrupt at the second slice, so
+    write_trace is cut after its first 256-row block."""
+
+    def __init__(self, rows):
+        self.rows, self.slices = rows, 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        self.slices += 1
+        if self.slices > 1:
+            raise KeyboardInterrupt
+        return self.rows[key]
+
+
+class TestWholeFiles:
+    """An output file is written whole or not at all."""
+
+    @pytest.mark.parametrize("name", ["trace.csv", "metrics.csv",
+                                      "sweep.csv"])
+    def test_cut_write_leaves_no_file(self, tmp_path, monkeypatch, name):
+        log = run(SimConfig(duration=5.0))       # 501 rows: two blocks
+        path = str(tmp_path / name)
+        write = {
+            "trace.csv": lambda: write_trace(log, path, VehicleParams()),
+            "metrics.csv": lambda: cli.write_metrics(log, path, "square"),
+            "sweep.csv": lambda: write_sweep(
+                [("PD", 0.3, 0.5, 1.0, 2.0, 3.0, False, "")], path)}[name]
+        rows = log.rows
+        if name == "trace.csv":
+            log.rows = _CutRows(rows)
+        else:
+            # the row after the header is cut
+            monkeypatch.setattr(cli, "_cell", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write()
+        assert os.listdir(tmp_path) == []
+        # uncut, the same write leaves the one file
+        log.rows = rows
+        monkeypatch.undo()
+        write()
+        assert os.listdir(tmp_path) == [name]
+
+
 def _data_row(t, field="0"):
     """A trace row at time t whose middle field is `field`."""
     return f"{t}," + "0," * 12 + field + ",0" * 13
@@ -504,7 +554,7 @@ class TestSweepCsv:
         assert [(r[0], r[1]) for r in results] == [
             ("PD", 0.1), ("PD", 0.3), ("SMC", 0.1), ("SMC", 0.3)]
         path = str(tmp_path / "sweep.csv")
-        write_sweep(results, path, [""] * len(results))
+        write_sweep([(*r, "") for r in results], path)
         rows = read_sweep(path)
         assert len(rows) == 4
         assert rows[0]["controller"] == "PD"
@@ -520,7 +570,8 @@ class TestSweepCsv:
         reasons = ['GimbalLockError at t=0.140: attitude (phi=0.0, '
                    'theta="-1.7")', "RuntimeError: two\nlines", ""]
         path = tmp_path / "sweep.csv"
-        write_sweep(results, str(path), reasons)
+        write_sweep([(*r, why) for r, why in zip(results, reasons)],
+                    str(path))
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert lines[1] == ("PD,0.10000000000000001,0.5,1,2,3,1,"

@@ -1,19 +1,25 @@
-"""Reference-trajectory oracles: profile arithmetic, continuity, closure."""
+"""Reference-trajectory oracles: profile arithmetic, continuity, closure,
+and the TRAJECTORIES table that config, run and metrics read."""
+
+import math
 
 import numpy as np
 import pytest
 
+from slungsim.metrics import compute_run_metrics
+from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, reference_function
 from slungsim.trajectory import (
     A_PEAK,
     LEG_LENGTH,
+    START_POS,
     T_ACCEL,
     T_LEG,
+    TRAJECTORIES,
     V_CRUISE,
     hover_reference,
     leg_sample,
     single_leg_reference,
     square_reference,
-    stage_transition_times,
 )
 
 REST = (0.0, 0.0, 0.0)
@@ -132,20 +138,53 @@ class TestSingleLeg:
             assert a.vel == b.vel
 
 
-class TestStageTransitions:
+class TestTable:
+    def test_names_in_order(self):
+        assert list(TRAJECTORIES) == ["square", "single_leg", "hover"]
+
+    def test_references(self):
+        assert [tr.reference for tr in TRAJECTORIES.values()] == [
+            square_reference, single_leg_reference, hover_reference]
+
     def test_square_leg_boundaries(self):
-        assert stage_transition_times("square") == [
-            15.0, 30.0, 45.0, 60.0]
+        assert TRAJECTORIES["square"].transitions == (
+            15.0, 30.0, 45.0, 60.0)
 
     def test_single_leg_handover(self):
-        assert stage_transition_times("single_leg") == [15.0]
+        assert TRAJECTORIES["single_leg"].transitions == (15.0,)
 
     def test_hover_has_none(self):
-        assert stage_transition_times("hover") == []
+        assert TRAJECTORIES["hover"].transitions == ()
+
+    def test_windows(self):
+        assert [tr.window for tr in TRAJECTORIES.values()] == [
+            75.0, 75.0, math.inf]
+
+    def test_only_single_leg_scores_arrival(self):
+        assert [n for n, tr in TRAJECTORIES.items() if tr.arrival] == [
+            "single_leg"]
 
     def test_unknown_trajectory(self):
-        with pytest.raises(ValueError):
-            stage_transition_times("zigzag")
+        log = SimLog(rows=np.zeros((3, LOG_WIDTH)))
+        with pytest.raises(KeyError):
+            compute_run_metrics(log, trajectory="zigzag")
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORIES))
+def test_table_entry(name):
+    entry = TRAJECTORIES[name]
+    cfg = SimConfig(trajectory=name)
+    assert reference_function(cfg) is entry.reference
+    ref = entry.reference(0.0)
+    assert ref.pos == START_POS and ref.vel == REST
+    ts = (0.0, *entry.transitions, entry.window)
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    # a settled log: 75 s at rest on the reference, every angle zero
+    rows = np.zeros((751, LOG_WIDTH))
+    rows[:, 0] = np.arange(751) * 0.1
+    m = compute_run_metrics(SimLog(rows=rows), trajectory=name)
+    assert math.isfinite(m.arrival_time) == entry.arrival
+    assert m.stage_times == (0.0,) * len(entry.transitions)
 
 
 def test_hover_reference_constant():
