@@ -2,7 +2,7 @@
 thrust-budget queries.  All outputs are plain CSV; no plotting.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation abort,
-4 I/O error or malformed trace.
+4 I/O error or malformed trace, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
 EXIT_IO = 4
+EXIT_INTERRUPT = 130
 
 # RunMetrics fields, in the order metrics.csv (which then ends in
 # failure_reason) and analyze give them
@@ -236,7 +238,11 @@ def _sweep_rows(spec: SweepSpec, jobs: Optional[int]):
     jobs = min(cpus if jobs is None else jobs, cpus, len(cases))
     if jobs == 1:
         return [_sweep_case(c) for c in cases]
-    with multiprocessing.Pool(processes=jobs) as pool:
+    # Ctrl-C reaches the workers too; they ignore it, and the pool's exit
+    # terminates them once the interrupt stops the parent
+    with multiprocessing.Pool(
+            processes=jobs, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         return pool.map(_sweep_case, cases, chunksize=1)
 
 
@@ -380,5 +386,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
 
 
+def console_main(argv: Optional[Sequence[str]] = None) -> int:
+    """The `slungsim` command: main, with Ctrl-C ending in one line on
+    stderr and EXIT_INTERRUPT instead of a traceback.  main itself lets
+    KeyboardInterrupt through to callers that run it in-process."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -158,6 +158,11 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     where z = zeta and B = (L^2 - s^2) vr^2 + (L^2 - r^2) vs^2 + 2 r s vr vs.
     Call the right-hand sides of the first three rows b1, b2, b3.
 
+    The z row's gravity term is g (m_L z / L + m_q) / M, not g: these are
+    Newton's laws for a point-mass vehicle and a point load on a massless
+    rigid cable plus an upward force m_L g (1 - z/L) on the vehicle, that
+    is (1 - cos(swing)) of the load's weight.
+
     Substituting x_dd = b1 - mu r_dd, y_dd = b2 - mu s_dd and
     z_dd = b3 - mu (r r_dd + s s_dd)/z into the last two rows and dividing
     by z^2 leaves a 2x2 system in (r_dd, s_dd).  With k = 1 - mu = m_q / M,

@@ -8,9 +8,11 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -20,9 +22,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import slungsim
 from slungsim import cli
-from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          TRACE_COLUMNS, TraceError, main, read_sweep,
-                          read_trace, run_sweep, write_sweep, write_trace)
+from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_INTERRUPT, EXIT_IO,
+                          EXIT_OK, TRACE_COLUMNS, TraceError, main,
+                          read_sweep, read_trace, run_sweep, write_sweep,
+                          write_trace)
 from slungsim.config import (DEFAULT_SWEEP_MASSES, KEYS, ConfigError,
                              SweepSpec, build_sim_config, build_sweep_spec,
                              load_config, parse_kv_file)
@@ -530,7 +533,9 @@ def _serial_pool(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None, initargs=()):
+            # the initializer is not run: it would make this process
+            # ignore Ctrl-C
             sizes.append(processes)
 
         def __enter__(self):
@@ -776,6 +781,22 @@ class TestCliExitCodes:
         # partial trace still written, with the abort marker
         text = (out / "trace.csv").read_text()
         assert "# aborted:" in text
+
+    def test_interrupt_exit_code(self, tmp_path, capsys, monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "run", interrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("controller = PD\nduration = 2.0\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        # main lets the interrupt through; the command ends it in one line
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        capsys.readouterr()
+        assert cli.console_main(argv) == EXIT_INTERRUPT
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not out.exists()
 
     def test_io_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1156,3 +1177,70 @@ def test_console_script_installed():
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "m_cm" in proc.stdout
+
+
+def _children(pid):
+    path = f"/proc/{pid}/task/{pid}/children"
+    with open(path, encoding="ascii") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def _ignores_sigint(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        mask = next(line for line in fh if line.startswith("SigIgn:"))
+    return bool(int(mask.split()[1], 16) & (1 << (signal.SIGINT - 1)))
+
+
+def test_ctrl_c_ends_a_parallel_sweep_in_one_line(tmp_path):
+    """Ctrl-C, sent to the process group as a terminal sends it, stops the
+    declared entry point's `sweep --jobs 2`: exit 130, `interrupted` alone
+    on stderr, no output directory and no worker left.
+
+    The signal goes out once both pool workers (forked children of the
+    command) exist and ignore SIGINT, which is polled for in /proc.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    me = os.getpid()
+    if not os.path.exists(f"/proc/{me}/task/{me}/children"):
+        pytest.skip("no /proc/<pid>/task/<pid>/children on this system")
+    if cli._usable_cpus() < 2:
+        pytest.skip("a sweep runs in this process on fewer than 2 CPUs")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"][
+            "slungsim"].split(":")
+    wrapper = f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+    env = dict(os.environ)
+    pkg_parent = str(pathlib.Path(slungsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    # 11 masses of 75 s runs: far longer than the wait for the workers
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text("sweep.controllers = PD\n")
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", wrapper, "sweep", "--config", str(cfg),
+         "--out", str(out), "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline
+            try:
+                workers = _children(proc.pid)
+                if len(workers) == 2 and all(map(_ignores_sigint, workers)):
+                    break
+            except OSError:     # a process ended between two reads
+                pass
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == EXIT_INTERRUPT
+    assert err == "interrupted\n"
+    assert not out.exists()
+    assert not [w for w in workers if os.path.exists(f"/proc/{w}")]

@@ -90,6 +90,43 @@ def coupling_residuals(y, m_L, accels, U1, params):
     return [abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in pairs]
 
 
+def newton_two_body(y, U1, m_L, params, F):
+    """(x_dd, y_dd, z_dd, r_dd, s_dd) and the cable tension T of a
+    point-mass vehicle and a point load on a massless rigid cable, from
+    Newton's laws alone, with an extra upward force F on the vehicle.
+
+    The seven unknowns a_q, a_L and T solve, with d = (r, s, -zeta) the
+    cable from vehicle to load and n = d / L (yaw = 0, as in the model),
+
+        m_q a_q - T n   = U1 (cphi stheta, -sphi, cphi ctheta)
+                          - m_q g z_hat + F z_hat
+        m_L a_L + T n   = -m_L g z_hat
+        d . (a_L - a_q) = -|d_dot|^2      (the cable keeps its length)
+    """
+    phi, theta = y[6], y[7]
+    m_q, g, L = params.m_q, params.g, params.L
+    r, s, vr, vs = y[12:16]
+    zeta = math.sqrt(L * L - r * r - s * s)
+    d = np.array([r, s, -zeta])
+    d_dot = np.array([vr, vs, (r * vr + s * vs) / zeta])
+    A = np.zeros((7, 7))
+    A[:3, :3] = m_q * np.eye(3)
+    A[3:6, 3:6] = m_L * np.eye(3)
+    A[:3, 6] = -d / L
+    A[3:6, 6] = d / L
+    A[6, :3] = -d
+    A[6, 3:6] = d
+    b = np.array([
+        math.cos(phi) * math.sin(theta) * U1,
+        -math.sin(phi) * U1,
+        math.cos(phi) * math.cos(theta) * U1 - m_q * g + F,
+        0.0, 0.0, -m_L * g,
+        -d_dot @ d_dot])
+    sol = np.linalg.solve(A, b)
+    a_q, a_L, T = sol[:3], sol[3:6], sol[6]
+    return np.array([*a_q, *(a_L - a_q)[:2]]), T
+
+
 def load_free_translational(y, U1, params):
     """Translational accelerations of the vehicle with no load, restated.
 
@@ -197,6 +234,61 @@ class TestCoupledAccelerations:
     def test_cable_offset_valid_near_edge(self, params):
         # still meaningfully above the floor: no error
         assert cable_offset(0.49, 0.0, params.L) > 0.0
+
+
+class TestNewtonOracle:
+    """The model against two bodies on a rigid cable, by Newton's laws.
+
+    The model is that system plus an upward force m_L g (1 - zeta/L) on
+    the vehicle, from the z row's gravity term g (m_L zeta / L + m_q) / M.
+    """
+
+    def _states(self, params, n):
+        # m_L from 0.01 kg: at m_L = 0 the load rows of the oracle are
+        # singular
+        rng = np.random.default_rng(20261019)
+        for _ in range(n):
+            rho = 0.95 * params.L * math.sqrt(rng.uniform(0, 1))
+            ang = rng.uniform(0, 2 * math.pi)
+            y = make_state(
+                phi=rng.uniform(-0.5, 0.5), theta=rng.uniform(-0.5, 0.5),
+                r=rho * math.cos(ang), s=rho * math.sin(ang),
+                r_dot=rng.uniform(-1, 1), s_dot=rng.uniform(-1, 1))
+            m_L = rng.uniform(0.01, 0.6)
+            U1 = rng.uniform(0.0, params.U1_max)
+            zeta = cable_offset(y[12], y[13], params.L)
+            yield y, U1, m_L, m_L * params.g * (1.0 - zeta / params.L), zeta
+
+    def test_model_is_newton_with_the_upward_force(self, params):
+        worst = 0.0
+        for y, U1, m_L, F, zeta in self._states(params, 3000):
+            want, T = newton_two_body(y, U1, m_L, params, F)
+            got = accelerations(y, U1, m_L, params)
+            worst = max(worst, float(np.max(
+                np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
+            # the cable pulls the load along -n with the oracle's tension
+            pull = cable_force_on_load(y, (U1, 0.0, 0.0, 0.0), m_L, params)
+            n = np.array([y[12], y[13], -zeta]) / params.L
+            assert pull == pytest.approx(-T * n, rel=1e-12, abs=1e-12)
+        assert worst <= 1e-12
+
+    def test_without_it_only_row_3_misses_by_it(self, params):
+        for y, U1, m_L, F, zeta in self._states(params, 3000):
+            accels, _ = newton_two_body(y, U1, m_L, params, 0.0)
+            res = coupling_residuals(y, m_L, accels, U1, params)
+            assert max(res[0], res[1], res[3], res[4]) <= 1e-12
+            # row 3 restated with its sign: lhs - rhs
+            phi, theta = y[6], y[7]
+            r, s, vr, vs = y[12:16]
+            M = params.m_q + m_L
+            mu = m_L / M
+            az, ar, as_ = accels[2:]
+            lhs = az + mu * (r * ar + s * as_) / zeta
+            rhs = (math.cos(phi) * math.cos(theta) * U1 / M
+                   - mu * (vr ** 2 + vs ** 2) / zeta
+                   - mu * (r * vr + s * vs) ** 2 / zeta ** 3
+                   - params.g * (m_L * zeta / params.L + params.m_q) / M)
+            assert lhs - rhs == pytest.approx(-F / M, rel=0.0, abs=1e-12)
 
 
 def _assemble_np(y, m_L, U1, params):

@@ -1,10 +1,11 @@
-"""README's lists of config keys, output columns, controllers and
-trajectories match the code."""
+"""README's lists of config keys, output columns, controllers,
+trajectories and exit codes match the code."""
 
 import pathlib
 import re
 
-from slungsim.cli import RUN_FIELDS, SWEEP_COLUMNS
+from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_INTERRUPT, EXIT_IO,
+                          EXIT_OK, RUN_FIELDS, SWEEP_COLUMNS)
 from slungsim.config import KEYS
 from slungsim.simloop import CONTROLLERS
 from slungsim.trajectory import TRAJECTORIES
@@ -50,3 +51,14 @@ def test_controller_and_trajectory_names_listed():
                       r"one of ([^;]*);", " ".join(text.split()))
     assert [prose.group(k).split(", ") for k in (1, 2)] == list(
         names.values())
+
+
+def test_exit_codes_listed():
+    # "Exit codes: 0 success, 2 config error, 3 ... (...), ...": the
+    # sentence's comma-separated items, parenthetical remarks dropped
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Exit codes: (.*?)\. ", text).group(1)
+    items = re.sub(r"\([^)]*\)", "", sentence).split(",")
+    assert [item.split()[0] for item in items] == [
+        str(code) for code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_IO,
+                               EXIT_INTERRUPT)]

@@ -23,6 +23,11 @@ from slungsim.trajectory import (
 )
 
 REST = (0.0, 0.0, 0.0)
+# each trajectory's (x, y) waypoints, restated from its definition
+WAYPOINTS = {"square": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                        (0.0, 0.0)],
+             "single_leg": [(0.0, 0.0), (1.0, 0.0)],
+             "hover": [(0.0, 0.0)]}
 
 
 class TestProfile:
@@ -185,6 +190,21 @@ def test_table_entry(name):
     m = compute_run_metrics(SimLog(rows=rows), trajectory=name)
     assert math.isfinite(m.arrival_time) == entry.arrival
     assert m.stage_times == (0.0,) * len(entry.transitions)
+    # the one waypoint path: each stage change is the next waypoint, at
+    # rest, and from the last one on the reference holds it
+    waypoints = [(*xy, START_POS[2]) for xy in WAYPOINTS[name]]
+    assert len(entry.transitions) == len(waypoints) - 1
+    for t, pos in zip(entry.transitions, waypoints[1:]):
+        ref = entry.reference(t)
+        assert ref.pos == pos and ref.vel == REST
+    hold = (entry.transitions or (0.0,))[-1]
+    for t in (hold, hold + 0.01, hold + 7.5, min(entry.window, 75.0)):
+        assert entry.reference(t) == (waypoints[-1], REST, REST)
+    with pytest.raises(ValueError):
+        entry.reference(-0.1)
+    if math.isfinite(entry.window):
+        with pytest.raises(ValueError):
+            entry.reference(entry.window + 1e-3)
 
 
 def test_hover_reference_constant():
