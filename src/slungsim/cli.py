@@ -83,7 +83,6 @@ def _replacing(path: str):
 
 _TRACE_ROW = ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1)) + ",%d\n"
 _BLOCK_ROWS = 256
-_TRACE_BLOCK = _TRACE_ROW * _BLOCK_ROWS
 
 
 def write_trace(log: SimLog, path: str, params: VehicleParams):
@@ -100,9 +99,7 @@ def write_trace(log: SimLog, path: str, params: VehicleParams):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, log.n_rows, _BLOCK_ROWS):
             block = log.rows[k0:k0 + _BLOCK_ROWS, :n_cols]
-            fmt = (_TRACE_BLOCK if len(block) == _BLOCK_ROWS
-                   else _TRACE_ROW * len(block))
-            fh.write(fmt % tuple(block.ravel().tolist()))
+            fh.write(_TRACE_ROW * len(block) % tuple(block.ravel().tolist()))
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
 

@@ -116,10 +116,11 @@ class SmcGains:
     boundary_layer: float = 0.08
 
     def __post_init__(self):
-        if len(self.k) != 6 or len(self.lam) != 6:
-            raise ValueError("k and lam must each have six entries")
-        if not all(0.0 < v < math.inf for v in (*self.k, *self.lam)):
-            raise ValueError("reaching gains and slopes must be positive")
+        for name in ("k", "lam"):
+            v = getattr(self, name)
+            if len(v) != 6 or not all(0.0 < x < math.inf for x in v):
+                raise ValueError(f"SmcGains.{name} must be positive and "
+                                 f"finite, six entries")
         if not 0.0 <= self.boundary_layer < math.inf:
             raise ValueError("boundary_layer must be >= 0")
 

@@ -23,23 +23,6 @@ ARRIVAL_THRESHOLD_M = 0.01
 
 
 @dataclass(frozen=True)
-class StabilizationReport:
-    """Per stage-transition attitude recovery times.
-
-    For each transition: the time from the first sample after it where the
-    angle leaves the +-band until the first sample from which the angle
-    stays inside the band for at least the dwell.  An angle that never
-    leaves scores zero; one that never re-enters long enough scores the
-    remaining log duration and is flagged unstable.  Each stage takes the
-    slower of roll and pitch.
-    """
-
-    stage_times: tuple
-    unstable: tuple
-    t_smax: float
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     e_max: float
     err_x_max: float
@@ -91,9 +74,16 @@ def _recovery_time(t: np.ndarray, ang: np.ndarray, transition: float,
     return float(t[-1] - t[exit_k]), True
 
 
-def stabilization_times(log: SimLog,
-                        transitions: Sequence[float]) -> StabilizationReport:
-    """Attitude recovery per stage transition, band BAND_DEG, dwell DWELL_S."""
+def stabilization_times(log: SimLog, transitions: Sequence[float]):
+    """(stage_times, unstable): attitude recovery per stage transition.
+
+    For each transition: the time from the first sample after it where the
+    angle leaves the +-BAND_DEG band until the first sample from which the
+    angle stays inside the band for at least DWELL_S.  An angle that never
+    leaves scores zero; one that never re-enters long enough scores the
+    remaining log duration and is flagged unstable.  Each stage takes the
+    slower of roll and pitch.
+    """
     t = log.t
     if len(t) > 1:
         dt = float(t[1] - t[0])
@@ -110,9 +100,7 @@ def stabilization_times(log: SimLog,
         tr_pitch, u_pitch = _recovery_time(t, pitch, tr, need)
         times.append(max(tr_roll, tr_pitch))
         flags.append(u_roll or u_pitch)
-    t_smax = max(times) if times else 0.0
-    return StabilizationReport(stage_times=tuple(times),
-                               unstable=tuple(flags), t_smax=t_smax)
+    return tuple(times), tuple(flags)
 
 
 def arrival_time(log: SimLog) -> float:
@@ -139,12 +127,13 @@ def compute_run_metrics(log: SimLog, trajectory: str = "square"
     ex, ey, e_max = max_tracking_error(log)
     phi_max, theta_max = max_attitude(log)
     traj = TRAJECTORIES[trajectory]
-    stab = stabilization_times(log, traj.transitions)
+    stage_times, unstable = stabilization_times(log, traj.transitions)
     arr = arrival_time(log) if traj.arrival else float("nan")
     return RunMetrics(e_max=e_max, err_x_max=ex, err_y_max=ey,
                       phi_max=phi_max, theta_max=theta_max,
-                      t_smax=stab.t_smax, stage_times=stab.stage_times,
-                      unstable=stab.unstable, arrival_time=arr,
+                      t_smax=max(stage_times, default=0.0),
+                      stage_times=stage_times, unstable=unstable,
+                      arrival_time=arr,
                       saturation_count=int(log.sat.sum()),
                       failed=log.failed)
 

@@ -105,18 +105,12 @@ class SimConfig:
         if self.trajectory not in TRAJECTORIES:
             raise ValueError(f"trajectory must be one of "
                              f"{tuple(TRAJECTORIES)}, got {self.trajectory!r}")
-        if not 0.0 <= self.m_L < math.inf:
-            raise ValueError("m_L must be non-negative")
-        if self.m_L > self.params.M_max:
-            raise ValueError(f"m_L={self.m_L} exceeds maximum payload "
-                             f"{self.params.M_max}")
+        if not 0.0 <= self.m_L <= self.params.M_max:
+            raise ValueError(f"m_L must be in [0, {self.params.M_max}], "
+                             f"got {self.m_L}")
         for name in ("dt_physics", "dt_control", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.dt_physics <= 0.0 or self.dt_control <= 0.0:
-            raise ValueError("time steps must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # compared as floats first: a huge ratio overflows round()
         if not self.dt_control / self.dt_physics <= MAX_SUBSTEPS:
             raise ValueError(f"dt_control / dt_physics must be at most "
@@ -124,18 +118,18 @@ class SimConfig:
         if not self.duration / self.dt_control <= MAX_TICKS:
             raise ValueError(f"duration / dt_control must be at most "
                              f"{MAX_TICKS} ticks")
-        # control period must be a whole number of physics sub-steps
-        n = round(self.dt_control / self.dt_physics)
-        if n < 1 or abs(n * self.dt_physics - self.dt_control) > 1e-12:
-            raise ValueError("dt_control must be an integer multiple of "
-                             "dt_physics")
-        n = self.n_ticks
-        if n < 1 or abs(n * self.dt_control - self.duration) > 1e-9:
-            raise ValueError("duration must be a positive integer multiple "
-                             "of dt_control")
-        # the last tick samples the reference at n * dt_control
+        # a tick is whole sub-steps and a run whole ticks, to 1e-9 of a step
+        for n, step, span, message in (
+                (self.n_sub, self.dt_physics, self.dt_control,
+                 "dt_control must be an integer multiple of dt_physics"),
+                (self.n_ticks, self.dt_control, self.duration,
+                 "duration must be a positive integer multiple of "
+                 "dt_control")):
+            if n < 1 or abs(n * step - span) > 1e-9 * step:
+                raise ValueError(message)
+        # the last tick samples the reference at n_ticks * dt_control
         window = TRAJECTORIES[self.trajectory].window
-        if n * self.dt_control > window:
+        if self.n_ticks * self.dt_control > window:
             raise ValueError(f"duration {self.duration} exceeds the "
                              f"{self.trajectory} reference window "
                              f"[0, {window}]")

@@ -151,6 +151,13 @@ class TestGainValidation:
         with pytest.raises(ValueError):
             SmcGains(k=(1.0, 1.0))
 
+    def test_smc_list_named(self):
+        # each bad list's message names that list
+        for name in ("k", "lam"):
+            for bad in ((1.0, 1.0), (0.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
+                with pytest.raises(ValueError, match=f"^SmcGains.{name} "):
+                    SmcGains(**{name: bad})
+
 
 class TestPdController:
     def test_hover_fixed_point(self, params):

@@ -92,25 +92,23 @@ class TestStabilization:
     def test_exponential_decay_crossing(self):
         t = np.arange(0, 8.0, 0.01)
         log = make_log(t, phi_deg=5.0 * np.exp(-t))
-        rep = stabilization_times(log, [0.0])
+        stage_times, unstable = stabilization_times(log, [0.0])
         # 5 e^{-t} falls to 0.2 deg at ln(25) = 3.219 s
-        assert abs(rep.stage_times[0] - math.log(25.0)) < 0.02
-        assert rep.unstable == (False,)
-        assert rep.t_smax == rep.stage_times[0]
+        assert abs(stage_times[0] - math.log(25.0)) < 0.02
+        assert unstable == (False,)
 
     def test_identically_zero_angle(self):
         log = make_log(np.arange(0, 5, 0.01))
-        rep = stabilization_times(log, [1.0])
-        assert rep.stage_times == (0.0,)
-        assert rep.t_smax == 0.0
+        stage_times, _ = stabilization_times(log, [1.0])
+        assert stage_times == (0.0,)
 
     def test_never_reentering_flagged(self):
         t = np.arange(0, 5, 0.01)
         log = make_log(t, phi_deg=np.full(len(t), 1.0))
-        rep = stabilization_times(log, [1.0])
-        assert rep.unstable == (True,)
+        stage_times, unstable = stabilization_times(log, [1.0])
+        assert unstable == (True,)
         # remaining duration from the exit sample just after the transition
-        assert abs(rep.stage_times[0] - (t[-1] - 1.01)) < 1e-9
+        assert abs(stage_times[0] - (t[-1] - 1.01)) < 1e-9
 
     def test_dwell_skips_brief_dips(self):
         # angle dips inside the band for 0.5 s, pops out, then settles;
@@ -120,15 +118,15 @@ class TestStabilization:
         ang[(t >= 2.0) & (t < 2.5)] = 0.0
         ang[t >= 4.0] = 0.0
         log = make_log(t, phi_deg=ang)
-        rep = stabilization_times(log, [0.0])
-        assert abs(rep.stage_times[0] - (4.0 - 0.01)) < 1e-9
+        stage_times, _ = stabilization_times(log, [0.0])
+        assert abs(stage_times[0] - (4.0 - 0.01)) < 1e-9
 
     def test_roll_and_pitch_take_slower(self):
         t = np.arange(0, 8.0, 0.01)
         log = make_log(t, phi_deg=5.0 * np.exp(-t),
                        theta_deg=5.0 * np.exp(-0.5 * t))
-        rep = stabilization_times(log, [0.0])
-        assert abs(rep.stage_times[0] - 2.0 * math.log(25.0)) < 0.02
+        stage_times, _ = stabilization_times(log, [0.0])
+        assert abs(stage_times[0] - 2.0 * math.log(25.0)) < 0.02
 
 
 class TestArrival:
@@ -221,6 +219,7 @@ class TestRunMetricsBundle:
         for v in (m.e_max, m.err_x_max, m.err_y_max, m.phi_max,
                   m.theta_max, m.t_smax):
             assert math.isfinite(v)
+        assert m.t_smax == max(m.stage_times)
         assert m.saturation_count >= 0
         assert not m.failed
         assert math.isnan(m.arrival_time)

@@ -1,5 +1,5 @@
 """README's lists of config keys, output columns, controllers,
-trajectories and exit codes match the code."""
+trajectories and exit codes, and its size caps, match the code."""
 
 import pathlib
 import re
@@ -7,7 +7,8 @@ import re
 from slungsim.cli import (EXIT_ABORT, EXIT_CONFIG, EXIT_INTERRUPT, EXIT_IO,
                           EXIT_OK, RUN_FIELDS, SWEEP_COLUMNS)
 from slungsim.config import KEYS
-from slungsim.simloop import CONTROLLERS
+from slungsim.simloop import (CONTROLLERS, MAX_MPC_HORIZON, MAX_SUBSTEPS,
+                              MAX_TICKS)
 from slungsim.trajectory import TRAJECTORIES
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -62,3 +63,14 @@ def test_exit_codes_listed():
     assert [item.split()[0] for item in items] == [
         str(code) for code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_IO,
                                EXIT_INTERRUPT)]
+
+
+def test_size_caps_listed():
+    # "at most 1000 physics sub-steps per control tick, 10^6 ticks, MPC
+    # horizon 200", which may wrap
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    caps = re.search(r"at most (\d+) physics sub-steps per control tick, "
+                     r"10\^(\d+) ticks, MPC horizon (\d+)\)", text)
+    sub, tick_exp, horizon = (int(g) for g in caps.groups())
+    assert (sub, 10 ** tick_exp, horizon) == (MAX_SUBSTEPS, MAX_TICKS,
+                                               MAX_MPC_HORIZON)

@@ -76,12 +76,18 @@ class TestConfig:
     def test_non_multiple_steps(self):
         with pytest.raises(ValueError):
             SimConfig(dt_physics=3e-3, dt_control=1e-2)
+        # tiny steps: 3 sub-steps cover 0.9 of a tick; 2 ticks, 1.5 asked
+        with pytest.raises(ValueError, match="multiple of dt_physics"):
+            SimConfig(dt_physics=3e-13, dt_control=1e-12, duration=1e-10)
+        with pytest.raises(ValueError, match="multiple of dt_control"):
+            SimConfig(dt_physics=1e-11, dt_control=1e-10, duration=1.5e-10)
 
     @pytest.mark.parametrize("field", ["dt_physics", "dt_control",
                                        "duration"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_time_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite$"):
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("duration", [0.005, 1.005])
