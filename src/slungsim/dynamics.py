@@ -29,17 +29,30 @@ rows are the identity plus mu-weighted load terms, so eliminating x_dd, y_dd
 and z_dd leaves a 2x2 system in (r_dd, s_dd).  Its determinant
 (m_q/M)^2 L^2 zeta^2 is positive wherever the cable is taut, and each
 evaluation solves it in closed form by Cramer's rule.  Evaluations are
-scalar float arithmetic, lists in and out, all in coupled_derivative_array,
+scalar float arithmetic, lists in and out, through coupled_derivative_array,
 the one entry point to the model.  What the model needs that does not
 depend on the load mass (L, L^2, the taut-cable floor^2, m_q, g, the inertia
 ratios and I_z) is computed once per vehicle into VehicleParams.derived;
 only M and mu are formed per evaluation.
+
+The model is written twice.  The Python function below is the reference,
+kept as coupled_derivative_python.  _dynamics.c is its compiled twin: the
+same float operations in the same order, so it returns the same bits and
+raises the same exceptions.  Importing this module builds the twin once
+into this package's __pycache__ (see _load_kernel) and binds
+coupled_derivative_array to it; where no C compiler works, the name stays
+bound to the Python function.  KERNEL says which one runs: "c" or
+"python".
 """
 
 from __future__ import annotations
 
 import math
+import os
+import zlib
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 
 COUPLED_DIM = 16
 
@@ -135,8 +148,9 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     """Time derivative of the 16-element coupled state, as a list.
 
     y and u are any 16- and 4-float sequences (lists on the run path,
-    arrays from tests and checks).  This is the one implementation of the
-    coupled physics: the attitude guard, the taut-cable floor, the coupled
+    arrays from tests and checks).  This is the reference implementation
+    of the coupled physics, which _dynamics.c copies operation for
+    operation: the attitude guard, the taut-cable floor, the coupled
     translational/load solve and the rotational rows are all inline, so an
     evaluation is scalar float arithmetic with no allocation beyond the
     returned list.
@@ -253,3 +267,61 @@ def pendulum_energy(r: float, s: float, vr: float, vs: float, m_L: float,
     kinetic = 0.5 * m_L * (vr * vr + vs * vs + zeta_dot * zeta_dot)
     potential = m_L * params.g * (params.L - zeta)
     return kinetic + potential
+
+
+# fixed, so the twin rounds as Python does: no FMA contraction, no fast-math
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC")
+
+
+def _compile(source: str, path: str) -> None:
+    """Build the extension at path through a temporary file beside it."""
+    import shlex
+    import subprocess
+    import sysconfig
+    ldshared = sysconfig.get_config_var("LDSHARED")
+    if not ldshared:
+        raise OSError("this Python names no C compiler")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*shlex.split(ldshared), *_C_FLAGS, "-I",
+                        sysconfig.get_path("include"), source, "-o", tmp],
+                       check=True, timeout=60, capture_output=True,
+                       stdin=subprocess.DEVNULL)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"building {path} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel(cache_dir=None):
+    """The compiled coupled_derivative_array, or None where none builds.
+
+    The extension lives in cache_dir (this package's __pycache__) under a
+    name tagged with the CRC-32 of _dynamics.c and _C_FLAGS, so it is
+    built on the first import after an edit and loaded on every other.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_dynamics.c")
+    try:
+        with open(source, "rb") as fh:
+            tag = zlib.crc32(fh.read() + " ".join(_C_FLAGS).encode())
+        path = os.path.join(cache_dir or os.path.join(here, "__pycache__"),
+                            f"_dynamics.{tag:08x}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(path):
+            _compile(source, path)
+        loader = ExtensionFileLoader("slungsim._dynamics", path)
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except (OSError, ImportError):
+        return None
+    module.bind(coupled_derivative_python, _attitude_error, _slack_error)
+    return module.coupled_derivative_array
+
+
+coupled_derivative_python = coupled_derivative_array
+coupled_derivative_array = _load_kernel() or coupled_derivative_python
+KERNEL = ("python" if coupled_derivative_array is coupled_derivative_python
+          else "c")

@@ -166,5 +166,7 @@ def max_feasible_accel(U1_max: float, m_q: float, m_L: float,
     if total > U1_max:
         raise ValueError(f"load exceeds lift capacity "
                          f"({total:.3f} N needed, {U1_max:.3f} N available)")
-    return math.sqrt(U1_max * U1_max - total * total) / (m_q + m_L)
+    # the difference of squares, factored so U1_max^2 cannot overflow
+    return (math.sqrt(U1_max - total) * math.sqrt(U1_max + total)
+            / (m_q + m_L))
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (VehicleParams, TautCableError,
+from .dynamics import (COUPLED_DIM, VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
                        coupled_derivative_array)
 from .trajectory import (START_POS, TRAJECTORIES, ReferencePoint,
@@ -229,7 +229,7 @@ def rk4_step(f: Callable, y, u, dt: float) -> tuple:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
     w = dt / 6.0
-    if len(y) != 16:
+    if len(y) != COUPLED_DIM:
         k1 = f(y, u)
         k2 = f([a + h * b for a, b in zip(y, k1)], u)
         k3 = f([a + h * b for a, b in zip(y, k2)], u)

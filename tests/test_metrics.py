@@ -194,6 +194,11 @@ class TestMaxAccel:
         with pytest.raises(ValueError):
             max_feasible_accel(14.72, 1.0, 0.55)
 
+    def test_huge_ceiling_is_finite(self):
+        # U1_max^2 overflows above about 1.34e154
+        a = max_feasible_accel(1e200, 1.0, 0.005)
+        assert a == pytest.approx(1e200 / 1.005, rel=1e-12)
+
     @given(st.floats(min_value=0.0, max_value=0.4),
            st.floats(min_value=0.01, max_value=0.09))
     def test_strictly_decreasing_in_mass(self, m, dm):
