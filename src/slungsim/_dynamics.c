@@ -4,15 +4,15 @@
    and no flag that lets the compiler reassociate, fuse or widen float
    arithmetic, so each expression below rounds exactly as the Python
    expression it copies: the same operations, in the same order, with the
-   same association.  The guards run in the Python order and raise the
-   exceptions the Python helpers make, and a division by zero raises what
-   Python's float `/` raises.
+   same association.  Only the arithmetic is copied.  A call whose attitude
+   or taut-cable guard fails, or that divides by zero, is handed to the
+   Python function, which raises its own exception with its own message.
 
    Only lists and tuples of exact floats, of lengths 16 and 4, an exact
    float m_L and a params.derived tuple of 11 exact floats are read here.
    Any other input (an ndarray, ints, numpy scalars, keyword arguments) is
-   handed to the Python function, whose arithmetic follows those types' own
-   rules: numpy scalars, for one, warn where Python floats raise.
+   handed to the Python function too, whose arithmetic follows those
+   types' own rules: numpy scalars, for one, warn where Python floats raise.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -21,8 +21,8 @@
 
 #define HALF_PI (Py_MATH_PI / 2.0)
 
-/* set once by bind(): the Python function and the exception makers */
-static PyObject *reference, *attitude_error, *slack_error;
+/* set once by bind(): the Python function */
+static PyObject *reference;
 static PyObject *derived_name;
 
 /* Point items at the n entries of seq and copy their values to out; 0 if
@@ -43,62 +43,24 @@ read_floats(PyObject *seq, Py_ssize_t n, PyObject *const **items,
     return 1;
 }
 
-/* Raise the exception that make(args) returns, as `raise make(...)` does. */
-static PyObject *
-raise_made(PyObject *make, PyObject *args)
-{
-    PyObject *exc = args ? PyObject_CallObject(make, args) : NULL;
-    Py_XDECREF(args);
-    if (exc != NULL) {
-        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
-        Py_DECREF(exc);
-    }
-    return NULL;
-}
-
-/* q = a / b, raising as Python's float division does when b is zero */
+/* q = a / b, noting in fail a zero b, where Python's float `/` raises */
 #define DIVIDE(q, a, b)                                                   \
     do {                                                                  \
         double den_ = (b);                                                \
-        if (den_ == 0.0) {                                                \
-            PyErr_SetString(PyExc_ZeroDivisionError,                      \
-                            "float division by zero");                    \
-            return NULL;                                                  \
-        }                                                                 \
+        fail |= den_ == 0.0;                                              \
         (q) = (a) / den_;                                                 \
     } while (0)
 
-static PyObject *
-coupled_derivative_array(PyObject *module, PyObject *const *args,
-                         size_t nargsf, PyObject *kwnames)
+/* Fill the rates of value that the Python function computes (3-5, 9-11,
+   14 and 15); 0 where it would raise: a guard fails or a divisor is 0. */
+static int
+derivative(const double *y, const double *u, double m_L, const double *d,
+           double *value)
 {
-    PyObject *const *yi, *const *ui, *const *di;
-    double y[16], u[4], d[11];
-
-    if (reference == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "_dynamics is not bound");
-        return NULL;
-    }
-    if (kwnames != NULL || PyVectorcall_NARGS(nargsf) != 4)
-        return PyObject_Vectorcall(reference, args, nargsf, kwnames);
-    /* params first: a lookup may run Python code, and nothing from y may
-       be borrowed across Python code */
-    PyObject *derived = PyObject_GetAttr(args[3], derived_name);
-    if (derived == NULL)
-        PyErr_Clear();
-    int exact = derived != NULL && read_floats(derived, 11, &di, d);
-    Py_XDECREF(derived);
-    if (!exact || !read_floats(args[0], 16, &yi, y)
-            || !read_floats(args[1], 4, &ui, u)
-            || !PyFloat_CheckExact(args[2]))
-        return PyObject_Vectorcall(reference, args, nargsf, kwnames);
-
     double phi = y[6], theta = y[7], pr = y[9], qr = y[10], rr = y[11];
     double r = y[12], s = y[13], vr = y[14], vs = y[15];
     double U1 = u[0], U2 = u[1], U3 = u[2], U4 = u[3];
-    double m_L = PyFloat_AS_DOUBLE(args[2]);
-    if (fabs(phi) >= HALF_PI || fabs(theta) >= HALF_PI)
-        return raise_made(attitude_error, Py_BuildValue("(dd)", phi, theta));
+    int fail = fabs(phi) >= HALF_PI || fabs(theta) >= HALF_PI;
     /* cx = (I_y - I_z)/I_x and lx = l/I_x; cy, ly and cz likewise */
     double L = d[0], LL = d[1], floor2 = d[2], m_q = d[3], g = d[4];
     double cx = d[5], lx = d[6], cy = d[7], ly = d[8], cz = d[9], I_z = d[10];
@@ -108,8 +70,7 @@ coupled_derivative_array(PyObject *module, PyObject *const *args,
     double Lr = LL - r * r;
     double Ls = LL - s * s;
     double zsq = Lr - s * s;
-    if (zsq <= floor2)
-        return raise_made(slack_error, Py_BuildValue("(ddd)", r, s, L));
+    fail |= zsq <= floor2;
     double zeta = sqrt(zsq);
     double z2 = zeta * zeta;
 
@@ -144,18 +105,47 @@ coupled_derivative_array(PyObject *module, PyObject *const *args,
     DIVIDE(z_load, mu * (r * r_dd + s * s_dd), zeta);
     DIVIDE(yaw, U4, I_z);
 
+    value[3] = b1 - mu * r_dd;
+    value[4] = b2 - mu * s_dd;
+    value[5] = b3 - z_load;
+    value[9] = cx * qr * rr + lx * U2;
+    value[10] = cy * pr * rr + ly * U3;
+    value[11] = cz * qr * pr + yaw;
+    value[14] = r_dd;
+    value[15] = s_dd;
+    return !fail;
+}
+
+static PyObject *
+coupled_derivative_array(PyObject *module, PyObject *const *args,
+                         size_t nargsf, PyObject *kwnames)
+{
+    PyObject *const *yi, *const *ui, *const *di;
+    PyObject *derived = NULL;
+    double y[16], u[4], d[11], value[16];
+
+    if (reference == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "_dynamics is not bound");
+        return NULL;
+    }
+    /* params first: a lookup may run Python code, and nothing from y may
+       be borrowed across Python code */
+    if (kwnames == NULL && PyVectorcall_NARGS(nargsf) == 4
+            && (derived = PyObject_GetAttr(args[3], derived_name)) == NULL)
+        PyErr_Clear();
+    int exact = derived != NULL && read_floats(derived, 11, &di, d);
+    Py_XDECREF(derived);
+    if (!exact || !read_floats(args[0], 16, &yi, y)
+            || !read_floats(args[1], 4, &ui, u)
+            || !PyFloat_CheckExact(args[2])
+            || !derivative(y, u, PyFloat_AS_DOUBLE(args[2]), d, value))
+        return PyObject_Vectorcall(reference, args, nargsf, kwnames);
+
     /* rates the Python function returns as the input objects themselves,
        owned here before PyList_New can run the garbage collector */
     PyObject *same[16] = {yi[3], yi[4], yi[5], NULL, NULL, NULL,
                           yi[9], yi[10], yi[11], NULL, NULL, NULL,
                           yi[14], yi[15], NULL, NULL};
-    double value[16] = {0.0, 0.0, 0.0,
-                        b1 - mu * r_dd, b2 - mu * s_dd, b3 - z_load,
-                        0.0, 0.0, 0.0,
-                        cx * qr * rr + lx * U2,
-                        cy * pr * rr + ly * U3,
-                        cz * qr * pr + yaw,
-                        0.0, 0.0, r_dd, s_dd};
     for (int i = 0; i < 16; i++)
         Py_XINCREF(same[i]);
     PyObject *out = PyList_New(16);
@@ -173,17 +163,9 @@ coupled_derivative_array(PyObject *module, PyObject *const *args,
 }
 
 static PyObject *
-bind(PyObject *module, PyObject *args)
+bind(PyObject *module, PyObject *ref)
 {
-    PyObject *ref, *att, *slack;
-    if (!PyArg_ParseTuple(args, "OOO:bind", &ref, &att, &slack))
-        return NULL;
-    Py_INCREF(ref);
-    Py_INCREF(att);
-    Py_INCREF(slack);
-    Py_XSETREF(reference, ref);
-    Py_XSETREF(attitude_error, att);
-    Py_XSETREF(slack_error, slack);
+    Py_XSETREF(reference, Py_NewRef(ref));
     Py_RETURN_NONE;
 }
 
@@ -202,10 +184,10 @@ static PyMethodDef methods[] = {
      "coupled_derivative_array(y, u, m_L, params)\n--\n\n"
      "Time derivative of the 16-element coupled state, as a list: the\n"
      "Python function's result, bit for bit."},
-    {"bind", bind, METH_VARARGS,
-     "bind(reference, attitude_error, slack_error)\n--\n\n"
-     "Hand over the Python function that takes any input this module\n"
-     "does not read, and the makers of the two guard exceptions."},
+    {"bind", bind, METH_O,
+     "bind(reference)\n--\n\n"
+     "Hand over the Python function that takes every call this module\n"
+     "does not finish: input it does not read, and every call that raises."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -37,9 +37,11 @@ only M and mu are formed per evaluation.
 
 The model is written twice.  The Python function below is the reference,
 kept as coupled_derivative_python.  _dynamics.c is its compiled twin: the
-same float operations in the same order, so it returns the same bits and
-raises the same exceptions.  Importing this module builds the twin once
-into this package's __pycache__ (see _load_kernel) and binds
+same float operations in the same order, so it returns the same bits.  It
+copies only the arithmetic: a call whose guard fails or that divides by
+zero, like any input the twin does not read, is handed to the Python
+function, which raises its own exception.  Importing this module builds
+the twin once into this package's __pycache__ (see _load_kernel) and binds
 coupled_derivative_array to it; where no C compiler works, the name stays
 bound to the Python function.  KERNEL says which one runs: "c" or
 "python".
@@ -47,8 +49,10 @@ bound to the Python function.  KERNEL says which one runs: "c" or
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -114,11 +118,6 @@ def _slack_error(r: float, s: float, L: float) -> TautCableError:
     return TautCableError(
         f"load offset (r={r:.4f}, s={s:.4f}) leaves the taut-cable "
         f"regime (cable length {L})")
-
-
-def _attitude_error(phi: float, theta: float) -> GimbalLockError:
-    return GimbalLockError(
-        f"attitude out of range (phi={phi:.3f}, theta={theta:.3f})")
 
 
 _HALF_PI = math.pi / 2
@@ -192,7 +191,8 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     x, yy, z, vx, vy, vz, phi, theta, psi, pr, qr, rr, r, s, vr, vs = y
     U1, U2, U3, U4 = u
     if abs(phi) >= _HALF_PI or abs(theta) >= _HALF_PI:
-        raise _attitude_error(phi, theta)
+        raise GimbalLockError(
+            f"attitude out of range (phi={phi:.3f}, theta={theta:.3f})")
     # cx = (I_y - I_z)/I_x and lx = l/I_x; cy, ly and cz likewise
     L, LL, floor2, m_q, g, cx, lx, cy, ly, cz, I_z = params.derived
     M = m_q + m_L
@@ -302,22 +302,31 @@ def _load_kernel(cache_dir=None):
     The extension lives in cache_dir (this package's __pycache__) under a
     name tagged with the CRC-32 of _dynamics.c and _C_FLAGS, so it is
     built on the first import after an edit and loaded on every other.
+    A build removes the finished builds of other tags beside it, but no
+    *.tmp file, which another process may still be writing.
     """
     here = os.path.dirname(os.path.abspath(__file__))
     source = os.path.join(here, "_dynamics.c")
+    cache_dir = cache_dir or os.path.join(here, "__pycache__")
     try:
         with open(source, "rb") as fh:
             tag = zlib.crc32(fh.read() + " ".join(_C_FLAGS).encode())
-        path = os.path.join(cache_dir or os.path.join(here, "__pycache__"),
+        path = os.path.join(cache_dir,
                             f"_dynamics.{tag:08x}{EXTENSION_SUFFIXES[0]}")
         if not os.path.exists(path):
             _compile(source, path)
+            build = re.compile(r"_dynamics\.[0-9a-f]{8}"
+                               + re.escape(EXTENSION_SUFFIXES[0]))
+            for name in os.listdir(cache_dir):
+                if build.fullmatch(name) and name != os.path.basename(path):
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(cache_dir, name))
         loader = ExtensionFileLoader("slungsim._dynamics", path)
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)
     except (OSError, ImportError):
         return None
-    module.bind(coupled_derivative_python, _attitude_error, _slack_error)
+    module.bind(coupled_derivative_python)
     return module.coupled_derivative_array
 
 

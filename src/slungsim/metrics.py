@@ -89,8 +89,10 @@ def stabilization_times(log: SimLog, transitions: Sequence[float]):
         dt = float(t[1] - t[0])
     else:
         dt = DWELL_S
-    # samples spanning >= DWELL_S seconds of consecutive in-band time
-    need = int(math.floor(DWELL_S / dt + 1e-9)) + 1
+    # samples spanning >= DWELL_S seconds of consecutive in-band time; past
+    # the row count (DWELL_S / dt is inf for a subnormal dt) no run is long
+    # enough, and need = n + 1 says so
+    need = int(math.floor(min(DWELL_S / dt + 1e-9, len(t)))) + 1
     roll = np.degrees(log.quad[:, 6])
     pitch = np.degrees(log.quad[:, 7])
     times = []

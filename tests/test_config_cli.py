@@ -844,6 +844,34 @@ class TestCliExitCodes:
                          str(out / "trace.csv")]) == EXIT_OK
             assert capsys.readouterr().out == analyzed
 
+    def test_subnormal_time_step_simulates(self, tmp_path, capsys):
+        # DWELL_S / dt is inf, past any row count
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("controller = PD\ndt_physics = 5e-324\n"
+                       "dt_control = 5e-324\nduration = 1e-323\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        header, row = (out / "metrics.csv").read_text().splitlines()
+        metrics = dict(zip(header.split(","), row.split(",")))
+        for key in ("e_max", "phi_max", "theta_max", "t_smax"):
+            assert math.isfinite(float(metrics[key]))
+        assert metrics["stage_times"] == "0;0;0;0"
+
+    def test_analyze_subnormal_time_step(self, tmp_path, capsys):
+        # phi leaves the band after the first transition (15 s) and is
+        # back in it one row later, but no run of rows lasts DWELL_S / dt
+        path = tmp_path / "trace.csv"
+        path.write_text(HEADER + "".join(
+            ",".join([t] + ["0"] * 6 + [phi] + ["0"] * 19) + "\n"
+            for t, phi in (("0", "0"), ("5e-324", "0"), ("16", "0.1"),
+                           ("17", "0"))))
+        assert main(["analyze", "--trace", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "t_smax = 1.000000\n" in out
+        assert "stage_times = 1.000000;0.000000;0.000000;0.000000\n" in out
+
     @pytest.mark.parametrize("text, reason", [
         ("t,x,y\n0,0,0\n", "unexpected trace header"),
         (HEADER, "no data rows"),
