@@ -146,7 +146,7 @@ def read_trace(path: str) -> SimLog:
             yield line + pad
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
                 raise TraceError(f"{path}: unexpected trace header")
             lines = data_lines(fh)
@@ -267,7 +267,7 @@ def write_sweep(rows, path: str):
 
 
 def read_sweep(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return [{c: _SWEEP_PARSERS.get(c, float)(row[c])
                  for c in SWEEP_COLUMNS} for row in csv.DictReader(fh)]
 

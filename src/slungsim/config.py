@@ -20,7 +20,6 @@ from typing import Optional
 from .dynamics import VehicleParams
 from .controllers import PdGains, SmcGains
 from .simloop import CONTROLLERS, ConfigError, SimConfig
-from .trajectory import TRAJECTORIES
 
 DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
                         0.3, 0.35, 0.4, 0.45, 0.5)
@@ -58,7 +57,7 @@ class SweepSpec:
 def parse_kv_file(path: str) -> dict:
     """Read dotted key = value lines; later lines override earlier ones."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
@@ -103,14 +102,9 @@ def _split(value: str) -> list:
     return [v for v in (s.strip() for s in value.split(",")) if v]
 
 
-def _choice(choices):
-    """Parser of one name out of choices."""
-    def parse(key: str, value: str) -> str:
-        if value not in choices:
-            raise ConfigError(f"{key}: expected one of {', '.join(choices)}, "
-                              f"got {value!r}")
-        return value
-    return parse
+def _text(key: str, value: str) -> str:
+    """The value as written; SimConfig checks the name."""
+    return value
 
 
 def _floats(n: Optional[int] = None):
@@ -127,8 +121,7 @@ def _floats(n: Optional[int] = None):
 # Every accepted key, section by section ("" is the top level), and the
 # parser of its value.  Only build_sweep_spec reads the sweep section.
 KEYS = {
-    "": {"controller": _choice(CONTROLLERS),
-         "trajectory": _choice(TRAJECTORIES),
+    "": {"controller": _text, "trajectory": _text,
          "m_L": _parse_float, "duration": _parse_float,
          "dt_physics": _parse_float, "dt_control": _parse_float},
     "vehicle": dict.fromkeys((f.name for f in fields(VehicleParams)),
@@ -148,8 +141,9 @@ def build_sim_config(kv: dict) -> SimConfig:
 
     Each key sets the SimConfig, VehicleParams, PdGains or SmcGains field
     of its name (mpc.<key> sets SimConfig.mpc_<key>); an unset key keeps
-    that field's default.  Keys are checked in the order they first
-    appear, so of several bad keys the first one is reported.
+    that field's default.  Keys and value formats are checked in the order
+    the keys first appear, so of several bad keys the first one is
+    reported; SimConfig then checks the names and ranges.
     """
     values = {section: {} for section in KEYS}
     for key, value in kv.items():

@@ -98,6 +98,9 @@ class VehicleParams:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"VehicleParams.{name} must be positive "
                                  f"and finite")
+            # an int or numpy scalar would send the compiled twin's calls
+            # to the Python reference, so every field is stored as a float
+            object.__setattr__(self, name, float(getattr(self, name)))
         # the load hanging at rest must clear the taut-cable floor in floats
         L, I_x, I_y, I_z, l = self.L, self.I_x, self.I_y, self.I_z, self.l
         floor = ZETA_FLOOR_FRAC * L

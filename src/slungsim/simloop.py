@@ -5,13 +5,16 @@ integrated with classical RK4 at dt_physics sub-steps under zero-order-hold
 inputs.  Runs are pure float arithmetic with no random state, so identical
 configs produce bit-identical logs.
 
-Each tick calls the reference function once (the trajectory's entry in
-trajectory.TRAJECTORIES; for the square, this module's square_reference,
-looked up when the run starts) and the controller's step once.  step gets
-the 12 vehicle floats y[:12], so the load stays hidden from it, and returns
-the float tuple (U1, U2, U3, U4, phi_d, theta_d, saturated) described in
-controllers.  Each controller keeps U1 within [min(U1_FLOOR, U1_max),
-U1_max] itself, so the loop applies the inputs as returned.
+Every tick k, tick 0 included, is one pass of run's loop body, which does
+four things in order: advance the physics to k * dt_control (from tick 1
+on), sample the reference there, step the controller, and pack log row k.
+The reference is the trajectory's entry in trajectory.TRAJECTORIES (for the
+square, this module's square_reference, looked up when the run starts).
+The controller is built at tick 0; its step gets the 12 vehicle floats
+y[:12], so the load stays hidden from it, and returns the float tuple
+(U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.  Each
+controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself, so the
+loop passes its first four floats to the physics as returned.
 Each tick's physics is one advance_tick call: n_sub rk4_step calls on a
 derivative f(y, u) that the run defines once, binding the load mass and
 the vehicle, each making four coupled_derivative_array calls.  All three
@@ -39,8 +42,7 @@ import numpy as np
 from .dynamics import (COUPLED_DIM, VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
                        coupled_derivative_array)
-from .trajectory import (START_POS, TRAJECTORIES, ReferencePoint,
-                         square_reference)
+from .trajectory import START_POS, TRAJECTORIES, square_reference
 from .controllers import PdController, SmcController, PdGains, SmcGains
 from .mpc import HORIZON, MOVE_ATT, MpcController, MpcWeights
 
@@ -108,9 +110,12 @@ class SimConfig:
         if not 0.0 <= self.m_L <= self.params.M_max:
             raise ValueError(f"m_L must be in [0, {self.params.M_max}], "
                              f"got {self.m_L}")
+        # the compiled twin reads exact floats only (see VehicleParams)
+        self.m_L = float(self.m_L)
         for name in ("dt_physics", "dt_control", "duration"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+            setattr(self, name, float(getattr(self, name)))
         # compared as floats first: a huge ratio overflows round()
         if not self.dt_control / self.dt_physics <= MAX_SUBSTEPS:
             raise ValueError(f"dt_control / dt_physics must be at most "
@@ -200,15 +205,6 @@ def make_controller(config: SimConfig):
                          config.mpc_move_pos, config.mpc_move_att)
 
 
-def reference_function(config: SimConfig) -> Callable[[float], ReferencePoint]:
-    # The square's reference is this module's name, looked up here, because
-    # the benchmark's tracer (perfbench/tracing.py) times the square's
-    # reference samples by rebinding simloop.square_reference.
-    if config.trajectory == "square":
-        return square_reference
-    return TRAJECTORIES[config.trajectory].reference
-
-
 def rk4_step(f: Callable, y, u, dt: float) -> tuple:
     """One classical Runge-Kutta step of y' = f(y, u), u held constant.
 
@@ -292,23 +288,28 @@ def advance_tick(f: Callable, y, u, dt: float, n_sub: int, L: float):
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def run(config: SimConfig) -> SimLog:
-    """Simulate one scenario tick by tick.
+    """Simulate one scenario tick by tick, one loop pass per logged row.
 
-    A controller that cannot be built from the config or take its first
-    step (tick 0) raises ConfigError, so a run never returns an empty log.
-    From tick 1 on, a taut-cable or attitude singularity, a non-finite
-    state or an arithmetic error in the controller aborts the run; the
-    rows logged so far are returned with the failure marker set.  numpy
-    arithmetic raises FloatingPointError here instead of warning, so a
-    vehicle that the MPC gain products overflow on fails like one the
-    scalar controllers divide by zero on.
+    Pass k advances the physics to k * dt_control (from tick 1 on),
+    samples the reference there, steps the controller and packs row k.
+    At tick 0 the controller is built first; a ValueError or an arithmetic
+    error in its build or first step raises ConfigError, so a run never
+    returns an empty log.  From tick 1 on, a taut-cable or attitude
+    singularity, a non-finite state or such an error in the controller
+    aborts the run at tick k: rows[:k] are returned with the failure
+    marker set.  numpy arithmetic raises FloatingPointError here instead
+    of warning, so a vehicle that the MPC gain products overflow on fails
+    like one the scalar controllers divide by zero on.
     """
     par = config.params
-    ref_fn = reference_function(config)
+    # The square's reference is this module's name, looked up here, because
+    # the benchmark's tracer (perfbench/tracing.py) times the square's
+    # reference samples by rebinding simloop.square_reference.
+    ref_fn = (square_reference if config.trajectory == "square"
+              else TRAJECTORIES[config.trajectory].reference)
     dt_c = config.dt_control
     dt_p = config.dt_physics
     n_sub = config.n_sub
-    n_ticks = config.n_ticks
     m_L = config.m_L
 
     def deriv(y, u):
@@ -318,48 +319,39 @@ def run(config: SimConfig) -> SimLog:
     y = [*START_POS] + [0.0] * 13
     L = par.L
     zeta = cable_offset(y[12], y[13], L)
-    ref = ref_fn(0.0)
-    try:
-        ctrl = make_controller(config)
-        # the controller sees the vehicle floats only, never the load
-        out = ctrl.step(y[:12], ref)
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{config.controller} controller cannot be built "
-                          f"from this config: {type(exc).__name__}: {exc}")
-
-    n = n_ticks + 1
-    rows = np.empty((n, LOG_WIDTH))
+    rows = np.empty((config.n_ticks + 1, LOG_WIDTH))
     row_bytes = memoryview(rows).cast("B")
     stride = rows.strides[0]
     reason = ""
 
-    for k in range(n):
+    for k in range(len(rows)):
         t = k * dt_c
-        U1, U2, U3, U4, _, _, saturated = out
-        u_vec = [U1, U2, U3, U4]
-
-        rx, ry, rz = ref.pos
-        _pack_row(row_bytes, k * stride, t, *y[:14], zeta, U1, U2, U3, U4,
-                  rx, ry, rz, rx - y[0], ry - y[1], rz - y[2],
-                  1.0 if saturated else 0.0, y[14], y[15])
-        if k == n_ticks:
-            break
-
+        if k:
+            try:
+                y, zeta = advance_tick(deriv, y, u, dt_p, n_sub, L)
+            except (TautCableError, GimbalLockError, ArithmeticError) as exc:
+                reason = f"{type(exc).__name__} at t={t:.3f}: {exc}"
+                break
+        ref = ref_fn(t)
         try:
-            y, zeta = advance_tick(deriv, y, u_vec, dt_p, n_sub, L)
-        except (TautCableError, GimbalLockError, ArithmeticError) as exc:
-            reason = f"{type(exc).__name__} at t={t + dt_c:.3f}: {exc}"
-            break
-
-        t_next = (k + 1) * dt_c
-        ref = ref_fn(t_next)
-        try:
+            if not k:
+                ctrl = make_controller(config)
+            # the controller sees the vehicle floats only, never the load
             out = ctrl.step(y[:12], ref)
-        except ArithmeticError as exc:
+        except (ValueError, ArithmeticError) as exc:
+            if not k:
+                raise ConfigError(
+                    f"{config.controller} controller cannot be built from "
+                    f"this config: {type(exc).__name__}: {exc}")
             reason = (f"{type(exc).__name__} in the {config.controller} "
-                      f"controller at t={t_next:.3f}: {exc}")
+                      f"controller at t={t:.3f}: {exc}")
             break
+        u = out[:4]
+        rx, ry, rz = ref.pos
+        _pack_row(row_bytes, k * stride, t, *y[:14], zeta, *u,
+                  rx, ry, rz, rx - y[0], ry - y[1], rz - y[2],
+                  1.0 if out[6] else 0.0, y[14], y[15])
 
-    # an abort keeps the rows up to its last logged tick, k
-    return SimLog(rows=rows[:k + 1], failed=bool(reason),
+    # an abort at tick k keeps the rows logged before it
+    return SimLog(rows=rows[:k] if reason else rows, failed=bool(reason),
                   failure_reason=reason)

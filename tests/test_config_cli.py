@@ -731,6 +731,51 @@ class TestCliExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("controller = LQR", "controller must be one of ('PD', 'SMC', "
+                             "'MPC'), got 'LQR'"),
+        ("trajectory = helix", "trajectory must be one of ('square', "
+                               "'single_leg', 'hover'), got 'helix'")])
+    def test_unknown_name_named_once(self, tmp_path, capsys, line, message):
+        # SimConfig holds the one rule for both names
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_byte_order_mark_config_simulates(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" and Windows Notepad start a file with a BOM
+        text = "controller = SMC\nm_L = 0.1\nduration = 1.0\n"
+        traces = []
+        for name, data in (("plain", text.encode()),
+                           ("bom", text.encode("utf-8-sig"))):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_OK
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_analyze_byte_order_mark_trace(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("controller = PD\nduration = 2.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        trace = out / "trace.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+        printed = []
+        for path in (trace, bom):
+            capsys.readouterr()
+            assert main(["analyze", "--trace", str(path)]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     @pytest.mark.parametrize("line", ["duration = 0.005", "duration = 76",
                                       "mpc.horizon = 0", "mpc.move_att = -1",
                                       "mpc.move_pos = 0.4, 0.4, 0",
@@ -1242,9 +1287,13 @@ def test_ctrl_c_ends_a_parallel_sweep_in_one_line(tmp_path):
     pkg_parent = str(pathlib.Path(slungsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
-    # 11 masses of 75 s runs: far longer than the wait for the workers
+    # 300 runs of 75 s (100 masses, three controllers) on two workers
+    # outlast the wait for them even if a run became ten times cheaper;
+    # the sweep is interrupted once they are ready, so its length costs
+    # the test nothing
     cfg = tmp_path / "sw.cfg"
-    cfg.write_text("sweep.controllers = PD\n")
+    masses = ", ".join(f"{0.005 * i:.3f}" for i in range(1, 101))
+    cfg.write_text(f"sweep.masses = {masses}\n")
     out = tmp_path / "out"
     proc = subprocess.Popen(
         [sys.executable, "-c", wrapper, "sweep", "--config", str(cfg),

@@ -121,6 +121,35 @@ class TestConfig:
         want = run(SimConfig(controller="MPC", mpc_horizon=10, duration=0.1))
         assert run(cfg).rows.tobytes() == want.rows.tobytes()
 
+    @pytest.mark.parametrize("given, floats", [
+        ({"m_L": np.float64(0.3)}, {"m_L": 0.3}),
+        ({"m_L": 0}, {"m_L": 0.0}),
+        ({"params": VehicleParams(m_q=1, U1_max=np.float64(15.0))},
+         {"params": VehicleParams(m_q=1.0, U1_max=15.0)}),
+        ({"dt_physics": np.float64(1e-3), "duration": 1},
+         {"dt_physics": 1e-3, "duration": 1.0}),
+    ], ids=["numpy m_L", "int m_L", "vehicle", "times"])
+    def test_checked_values_stored_as_floats(self, given, floats):
+        # the compiled derivative reads exact floats only: an int or a
+        # numpy scalar kept as given would send every call to the slower
+        # Python reference
+        cfg = SimConfig(**{"controller": "SMC", "duration": 0.5, **given})
+        par = cfg.params
+        for v in (cfg.m_L, cfg.dt_physics, cfg.dt_control, cfg.duration,
+                  *(getattr(par, f) for f in par.__dataclass_fields__),
+                  *par.derived):
+            assert type(v) is float
+        want = SimConfig(**{"controller": "SMC", "duration": 0.5, **floats})
+        assert run(cfg).rows.tobytes() == run(want).rows.tobytes()
+
+    def test_text_values_still_rejected(self):
+        with pytest.raises(TypeError):
+            SimConfig(m_L="0.3")
+        with pytest.raises(TypeError):
+            SimConfig(duration="1")
+        with pytest.raises(TypeError):
+            VehicleParams(m_q="1")
+
     def test_size_caps_are_inclusive(self):
         assert SimConfig(dt_physics=1e-5).n_sub == MAX_SUBSTEPS
         assert SimConfig(trajectory="hover", duration=1e4).n_ticks == \
@@ -425,6 +454,24 @@ class TestRun:
             run(SimConfig(controller="PD", duration=0.1))
         assert str(exc.value) == ("PD controller cannot be built from this "
                                   f"config: {reason}")
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+    def test_controller_failing_at_tick_k_keeps_k_rows(self, monkeypatch,
+                                                       error):
+        cfg = SimConfig(controller="PD", duration=0.1)
+        want = run(cfg).rows
+        step, calls = PdController.step, []
+
+        def fail_at_tick_3(self, s, ref):
+            calls.append(None)
+            if len(calls) == 4:
+                raise error("no step")
+            return step(self, s, ref)
+        monkeypatch.setattr(PdController, "step", fail_at_tick_3)
+        log = run(cfg)
+        assert log.failure_reason == (f"{error.__name__} in the PD "
+                                      "controller at t=0.030: no step")
+        assert log.rows.tobytes() == want[:3].tobytes()
 
     def test_mpc_first_step_overflow_is_a_config_error(self):
         cfg = SimConfig(controller="MPC", duration=0.1,

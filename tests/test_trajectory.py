@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slungsim.metrics import compute_run_metrics
-from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, reference_function
+from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, run
 from slungsim.trajectory import (
     A_PEAK,
     LEG_LENGTH,
@@ -178,8 +178,11 @@ class TestTable:
 @pytest.mark.parametrize("name", list(TRAJECTORIES))
 def test_table_entry(name):
     entry = TRAJECTORIES[name]
-    cfg = SimConfig(trajectory=name)
-    assert reference_function(cfg) is entry.reference
+    # a run samples the entry's reference at every tick, past the first
+    # stage change (square and single_leg share their first leg)
+    log = run(SimConfig(trajectory=name, duration=T_LEG + 1.0))
+    assert [tuple(r) for r in log.ref] == [entry.reference(t).pos
+                                           for t in log.t]
     ref = entry.reference(0.0)
     assert ref.pos == START_POS and ref.vel == REST
     ts = (0.0, *entry.transitions, entry.window)
