@@ -119,7 +119,7 @@ def _floats(n: Optional[int] = None):
 
 
 # Every accepted key, section by section ("" is the top level), and the
-# parser of its value.  Only build_sweep_spec reads the sweep section.
+# parser of its value.  Only a sweep config may set the sweep section.
 KEYS = {
     "": {"controller": _text, "trajectory": _text,
          "m_L": _parse_float, "duration": _parse_float,
@@ -136,48 +136,46 @@ KEYS = {
 }
 
 
-def build_sim_config(kv: dict) -> SimConfig:
-    """Validated SimConfig from parsed keys; unknown keys are errors.
-
-    Each key sets the SimConfig, VehicleParams, PdGains or SmcGains field
-    of its name (mpc.<key> sets SimConfig.mpc_<key>); an unset key keeps
-    that field's default.  Keys and value formats are checked in the order
-    the keys first appear, so of several bad keys the first one is
-    reported; SimConfig then checks the names and ranges.
-    """
+def _parse(kv: dict, sweep: bool) -> tuple:
+    """(SimConfig, the sweep section's values) from parsed keys; a sweep
+    key is an error unless sweep."""
     values = {section: {} for section in KEYS}
     for key, value in kv.items():
         section, name = key.split(".", 1) if "." in key else ("", key)
-        if section == "sweep":
-            # build_sweep_spec has popped the sweep keys
+        if section == "sweep" and not sweep:
             raise ConfigError(f"sweep key in a single-run config: {key}")
         parse = KEYS.get(section, {}).get(name)
         # ".controller" has an empty section but is no top-level key
         if parse is None or key.startswith("."):
             raise ConfigError(f"unknown key: {key}")
         values[section][name] = parse(key, value)
-
     try:
         return SimConfig(
             params=VehicleParams(**values["vehicle"]),
             pd_gains=PdGains(**values["pd"]),
             smc_gains=SmcGains(**values["smc"]),
             **{f"mpc_{name}": v for name, v in values["mpc"].items()},
-            **values[""])
+            **values[""]), values["sweep"]
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
+def build_sim_config(kv: dict) -> SimConfig:
+    """Validated SimConfig from parsed keys; unknown keys are errors.
+
+    Each key sets the SimConfig, VehicleParams, PdGains or SmcGains field
+    of its name (mpc.<key> sets SimConfig.mpc_<key>); an unset key keeps
+    that field's default.  Keys and value formats are checked in one pass,
+    in the order the keys first appear, so of several bad keys the first
+    one is reported; SimConfig then checks the names and ranges.
+    """
+    return _parse(kv, sweep=False)[0]
+
+
 def build_sweep_spec(kv: dict) -> SweepSpec:
     """SweepSpec from parsed keys; sweep.* select masses and controllers."""
-    kv = dict(kv)
-    sweep = {}
-    for key in [k for k in kv if k.startswith("sweep.")]:
-        name = key[len("sweep."):]
-        if name not in KEYS["sweep"]:
-            raise ConfigError(f"unknown key: {key}")
-        sweep[name] = KEYS["sweep"][name](key, kv.pop(key))
-    return SweepSpec(base=build_sim_config(kv), **sweep)
+    base, sweep = _parse(kv, sweep=True)
+    return SweepSpec(base=base, **sweep)
 
 
 def load_config(path: str) -> SimConfig:

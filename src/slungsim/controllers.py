@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, store_positive_floats
 from .trajectory import ReferencePoint
 
 ANGLE_CAP = math.radians(20.0)
@@ -91,9 +91,7 @@ class PdGains:
     Kdps: float = 15.0  # yaw D
 
     def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"PdGains.{name} must be positive")
+        store_positive_floats(self, "PdGains.")
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,10 @@ class SmcGains:
             if len(v) != 6 or not all(0.0 < x < math.inf for x in v):
                 raise ValueError(f"SmcGains.{name} must be positive and "
                                  f"finite, six entries")
+            object.__setattr__(self, name, tuple(map(float, v)))
         if not 0.0 <= self.boundary_layer < math.inf:
             raise ValueError("boundary_layer must be >= 0")
+        object.__setattr__(self, "boundary_layer", float(self.boundary_layer))
 
 
 def _check_torques(U2: float, U3: float, U4: float):

@@ -54,7 +54,7 @@ import math
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 
@@ -72,6 +72,18 @@ class TautCableError(RuntimeError):
 
 class GimbalLockError(RuntimeError):
     """Roll or pitch reached +/-90 deg where the Euler parametrization fails."""
+
+
+def store_positive_floats(record, prefix: str = "", names=None):
+    """Check that a frozen record's named fields (all if names is None) are
+    positive and finite, and store each as a float.  The one rule for every
+    settings record: the compiled twin reads exact floats only, and hands a
+    call with an int or a numpy scalar to the slower Python reference."""
+    for name in names or [f.name for f in fields(record)]:
+        v = getattr(record, name)
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{prefix}{name} must be positive and finite")
+        object.__setattr__(record, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -93,14 +105,7 @@ class VehicleParams:
     g: float = 9.81         # gravitational acceleration, m s^-2
 
     def __post_init__(self):
-        for name in ("m_q", "I_x", "I_y", "I_z", "l", "L", "M_max",
-                     "U1_max", "g"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"VehicleParams.{name} must be positive "
-                                 f"and finite")
-            # an int or numpy scalar would send the compiled twin's calls
-            # to the Python reference, so every field is stored as a float
-            object.__setattr__(self, name, float(getattr(self, name)))
+        store_positive_floats(self, "VehicleParams.")
         # the load hanging at rest must clear the taut-cable floor in floats
         L, I_x, I_y, I_z, l = self.L, self.I_x, self.I_y, self.I_z, self.l
         floor = ZETA_FLOOR_FRAC * L

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynamics import (COUPLED_DIM, VehicleParams, TautCableError,
                        GimbalLockError, cable_offset,
-                       coupled_derivative_array)
+                       coupled_derivative_array, store_positive_floats)
 from .trajectory import START_POS, TRAJECTORIES, square_reference
 from .controllers import PdController, SmcController, PdGains, SmcGains
 from .mpc import HORIZON, MOVE_ATT, MpcController, MpcWeights
@@ -72,15 +72,17 @@ class ConfigError(ValueError):
     """Bad config file, key or value; message names the key or controller."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """One closed-loop scenario.
+    """One closed-loop scenario, frozen like every settings record.
 
     The quadrotor starts at rest at START_POS with the load hanging
     straight down at rest.  Every field holds the value the run uses,
     the tuned controller settings included, except mpc_move_pos: None
     there is the tilt-equalised default, which MpcController derives
-    from params.g so that replacing params cannot leave it stale.
+    from params.g so that replacing params cannot leave it stale.  n_sub
+    and n_ticks, a tick's sub-steps and the run's ticks, are set when the
+    config is built.
     """
 
     controller: str = "PD"
@@ -97,10 +99,12 @@ class SimConfig:
     mpc_move_att: float = MOVE_ATT
 
     def __post_init__(self):
-        # the move weights are checked first, so their errors win
         if self.mpc_move_pos is not None:
             MpcWeights(s=self.mpc_move_pos)
-        MpcWeights(s=self.mpc_move_att)
+            object.__setattr__(self, "mpc_move_pos",
+                               tuple(map(float, self.mpc_move_pos)))
+        store_positive_floats(self, names=("mpc_move_att", "dt_physics",
+                                           "dt_control", "duration"))
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}, "
                              f"got {self.controller!r}")
@@ -110,12 +114,7 @@ class SimConfig:
         if not 0.0 <= self.m_L <= self.params.M_max:
             raise ValueError(f"m_L must be in [0, {self.params.M_max}], "
                              f"got {self.m_L}")
-        # the compiled twin reads exact floats only (see VehicleParams)
-        self.m_L = float(self.m_L)
-        for name in ("dt_physics", "dt_control", "duration"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-            setattr(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "m_L", float(self.m_L))
         # compared as floats first: a huge ratio overflows round()
         if not self.dt_control / self.dt_physics <= MAX_SUBSTEPS:
             raise ValueError(f"dt_control / dt_physics must be at most "
@@ -123,6 +122,10 @@ class SimConfig:
         if not self.duration / self.dt_control <= MAX_TICKS:
             raise ValueError(f"duration / dt_control must be at most "
                              f"{MAX_TICKS} ticks")
+        object.__setattr__(self, "n_sub",
+                           round(self.dt_control / self.dt_physics))
+        object.__setattr__(self, "n_ticks",
+                           round(self.duration / self.dt_control))
         # a tick is whole sub-steps and a run whole ticks, to 1e-9 of a step
         for n, step, span, message in (
                 (self.n_sub, self.dt_physics, self.dt_control,
@@ -146,14 +149,7 @@ class SimConfig:
         if not 1 <= self.mpc_horizon <= MAX_MPC_HORIZON:
             raise ValueError(f"mpc.horizon must be in [1, {MAX_MPC_HORIZON}]"
                              f", got {self.mpc_horizon}")
-
-    @property
-    def n_sub(self) -> int:
-        return round(self.dt_control / self.dt_physics)
-
-    @property
-    def n_ticks(self) -> int:
-        return round(self.duration / self.dt_control)
+        object.__setattr__(self, "mpc_horizon", int(self.mpc_horizon))
 
 
 @dataclass

@@ -234,6 +234,10 @@ class TestSweepSpecBuild:
         with pytest.raises(ConfigError, match=r"^unknown key: sweep\.mass$"):
             build_sweep_spec({"sweep.mass": "0.1"})
 
+    def test_hashable(self):
+        # its base SimConfig is frozen too
+        assert hash(SweepSpec()) == hash(build_sweep_spec({}))
+
     def test_repeated_controller_rejected(self):
         with pytest.raises(ConfigError, match="'PD' is listed twice"):
             build_sweep_spec({"sweep.controllers": "PD, PD",
@@ -744,6 +748,36 @@ class TestCliExitCodes:
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, text, message", [
+        ("sweep", "vehicle.m_q = abc\nsweep.masses = x\n",
+         "vehicle.m_q: expected a number, got 'abc'"),
+        ("simulate", "vehicle.m_q = abc\nsweep.masses = x\n",
+         "vehicle.m_q: expected a number, got 'abc'"),
+        ("simulate", "sweep.masses = x\nvehicle.m_q = abc\n",
+         "sweep key in a single-run config: sweep.masses"),
+        ("sweep", "sweep.controllers = ,\n",
+         "sweep.controllers: list must not be empty"),
+        ("simulate", "vehicle.L = 1e-200\n",
+         "VehicleParams.L = 1e-200 is outside the range the cable model "
+         "can represent"),
+        ("simulate", "m_L = 0.1\ncontroller =\n",
+         "{path}:2: empty key or value"),
+        ("simulate", "= 3\n", "{path}:1: empty key or value"),
+    ], ids=["sweep-file-order", "simulate-file-order", "sweep-key-first",
+            "no-controllers", "cable-too-short", "empty-value", "empty-key"])
+    def test_config_error_message(self, tmp_path, capsys, verb, text,
+                                  message):
+        # of several bad keys the first in the file is reported, for
+        # either verb
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {message.format(path=cfg)}\n")
         assert not out.exists()
 
     def test_byte_order_mark_config_simulates(self, tmp_path, capsys):

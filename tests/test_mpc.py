@@ -125,6 +125,12 @@ class TestPrediction:
             blk = pm.Gam[3 * i:3 * (i + 1), 3 * i:3 * (i + 1)]
             assert not blk.any()
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_horizon_below_one_rejected(self, params, N):
+        md = discretize_translational(0.01, params)
+        with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+            build_prediction(md, N)
+
     def test_matches_recursion(self, params):
         md = discretize_translational(0.01, params)
         N = HORIZON

@@ -1,17 +1,21 @@
 """Closed-loop harness: integrator oracles, determinism, abort handling."""
 
 import math
+import re
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from slungsim import simloop
-from slungsim.dynamics import VehicleParams, coupled_derivative_array
+from slungsim.dynamics import (TautCableError, VehicleParams,
+                               coupled_derivative_array)
 from slungsim.simloop import (LOG_WIDTH, MAX_MPC_HORIZON, MAX_SUBSTEPS,
                               MAX_TICKS, ConfigError, SimConfig, SimLog,
-                              make_controller, rk4_step, run)
-from slungsim.controllers import PdController, SmcController
-from slungsim.mpc import MpcController
+                              advance_tick, make_controller, rk4_step, run)
+from slungsim.controllers import (PdController, PdGains, SmcController,
+                                  SmcGains)
+from slungsim.mpc import MOVE_ATT, MpcController
 from slungsim.trajectory import square_reference
 
 from test_dynamics import vehicle_state
@@ -47,6 +51,29 @@ def _counting_physics(monkeypatch) -> dict:
     for name in calls:
         monkeypatch.setattr(simloop, name, counting(name))
     return calls
+
+
+def _numbers(record):
+    """(field name, value) of each number a settings record holds: each
+    numeric field, each tuple entry, and those of the records it holds."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if is_dataclass(v):
+            yield from _numbers(v)
+        elif isinstance(v, tuple):
+            yield from ((f.name, x) for x in v)
+        elif v is not None and not isinstance(v, str):
+            yield f.name, v
+
+
+# every setting given as a numpy scalar or array, or an int where one fits
+NUMPY_SETTINGS = {
+    "m_L": np.float64(0.3), "dt_physics": np.float64(1e-3),
+    "pd_gains": PdGains(Kpx=10, Kpz=np.float64(20.0)),
+    "smc_gains": SmcGains(k=np.array(SmcGains().k),
+                          lam=np.array(SmcGains().lam),
+                          boundary_layer=np.float64(0.08)),
+    "mpc_horizon": np.int64(25), "mpc_move_att": np.float64(MOVE_ATT)}
 
 
 class TestConfig:
@@ -120,6 +147,8 @@ class TestConfig:
                         duration=0.1)
         want = run(SimConfig(controller="MPC", mpc_horizon=10, duration=0.1))
         assert run(cfg).rows.tobytes() == want.rows.tobytes()
+        # as an int, so that json can write the config
+        assert type(cfg.mpc_horizon) is int
 
     @pytest.mark.parametrize("given, floats", [
         ({"m_L": np.float64(0.3)}, {"m_L": 0.3}),
@@ -128,19 +157,38 @@ class TestConfig:
          {"params": VehicleParams(m_q=1.0, U1_max=15.0)}),
         ({"dt_physics": np.float64(1e-3), "duration": 1},
          {"dt_physics": 1e-3, "duration": 1.0}),
-    ], ids=["numpy m_L", "int m_L", "vehicle", "times"])
+        ({"controller": "PD", "pd_gains": NUMPY_SETTINGS["pd_gains"]},
+         {"controller": "PD", "pd_gains": PdGains()}),
+        ({"smc_gains": NUMPY_SETTINGS["smc_gains"]}, {}),
+        ({"controller": "MPC", "mpc_horizon": np.int64(10),
+          "mpc_move_pos": np.array([0.4, 0.4, 1]), "mpc_move_att": 1},
+         {"controller": "MPC", "mpc_horizon": 10,
+          "mpc_move_pos": (0.4, 0.4, 1.0), "mpc_move_att": 1.0}),
+    ], ids=["numpy m_L", "int m_L", "vehicle", "times", "pd gains",
+            "smc gains", "mpc settings"])
     def test_checked_values_stored_as_floats(self, given, floats):
         # the compiled derivative reads exact floats only: an int or a
         # numpy scalar kept as given would send every call to the slower
         # Python reference
         cfg = SimConfig(**{"controller": "SMC", "duration": 0.5, **given})
-        par = cfg.params
-        for v in (cfg.m_L, cfg.dt_physics, cfg.dt_control, cfg.duration,
-                  *(getattr(par, f) for f in par.__dataclass_fields__),
-                  *par.derived):
-            assert type(v) is float
+        numbers = list(_numbers(cfg))
+        # SimConfig 6 or 9, VehicleParams 9, PdGains 12, SmcGains 13
+        assert len(numbers) >= 40
+        for name, v in numbers:
+            assert type(v) is (int if name == "mpc_horizon" else float)
+        assert all(type(v) is float for v in cfg.params.derived)
+        want = SimConfig(**{"controller": "SMC", "duration": 0.5, **floats})
+        assert cfg == want and hash(cfg) == hash(want)
         want = SimConfig(**{"controller": "SMC", "duration": 0.5, **floats})
         assert run(cfg).rows.tobytes() == run(want).rows.tobytes()
+
+    def test_frozen(self):
+        # a changed field would skip the checks its value needs
+        cfg = SimConfig()
+        for name, value in (("duration", 1e9), ("dt_physics", 0.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg == SimConfig() and cfg.n_ticks == 7500
 
     def test_text_values_still_rejected(self):
         with pytest.raises(TypeError):
@@ -317,6 +365,18 @@ class TestScalarPhysics:
                 assert from_list == _vector_derivative(y, u, m_L, p).tolist()
 
 
+    @pytest.mark.parametrize("rate, error, message", [
+        (math.inf, FloatingPointError, "non-finite state"),
+        (1.0, TautCableError, "load offset (r=1.0000, s=0.0000) leaves the "
+                              "taut-cable regime (cable length 0.5)")],
+        ids=["non-finite", "slack"])
+    def test_advance_tick_checks_the_final_state(self, rate, error, message):
+        # one 1 s sub-step moves only the load offset r, by rate
+        f = lambda y, u: [0.0] * 12 + [rate, 0.0, 0.0, 0.0]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            advance_tick(f, [0.0] * 16, None, 1.0, 1, 0.5)
+
+
 class TestRun:
     @pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
     def test_physics_goes_through_the_traced_names(self, monkeypatch,
@@ -354,9 +414,11 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
     def test_step_returns_plain_floats(self, monkeypatch, name):
+        # even from settings given as numpy scalars and arrays
         steps = []
         _recording(monkeypatch, CONTROLLER_CLASSES[name], "step", steps)
-        assert not run(SimConfig(controller=name, duration=0.2)).failed
+        assert not run(SimConfig(controller=name, duration=0.2,
+                                 **NUMPY_SETTINGS)).failed
         for out in steps:
             assert len(out) == 7
             assert all(type(v) is float for v in out[:6])
