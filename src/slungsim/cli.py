@@ -16,7 +16,6 @@ import multiprocessing
 import os
 import signal
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
 from .dynamics import VehicleParams
 from .metrics import (compute_run_metrics, critical_motion_mass,
                       max_feasible_accel)
-from .simloop import CONTROLLERS, LOG_WIDTH, TRACE_COLUMNS, SimLog, run
+from .simloop import LOG_WIDTH, TRACE_COLUMNS, SimConfig, SimLog, run
 from .trajectory import TRAJECTORIES
 
 EXIT_OK = 0
@@ -194,16 +193,15 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
                    + [log.failure_reason])
 
 
-def _sweep_case(case):
+def _sweep_case(cfg: SimConfig):
     """One sweep.csv row: run_sweep's 7-tuple, then the failure reason
     ("" for a passing run).
 
     A case that raises becomes a flagged row of NaNs whose reason is the
     error; an aborted run keeps its metrics and its abort reason.
     """
-    controller, m_L, base = case
+    controller, m_L = cfg.controller, cfg.m_L
     try:
-        cfg = replace(base, controller=controller, m_L=m_L)
         log = run(cfg)
         met = compute_run_metrics(log, trajectory=cfg.trajectory)
     except Exception as exc:
@@ -228,19 +226,16 @@ def _sweep_rows(spec: SweepSpec, jobs: Optional[int]):
     """The sweep.csv row of every case, in `run_sweep`'s order."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    # in CONTROLLERS order, then by mass, which pool.map keeps
-    cases = [(c, m, spec.base) for c in CONTROLLERS
-             if c in spec.controllers for m in spec.masses]
     cpus = _usable_cpus()
-    jobs = min(cpus if jobs is None else jobs, cpus, len(cases))
+    jobs = min(cpus if jobs is None else jobs, cpus, len(spec.cases))
     if jobs == 1:
-        return [_sweep_case(c) for c in cases]
+        return [_sweep_case(cfg) for cfg in spec.cases]
     # Ctrl-C reaches the workers too; they ignore it, and the pool's exit
     # terminates them once the interrupt stops the parent
     with multiprocessing.Pool(
             processes=jobs, initializer=signal.signal,
             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        return pool.map(_sweep_case, cases, chunksize=1)
+        return pool.map(_sweep_case, spec.cases, chunksize=1)
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):

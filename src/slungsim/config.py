@@ -14,7 +14,7 @@ Every key must be known; a typo is an error, not a silent default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .dynamics import VehicleParams
@@ -27,31 +27,42 @@ DEFAULT_SWEEP_MASSES = (0.005, 0.05, 0.1, 0.15, 0.2, 0.25,
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The sweep's masses and controllers over a base config.
+
+    masses is stored as a tuple of floats and controllers as a tuple.
+    cases, set when the spec is built, holds one checked SimConfig per
+    case, replace(base, controller=c, m_L=m): in CONTROLLERS order, then
+    by mass.  SimConfig judges each mass and controller name; the spec
+    adds only the rules a single run cannot state.
+    """
+
     masses: tuple = DEFAULT_SWEEP_MASSES
     controllers: tuple = CONTROLLERS
     base: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
-        if len(self.masses) == 0:
+        masses, controllers = self.masses, tuple(self.controllers)
+        if len(masses) == 0:
             raise ConfigError("sweep.masses: list must not be empty")
-        prev = 0.0
-        for m in self.masses:
+        for prev, m in zip((0.0, *masses), masses):
             if not prev < m < math.inf:
                 raise ConfigError("sweep.masses: masses must be strictly "
                                   f"increasing and positive, got {m}")
-            prev = m
-        if m > self.base.params.M_max:
-            raise ConfigError(f"sweep.masses: {m} exceeds maximum payload "
-                              f"{self.base.params.M_max}")
-        if len(self.controllers) == 0:
+        object.__setattr__(self, "masses", tuple(map(float, masses)))
+        object.__setattr__(self, "controllers", controllers)
+        if len(controllers) == 0:
             raise ConfigError("sweep.controllers: list must not be empty")
-        for k, c in enumerate(self.controllers):
-            if c not in CONTROLLERS:
-                raise ConfigError(f"sweep.controllers: unknown controller "
-                                  f"{c!r}")
-            if c in self.controllers[:k]:
+        for k, c in enumerate(controllers):
+            if c in controllers[:k]:
                 raise ConfigError(f"sweep.controllers: {c!r} is listed "
                                   "twice")
+        try:
+            cases = [replace(self.base, controller=c, m_L=m)
+                     for c in controllers for m in self.masses]
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}")
+        object.__setattr__(self, "cases", tuple(sorted(
+            cases, key=lambda cfg: CONTROLLERS.index(cfg.controller))))
 
 
 def parse_kv_file(path: str) -> dict:

@@ -115,11 +115,9 @@ class SmcGains:
 
     def __post_init__(self):
         for name in ("k", "lam"):
-            v = getattr(self, name)
-            if len(v) != 6 or not all(0.0 < x < math.inf for x in v):
-                raise ValueError(f"SmcGains.{name} must be positive and "
-                                 f"finite, six entries")
-            object.__setattr__(self, name, tuple(map(float, v)))
+            if len(getattr(self, name)) != 6:
+                raise ValueError(f"SmcGains.{name} must have six entries")
+        store_positive_floats(self, "SmcGains.", ("k", "lam"))
         if not 0.0 <= self.boundary_layer < math.inf:
             raise ValueError("boundary_layer must be >= 0")
         object.__setattr__(self, "boundary_layer", float(self.boundary_layer))

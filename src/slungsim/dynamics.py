@@ -76,14 +76,18 @@ class GimbalLockError(RuntimeError):
 
 def store_positive_floats(record, prefix: str = "", names=None):
     """Check that a frozen record's named fields (all if names is None) are
-    positive and finite, and store each as a float.  The one rule for every
-    settings record: the compiled twin reads exact floats only, and hands a
-    call with an int or a numpy scalar to the slower Python reference."""
+    positive and finite, and store each as a float, or a field holding a
+    sequence (tuple, list or 1-d ndarray) as a tuple of floats.  The one
+    rule for every settings record: the compiled twin reads exact floats
+    only, and hands a call with an int or a numpy scalar to the slower
+    Python reference."""
     for name in names or [f.name for f in fields(record)]:
         v = getattr(record, name)
-        if not 0.0 < v < math.inf:
+        seq = isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) == 1
+        if not all(0.0 < x < math.inf for x in (v if seq else (v,))):
             raise ValueError(f"{prefix}{name} must be positive and finite")
-        object.__setattr__(record, name, float(v))
+        object.__setattr__(record, name,
+                           tuple(map(float, v)) if seq else float(v))
 
 
 @dataclass(frozen=True)

@@ -51,27 +51,18 @@ def max_attitude(log: SimLog):
     return phi, theta
 
 
-def _recovery_time(t: np.ndarray, ang: np.ndarray, transition: float,
-                   need: int):
-    """(time, unstable) for one angle after one stage transition."""
-    k0 = int(np.searchsorted(t, transition, side="right"))
-    n = len(t)
-    exit_k = -1
-    for k in range(k0, n):
-        if abs(ang[k]) > BAND_DEG:
-            exit_k = k
-            break
-    if exit_k < 0:
+def _recovery_time(t: np.ndarray, out: np.ndarray, k0: int, dwell: float):
+    """(time, unstable) for one angle after the stage transition before
+    sample k0, from the indices of its out-of-band samples; an in-band run
+    recovers once it is longer than dwell samples."""
+    out = out[np.searchsorted(out, k0):]
+    if len(out) == 0:
         return 0.0, False
-    run = 0
-    for k in range(exit_k + 1, n):
-        if abs(ang[k]) <= BAND_DEG:
-            run += 1
-            if run >= need:
-                return float(t[k - need + 1] - t[exit_k]), False
-        else:
-            run = 0
-    return float(t[-1] - t[exit_k]), True
+    # the in-band run after each out-of-band sample, in samples
+    long_enough = np.flatnonzero(np.diff(out, append=len(t)) - 1 > dwell)
+    if len(long_enough) == 0:
+        return float(t[-1] - t[out[0]]), True
+    return float(t[out[long_enough[0]] + 1] - t[out[0]]), False
 
 
 def stabilization_times(log: SimLog, transitions: Sequence[float]):
@@ -85,21 +76,18 @@ def stabilization_times(log: SimLog, transitions: Sequence[float]):
     slower of roll and pitch.
     """
     t = log.t
-    if len(t) > 1:
-        dt = float(t[1] - t[0])
-    else:
-        dt = DWELL_S
-    # samples spanning >= DWELL_S seconds of consecutive in-band time; past
-    # the row count (DWELL_S / dt is inf for a subnormal dt) no run is long
-    # enough, and need = n + 1 says so
-    need = int(math.floor(min(DWELL_S / dt + 1e-9, len(t)))) + 1
-    roll = np.degrees(log.quad[:, 6])
-    pitch = np.degrees(log.quad[:, 7])
+    dt = float(t[1] - t[0]) if len(t) > 1 else DWELL_S
+    # an in-band run of more samples than this spans >= DWELL_S seconds;
+    # for a subnormal dt the ratio is inf, and no run is long enough
+    dwell = DWELL_S / dt + 1e-9
+    roll, pitch = (np.flatnonzero(np.abs(np.degrees(log.quad[:, i]))
+                                  > BAND_DEG) for i in (6, 7))
     times = []
     flags = []
     for tr in transitions:
-        tr_roll, u_roll = _recovery_time(t, roll, tr, need)
-        tr_pitch, u_pitch = _recovery_time(t, pitch, tr, need)
+        k0 = int(np.searchsorted(t, tr, side="right"))
+        tr_roll, u_roll = _recovery_time(t, roll, k0, dwell)
+        tr_pitch, u_pitch = _recovery_time(t, pitch, k0, dwell)
         times.append(max(tr_roll, tr_pitch))
         flags.append(u_roll or u_pitch)
     return tuple(times), tuple(flags)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import ANGLE_CAP, U1_FLOOR, _check_torques, _limit
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, store_positive_floats
 from .trajectory import ReferencePoint
 
 HORIZON = 25
@@ -186,7 +186,7 @@ def build_prediction(model: DiscreteModel, N: int) -> PredictionModel:
 
 @dataclass(frozen=True)
 class MpcWeights:
-    """Diagonal input-move weight s (scalar or per input channel).
+    """Diagonal move weight s: a float, or a tuple of one float per input.
 
     The tracking weight is the identity, so the move weights are the only
     weights.  Config sets them with mpc.move_pos and mpc.move_att.
@@ -195,10 +195,7 @@ class MpcWeights:
     s: object = 0.05
 
     def __post_init__(self):
-        v = np.asarray(self.s, dtype=float)
-        if not np.all(np.isfinite(v) & (v > 0.0)):
-            raise ValueError(f"MPC weights s must be positive and "
-                             f"finite, got {self.s}")
+        store_positive_floats(self, "MpcWeights.")
 
 
 def _cost_terms(pm: PredictionModel, weights: MpcWeights):

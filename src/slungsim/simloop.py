@@ -44,7 +44,7 @@ from .dynamics import (COUPLED_DIM, VehicleParams, TautCableError,
                        coupled_derivative_array, store_positive_floats)
 from .trajectory import START_POS, TRAJECTORIES, square_reference
 from .controllers import PdController, SmcController, PdGains, SmcGains
-from .mpc import HORIZON, MOVE_ATT, MpcController, MpcWeights
+from .mpc import HORIZON, MOVE_ATT, MpcController
 
 CONTROLLERS = ("PD", "SMC", "MPC")
 
@@ -99,12 +99,11 @@ class SimConfig:
     mpc_move_att: float = MOVE_ATT
 
     def __post_init__(self):
-        if self.mpc_move_pos is not None:
-            MpcWeights(s=self.mpc_move_pos)
-            object.__setattr__(self, "mpc_move_pos",
-                               tuple(map(float, self.mpc_move_pos)))
-        store_positive_floats(self, names=("mpc_move_att", "dt_physics",
-                                           "dt_control", "duration"))
+        given = () if self.mpc_move_pos is None else ("mpc_move_pos",)
+        store_positive_floats(self, names=given + (
+            "mpc_move_att", "dt_physics", "dt_control", "duration"))
+        if given and len(self.mpc_move_pos) != 3:
+            raise ValueError("mpc_move_pos must have three entries")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}, "
                              f"got {self.controller!r}")

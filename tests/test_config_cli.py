@@ -14,7 +14,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -235,8 +235,27 @@ class TestSweepSpecBuild:
             build_sweep_spec({"sweep.mass": "0.1"})
 
     def test_hashable(self):
-        # its base SimConfig is frozen too
+        # its base SimConfig is frozen too, and its lists are stored as
+        # tuples, the masses as Python floats, however they are given
         assert hash(SweepSpec()) == hash(build_sweep_spec({}))
+        want = SweepSpec(masses=(0.1, 0.2), controllers=("SMC", "PD"))
+        for spec in (SweepSpec(masses=[0.1, 0.2], controllers=["SMC", "PD"]),
+                     SweepSpec(masses=np.array([0.1, 0.2]),
+                               controllers=np.array(["SMC", "PD"]))):
+            assert spec == want and hash(spec) == hash(want)
+            assert type(spec.masses) is type(spec.controllers) is tuple
+            assert all(type(m) is float for m in spec.masses)
+
+    def test_cases_are_checked_configs(self):
+        base = SimConfig(duration=1.0)
+        spec = SweepSpec(masses=(0.1, 0.2), controllers=("MPC", "PD"),
+                         base=base)
+        assert spec.cases == tuple(
+            replace(base, controller=c, m_L=m)
+            for c in ("PD", "MPC") for m in (0.1, 0.2))
+        assert replace(spec, masses=(0.3,)).cases == (
+            replace(base, controller="PD", m_L=0.3),
+            replace(base, controller="MPC", m_L=0.3))
 
     def test_repeated_controller_rejected(self):
         with pytest.raises(ConfigError, match="'PD' is listed twice"):
@@ -765,8 +784,13 @@ class TestCliExitCodes:
         ("simulate", "m_L = 0.1\ncontroller =\n",
          "{path}:2: empty key or value"),
         ("simulate", "= 3\n", "{path}:1: empty key or value"),
+        ("sweep", "sweep.masses = 0.1, 0.65\n",
+         "sweep: m_L must be in [0, 0.6], got 0.65"),
+        ("sweep", "sweep.controllers = PD, LQR\n",
+         "sweep: controller must be one of ('PD', 'SMC', 'MPC'), got 'LQR'"),
     ], ids=["sweep-file-order", "simulate-file-order", "sweep-key-first",
-            "no-controllers", "cable-too-short", "empty-value", "empty-key"])
+            "no-controllers", "cable-too-short", "empty-value", "empty-key",
+            "sweep-heavy-mass", "sweep-unknown-controller"])
     def test_config_error_message(self, tmp_path, capsys, verb, text,
                                   message):
         # of several bad keys the first in the file is reported, for

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from slungsim.cli import EXIT_OK, main
 from slungsim.metrics import (
+    BAND_DEG,
+    DWELL_S,
     arrival_time,
     compute_run_metrics,
     critical_motion_mass,
@@ -127,6 +129,71 @@ class TestStabilization:
                        theta_deg=5.0 * np.exp(-0.5 * t))
         stage_times, _ = stabilization_times(log, [0.0])
         assert abs(stage_times[0] - 2.0 * math.log(25.0)) < 0.02
+
+
+def recovery_by_sample(t, ang, transition, need):
+    """(time, unstable): the stage-recovery rule restated one sample at a
+    time, with a recovery needing an in-band run of need samples."""
+    exit_k = next((k for k in range(len(t))
+                   if t[k] > transition and abs(ang[k]) > BAND_DEG), None)
+    if exit_k is None:
+        return 0.0, False
+    run = 0
+    for k in range(exit_k + 1, len(t)):
+        run = run + 1 if abs(ang[k]) <= BAND_DEG else 0
+        if run == need:
+            return float(t[k - need + 1] - t[exit_k]), False
+    return float(t[-1] - t[exit_k]), True
+
+
+@st.composite
+def recovery_cases(draw):
+    """(dt, roll_deg, pitch_deg, transitions): angles built from in-band
+    and out-of-band runs, many of them one sample either side of the
+    dwell."""
+    dt = draw(st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.1, 0.01, 2.0,
+                               5e-324]) | st.floats(0.05, 3.0))
+    need = math.floor(DWELL_S / dt + 1e-9) + 1 if dt > 1e-9 else 3
+    lengths = st.sampled_from([need - 1, need, need + 1]) | st.integers(0, 3)
+
+    def angles():
+        runs = draw(st.lists(st.tuples(st.booleans(), lengths), max_size=6))
+        return [draw(st.sampled_from(
+            [1.0, -0.5, 0.2000001, 5.0] if out else [0.0, 0.1, -0.2, 0.2]))
+            for out, n in runs for _ in range(n)]
+
+    roll, pitch = angles(), angles()
+    n = max(len(roll), len(pitch), 1)
+    roll += [0.0] * (n - len(roll))
+    pitch += [0.0] * (n - len(pitch))
+    transitions = draw(st.lists(
+        st.integers(-1, n).map(lambda k: k * dt)
+        | st.floats(-dt, (n + 1) * dt), min_size=1, max_size=4))
+    return dt, roll, pitch, transitions
+
+
+class TestStabilizationRule:
+    @given(recovery_cases())
+    @example((0.01, [1.0], [0.0], [-1.0]))              # a one-row log
+    @example((5e-324, [0.0, 1.0, 0.0, 0.0], [0.0] * 4, [0.0]))
+    @example((0.25, [1.0] + [0.0] * 4, [0.0] * 5, [-1.0]))   # need - 1
+    @example((0.25, [1.0] + [0.0] * 5, [0.0] * 6, [-1.0]))   # need
+    @example((0.25, [1.0] + [0.0] * 6, [0.0] * 7, [-1.0]))   # need + 1
+    def test_matches_sample_by_sample_rule(self, case):
+        dt, roll, pitch, transitions = case
+        t = dt * np.arange(len(roll))
+        log = make_log(t, phi_deg=roll, theta_deg=pitch)
+        # the rule's own statement of how many in-band samples span
+        # DWELL_S: at most one more than the log has
+        need = int(math.floor(min(DWELL_S / dt + 1e-9, len(t)))) + 1
+        want = []
+        for tr in transitions:
+            (a, ua), (b, ub) = (
+                recovery_by_sample(t, np.degrees(log.quad[:, i]), tr, need)
+                for i in (6, 7))
+            want.append((max(a, b), ua or ub))
+        times, unstable = stabilization_times(log, transitions)
+        assert list(zip(times, unstable)) == want
 
 
 class TestArrival:

@@ -15,7 +15,7 @@ from slungsim.simloop import (LOG_WIDTH, MAX_MPC_HORIZON, MAX_SUBSTEPS,
                               advance_tick, make_controller, rk4_step, run)
 from slungsim.controllers import (PdController, PdGains, SmcController,
                                   SmcGains)
-from slungsim.mpc import MOVE_ATT, MpcController
+from slungsim.mpc import MOVE_ATT, MpcController, MpcWeights
 from slungsim.trajectory import square_reference
 
 from test_dynamics import vehicle_state
@@ -179,8 +179,27 @@ class TestConfig:
         assert all(type(v) is float for v in cfg.params.derived)
         want = SimConfig(**{"controller": "SMC", "duration": 0.5, **floats})
         assert cfg == want and hash(cfg) == hash(want)
-        want = SimConfig(**{"controller": "SMC", "duration": 0.5, **floats})
         assert run(cfg).rows.tobytes() == run(want).rows.tobytes()
+
+    @pytest.mark.parametrize("record, name, want", [
+        (MpcWeights(s=np.array([0.4, 0.4, 1])), "s", (0.4, 0.4, 1.0)),
+        (MpcWeights(s=np.float64(0.05)), "s", 0.05),
+        (SmcGains(k=[1, 1, 1, 1, 1, np.float64(2)]), "k",
+         (1.0, 1.0, 1.0, 1.0, 1.0, 2.0)),
+    ], ids=["mpc ndarray", "mpc scalar", "smc list"])
+    def test_records_store_float_tuples(self, record, name, want):
+        # one rule for a setting and for each entry of a list of them
+        v = getattr(record, name)
+        assert v == want and type(v) is type(want)
+        assert all(type(x) is float for x in (v if type(v) is tuple else [v]))
+        assert hash(record) == hash(type(record)(**{name: want}))
+
+    @pytest.mark.parametrize("move_pos", [(0.4, 0.4), (0.4, 0.4, 1.0, 1.0)],
+                             ids=["two", "four"])
+    def test_move_pos_needs_three_entries(self, move_pos):
+        with pytest.raises(ValueError,
+                           match="^mpc_move_pos must have three entries$"):
+            SimConfig(controller="MPC", mpc_move_pos=move_pos)
 
     def test_frozen(self):
         # a changed field would skip the checks its value needs
