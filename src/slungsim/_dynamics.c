@@ -1,17 +1,23 @@
-/* Compiled twin of slungsim.dynamics.coupled_derivative_array.
+/* Compiled twin of slungsim.dynamics.coupled_derivative_array, and of a
+   whole control tick of slungsim.simloop.advance_tick.
 
    slungsim.dynamics builds this file once with -O2 -ffp-contract=off -fPIC
    and no flag that lets the compiler reassociate, fuse or widen float
    arithmetic, so each expression below rounds exactly as the Python
    expression it copies: the same operations, in the same order, with the
    same association.  Only the arithmetic is copied.  A call whose attitude
-   or taut-cable guard fails, or that divides by zero, is handed to the
-   Python function, which raises its own exception with its own message.
+   or taut-cable guard fails, or that divides by zero, is handed to Python,
+   which raises its own exception with its own message:
+   coupled_derivative_array calls the Python function itself, and
+   fused_tick returns None, on which advance_tick runs its Python loop from
+   the same state.  fused_tick also returns None for a non-finite final
+   state and a slack final cable, the two checks that end a tick.
 
    Only lists and tuples of exact floats, of lengths 16 and 4, an exact
-   float m_L and a params.derived tuple of 11 exact floats are read here.
-   Any other input (an ndarray, ints, numpy scalars, keyword arguments) is
-   handed to the Python function too, whose arithmetic follows those
+   float m_L and a params.derived tuple of 11 exact floats are read here
+   (fused_tick also takes an exact float dt > 0 and an exact int n_sub of
+   at least 1).  Any other input (an ndarray, ints, numpy scalars, keyword
+   arguments) is handed to Python too, whose arithmetic follows those
    types' own rules: numpy scalars, for one, warn where Python floats raise.
 */
 
@@ -25,22 +31,38 @@
 static PyObject *reference;
 static PyObject *derived_name;
 
-/* Point items at the n entries of seq and copy their values to out; 0 if
-   seq is not an exact list or tuple of n exact floats. */
+/* Copy the values of the n entries of seq to out; 0 if seq is not an
+   exact list or tuple of n exact floats. */
 static int
-read_floats(PyObject *seq, Py_ssize_t n, PyObject *const **items,
-            double *out)
+read_floats(PyObject *seq, Py_ssize_t n, double *out)
 {
     if (!(PyList_CheckExact(seq) || PyTuple_CheckExact(seq))
             || PySequence_Fast_GET_SIZE(seq) != n)
         return 0;
-    *items = PySequence_Fast_ITEMS(seq);
+    PyObject *const *items = PySequence_Fast_ITEMS(seq);
     for (Py_ssize_t i = 0; i < n; i++) {
-        if (!PyFloat_CheckExact((*items)[i]))
+        if (!PyFloat_CheckExact(items[i]))
             return 0;
-        out[i] = PyFloat_AS_DOUBLE((*items)[i]);
+        out[i] = PyFloat_AS_DOUBLE(items[i]);
     }
     return 1;
+}
+
+/* A new list, or tuple, of the 16 floats in v; NULL if out of memory */
+static PyObject *
+new_floats(const double *v, int tuple)
+{
+    PyObject *out = tuple ? PyTuple_New(16) : PyList_New(16);
+    for (int i = 0; out != NULL && i < 16; i++) {
+        PyObject *item = PyFloat_FromDouble(v[i]);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else if (tuple)
+            PyTuple_SET_ITEM(out, i, item);
+        else
+            PyList_SET_ITEM(out, i, item);
+    }
+    return out;
 }
 
 /* q = a / b, noting in fail a zero b, where Python's float `/` raises */
@@ -51,8 +73,9 @@ read_floats(PyObject *seq, Py_ssize_t n, PyObject *const **items,
         (q) = (a) / den_;                                                 \
     } while (0)
 
-/* Fill the rates of value that the Python function computes (3-5, 9-11,
-   14 and 15); 0 where it would raise: a guard fails or a divisor is 0. */
+/* Fill value with the 16 rates of the Python function, the pass-through
+   rates (0-2, 6-8, 12 and 13) read from y; 0 where it would raise: a
+   guard fails or a divisor is 0. */
 static int
 derivative(const double *y, const double *u, double m_L, const double *d,
            double *value)
@@ -105,12 +128,20 @@ derivative(const double *y, const double *u, double m_L, const double *d,
     DIVIDE(z_load, mu * (r * r_dd + s * s_dd), zeta);
     DIVIDE(yaw, U4, I_z);
 
+    value[0] = y[3];
+    value[1] = y[4];
+    value[2] = y[5];
     value[3] = b1 - mu * r_dd;
     value[4] = b2 - mu * s_dd;
     value[5] = b3 - z_load;
+    value[6] = pr;
+    value[7] = qr;
+    value[8] = rr;
     value[9] = cx * qr * rr + lx * U2;
     value[10] = cy * pr * rr + ly * U3;
     value[11] = cz * qr * pr + yaw;
+    value[12] = vr;
+    value[13] = vs;
     value[14] = r_dd;
     value[15] = s_dd;
     return !fail;
@@ -120,7 +151,6 @@ static PyObject *
 coupled_derivative_array(PyObject *module, PyObject *const *args,
                          size_t nargsf, PyObject *kwnames)
 {
-    PyObject *const *yi, *const *ui, *const *di;
     PyObject *derived = NULL;
     double y[16], u[4], d[11], value[16];
 
@@ -128,38 +158,76 @@ coupled_derivative_array(PyObject *module, PyObject *const *args,
         PyErr_SetString(PyExc_RuntimeError, "_dynamics is not bound");
         return NULL;
     }
-    /* params first: a lookup may run Python code, and nothing from y may
-       be borrowed across Python code */
+    /* params first: a lookup may run Python code that changes y */
     if (kwnames == NULL && PyVectorcall_NARGS(nargsf) == 4
             && (derived = PyObject_GetAttr(args[3], derived_name)) == NULL)
         PyErr_Clear();
-    int exact = derived != NULL && read_floats(derived, 11, &di, d);
+    int exact = derived != NULL && read_floats(derived, 11, d);
     Py_XDECREF(derived);
-    if (!exact || !read_floats(args[0], 16, &yi, y)
-            || !read_floats(args[1], 4, &ui, u)
+    if (!exact || !read_floats(args[0], 16, y)
+            || !read_floats(args[1], 4, u)
             || !PyFloat_CheckExact(args[2])
             || !derivative(y, u, PyFloat_AS_DOUBLE(args[2]), d, value))
         return PyObject_Vectorcall(reference, args, nargsf, kwnames);
+    return new_floats(value, 0);
+}
 
-    /* rates the Python function returns as the input objects themselves,
-       owned here before PyList_New can run the garbage collector */
-    PyObject *same[16] = {yi[3], yi[4], yi[5], NULL, NULL, NULL,
-                          yi[9], yi[10], yi[11], NULL, NULL, NULL,
-                          yi[14], yi[15], NULL, NULL};
+/* stage = y + c * k, element by element, as rk4_step forms it */
+static void
+stage(const double *y, double c, const double *k, double *out)
+{
     for (int i = 0; i < 16; i++)
-        Py_XINCREF(same[i]);
-    PyObject *out = PyList_New(16);
-    for (int i = 0; i < 16; i++) {
-        PyObject *item = same[i];
-        if (item == NULL && out != NULL
-                && (item = PyFloat_FromDouble(value[i])) == NULL)
-            Py_CLEAR(out);
-        if (out != NULL)
-            PyList_SET_ITEM(out, i, item);
-        else
-            Py_XDECREF(item);
+        out[i] = y[i] + c * k[i];
+}
+
+static PyObject *
+fused_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double y[16], u[4], d[11], k1[16], k2[16], k3[16], k4[16], ys[16];
+
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError,
+                     "fused_tick expected 6 arguments, got %zd", nargs);
+        return NULL;
     }
-    return out;
+    if (!read_floats(args[0], 16, y) || !read_floats(args[1], 4, u)
+            || !PyFloat_CheckExact(args[2]) || !read_floats(args[3], 11, d)
+            || !PyFloat_CheckExact(args[4]) || !PyLong_CheckExact(args[5]))
+        Py_RETURN_NONE;
+    double m_L = PyFloat_AS_DOUBLE(args[2]), dt = PyFloat_AS_DOUBLE(args[4]);
+    long n_sub = PyLong_AsLong(args[5]);
+    if (n_sub == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    if (!(dt > 0.0) || n_sub < 1)
+        Py_RETURN_NONE;
+
+    double h = 0.5 * dt;
+    double w = dt / 6.0;
+    for (long step = 0; step < n_sub; step++) {
+        if (!derivative(y, u, m_L, d, k1))
+            Py_RETURN_NONE;
+        stage(y, h, k1, ys);
+        if (!derivative(ys, u, m_L, d, k2))
+            Py_RETURN_NONE;
+        stage(y, h, k2, ys);
+        if (!derivative(ys, u, m_L, d, k3))
+            Py_RETURN_NONE;
+        stage(y, dt, k3, ys);
+        if (!derivative(ys, u, m_L, d, k4))
+            Py_RETURN_NONE;
+        for (int i = 0; i < 16; i++)
+            y[i] = y[i] + w * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+    }
+    for (int i = 0; i < 16; i++)
+        if (!isfinite(y[i]))
+            Py_RETURN_NONE;
+    /* cable_offset's zsq and floor test, with L^2 and floor^2 derived */
+    double zsq = d[1] - y[12] * y[12] - y[13] * y[13];
+    if (zsq <= d[2])
+        Py_RETURN_NONE;
+
+    PyObject *state = new_floats(y, 1);
+    return state == NULL ? NULL : Py_BuildValue("(Nd)", state, sqrt(zsq));
 }
 
 static PyObject *
@@ -184,6 +252,12 @@ static PyMethodDef methods[] = {
      "coupled_derivative_array(y, u, m_L, params)\n--\n\n"
      "Time derivative of the 16-element coupled state, as a list: the\n"
      "Python function's result, bit for bit."},
+    {"fused_tick", (PyCFunction)(void (*)(void))fused_tick, METH_FASTCALL,
+     "fused_tick(y, u, m_L, derived, dt, n_sub)\n--\n\n"
+     "One control tick: n_sub RK4 steps of the coupled derivative, u held,\n"
+     "then the non-finite check and the cable offset.  Returns\n"
+     "(state tuple, zeta) with the Python loop's bits, or None where that\n"
+     "loop would raise or this module does not read the input."},
     {"bind", bind, METH_O,
      "bind(reference)\n--\n\n"
      "Hand over the Python function that takes every call this module\n"
@@ -198,7 +272,8 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_dynamics",
-    "Compiled twin of slungsim.dynamics.coupled_derivative_array.",
+    "Compiled twin of slungsim.dynamics.coupled_derivative_array and of\n"
+    "one tick of slungsim.simloop.advance_tick.",
     0, methods, slots, NULL, NULL, NULL
 };
 

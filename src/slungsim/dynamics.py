@@ -40,11 +40,15 @@ kept as coupled_derivative_python.  _dynamics.c is its compiled twin: the
 same float operations in the same order, so it returns the same bits.  It
 copies only the arithmetic: a call whose guard fails or that divides by
 zero, like any input the twin does not read, is handed to the Python
-function, which raises its own exception.  Importing this module builds
-the twin once into this package's __pycache__ (see _load_kernel) and binds
-coupled_derivative_array to it; where no C compiler works, the name stays
-bound to the Python function.  KERNEL says which one runs: "c" or
-"python".
+function, which raises its own exception.  _dynamics.c also holds
+fused_tick, a whole control tick of simloop.advance_tick (its RK4 steps,
+non-finite check and cable offset) on C arrays; it returns None for a
+tick it cannot finish, and advance_tick runs that tick in Python.
+Importing this module builds _dynamics.c once into this package's
+__pycache__ (see _load_kernel), binds coupled_derivative_array to the
+twin and fused_tick to the compiled tick; where no C compiler works,
+coupled_derivative_array stays bound to the Python function and
+fused_tick is None.  KERNEL says which runs: "c" or "python".
 """
 
 from __future__ import annotations
@@ -77,13 +81,15 @@ class GimbalLockError(RuntimeError):
 def store_positive_floats(record, prefix: str = "", names=None):
     """Check that a frozen record's named fields (all if names is None) are
     positive and finite, and store each as a float, or a field holding a
-    sequence (tuple, list or 1-d ndarray) as a tuple of floats.  The one
-    rule for every settings record: the compiled twin reads exact floats
-    only, and hands a call with an int or a numpy scalar to the slower
-    Python reference."""
+    sequence (tuple, list or 1-d ndarray) with at least one entry as a
+    tuple of floats.  The one rule for every settings record: the compiled
+    twin reads exact floats only, and hands a call with an int or a numpy
+    scalar to the slower Python reference."""
     for name in names or [f.name for f in fields(record)]:
         v = getattr(record, name)
         seq = isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) == 1
+        if seq and not len(v):
+            raise ValueError(f"{prefix}{name} must have at least one entry")
         if not all(0.0 < x < math.inf for x in (v if seq else (v,))):
             raise ValueError(f"{prefix}{name} must be positive and finite")
         object.__setattr__(record, name,
@@ -309,7 +315,8 @@ def _compile(source: str, path: str) -> None:
 
 
 def _load_kernel(cache_dir=None):
-    """The compiled coupled_derivative_array, or None where none builds.
+    """The compiled _dynamics module, bound to the Python reference, or None
+    where none builds.
 
     The extension lives in cache_dir (this package's __pycache__) under a
     name tagged with the CRC-32 of _dynamics.c and _C_FLAGS, so it is
@@ -339,10 +346,13 @@ def _load_kernel(cache_dir=None):
     except (OSError, ImportError):
         return None
     module.bind(coupled_derivative_python)
-    return module.coupled_derivative_array
+    return module
 
 
 coupled_derivative_python = coupled_derivative_array
-coupled_derivative_array = _load_kernel() or coupled_derivative_python
-KERNEL = ("python" if coupled_derivative_array is coupled_derivative_python
-          else "c")
+_kernel = _load_kernel()
+coupled_derivative_array = (_kernel.coupled_derivative_array if _kernel
+                            else coupled_derivative_python)
+# one whole control tick, compiled; None where no compiler works
+fused_tick = _kernel.fused_tick if _kernel else None
+KERNEL = "c" if _kernel else "python"

@@ -15,12 +15,15 @@ y[:12], so the load stays hidden from it, and returns the float tuple
 (U1, U2, U3, U4, phi_d, theta_d, saturated) described in controllers.  Each
 controller keeps U1 within [min(U1_FLOOR, U1_max), U1_max] itself, so the
 loop passes its first four floats to the physics as returned.
-Each tick's physics is one advance_tick call: n_sub rk4_step calls on a
-derivative f(y, u) that the run defines once, binding the load mass and
-the vehicle, each making four coupled_derivative_array calls.  All three
-names are looked up in this module at call time, so a rebound one is
-seen.  A 16-float state takes rk4_step's unrolled path, any other length
-its generic comprehension path; both return a tuple.
+Each tick's physics is one advance_tick call.  Where a compiler built
+_dynamics.c, that is one dynamics.fused_tick call, which runs the tick's
+n_sub RK4 steps, the non-finite check and the cable offset in C with the
+Python loop's bits.  The Python loop (n_sub rk4_step calls, each making
+four coupled_derivative_array calls) runs a tick where no compiler works,
+where fused_tick hands the tick back because it raises, and on every tick
+of a run in which rk4_step or coupled_derivative_array is rebound, as the
+benchmark's tracer does.  All three names are looked up in this module
+at call time, so a rebound one is seen.
 
 The log is one preallocated float array with a row per tick, written once
 per tick by packing the row's floats into a byte view of the array.  Its
@@ -39,9 +42,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (COUPLED_DIM, VehicleParams, TautCableError,
-                       GimbalLockError, cable_offset,
-                       coupled_derivative_array, store_positive_floats)
+from .dynamics import (VehicleParams, TautCableError, GimbalLockError,
+                       cable_offset, coupled_derivative_array, fused_tick,
+                       store_positive_floats)
 from .trajectory import START_POS, TRAJECTORIES, square_reference
 from .controllers import PdController, SmcController, PdGains, SmcGains
 from .mpc import HORIZON, MOVE_ATT, MpcController
@@ -208,77 +211,57 @@ def rk4_step(f: Callable, y, u, dt: float) -> tuple:
     sequences of one length; the step returns a new tuple.  Each element is
     formed in the order numpy uses for y + (0.5*dt)*k and
     y + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so it matches the vector form bit
-    for bit.
-
-    A 16-float state (the coupled model's) takes an unrolled path: y and the
-    elements of k1..k4 (named a, b, c, d) are unpacked into locals, and the
-    stage states and the update are written out element by element as
-    tuples.  Any other length takes the generic comprehension path, which
-    is also the reference the unrolled path is tested against.
+    for bit.  This is also the order _dynamics.c's fused_tick copies.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
     w = dt / 6.0
-    if len(y) != COUPLED_DIM:
-        k1 = f(y, u)
-        k2 = f([a + h * b for a, b in zip(y, k1)], u)
-        k3 = f([a + h * b for a, b in zip(y, k2)], u)
-        k4 = f([a + dt * b for a, b in zip(y, k3)], u)
-        return tuple([a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-    (y0, y1, y2, y3, y4, y5, y6, y7,
-     y8, y9, y10, y11, y12, y13, y14, y15) = y
-    (a0, a1, a2, a3, a4, a5, a6, a7,
-     a8, a9, a10, a11, a12, a13, a14, a15) = f(y, u)
-    (b0, b1, b2, b3, b4, b5, b6, b7,
-     b8, b9, b10, b11, b12, b13, b14, b15) = f(
-        (y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3,
-         y4 + h * a4, y5 + h * a5, y6 + h * a6, y7 + h * a7,
-         y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11,
-         y12 + h * a12, y13 + h * a13, y14 + h * a14, y15 + h * a15), u)
-    (c0, c1, c2, c3, c4, c5, c6, c7,
-     c8, c9, c10, c11, c12, c13, c14, c15) = f(
-        (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3,
-         y4 + h * b4, y5 + h * b5, y6 + h * b6, y7 + h * b7,
-         y8 + h * b8, y9 + h * b9, y10 + h * b10, y11 + h * b11,
-         y12 + h * b12, y13 + h * b13, y14 + h * b14, y15 + h * b15), u)
-    (d0, d1, d2, d3, d4, d5, d6, d7,
-     d8, d9, d10, d11, d12, d13, d14, d15) = f(
-        (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-         y4 + dt * c4, y5 + dt * c5, y6 + dt * c6, y7 + dt * c7,
-         y8 + dt * c8, y9 + dt * c9, y10 + dt * c10, y11 + dt * c11,
-         y12 + dt * c12, y13 + dt * c13, y14 + dt * c14, y15 + dt * c15), u)
-    return (y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
-            y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-            y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-            y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-            y4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
-            y5 + w * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
-            y6 + w * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
-            y7 + w * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
-            y8 + w * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
-            y9 + w * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
-            y10 + w * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
-            y11 + w * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
-            y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
-            y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
-            y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14),
-            y15 + w * (((a15 + 2.0 * b15) + 2.0 * c15) + d15))
+    k1 = f(y, u)
+    k2 = f([a + h * b for a, b in zip(y, k1)], u)
+    k3 = f([a + h * b for a, b in zip(y, k2)], u)
+    k4 = f([a + dt * b for a, b in zip(y, k3)], u)
+    return tuple([a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
-def advance_tick(f: Callable, y, u, dt: float, n_sub: int, L: float):
-    """Integrate one control tick: n_sub rk4_step calls of f, u held.
+def advance_tick(y, u, m_L: float, params: VehicleParams, dt: float,
+                 n_sub: int):
+    """Integrate one control tick: n_sub RK4 steps of the coupled model
+    with load mass m_L, u held.
 
-    Returns the new state and its cable offset zeta (for cable length L).
-    A non-finite state raises FloatingPointError, a slack or flat cable
-    TautCableError, and f's own guards propagate as f raises them.
+    Returns the new state and its cable offset zeta.  A non-finite state
+    raises FloatingPointError, a slack or flat cable TautCableError, and
+    the derivative's own guards propagate as it raises them.
+
+    While rk4_step and coupled_derivative_array are this module's own
+    objects and a compiler built _dynamics.c, the tick is one fused_tick
+    call.  It returns None where it cannot finish the tick (a guard or a
+    division by zero in any stage, a non-finite or slack final state,
+    input it does not read); the Python loop below then runs the tick
+    again from the same y and raises its own exception.  A traced or
+    counted run rebinds those two names, so every one of its ticks takes
+    the Python loop, which looks each name up here at call time.
     """
+    if (fused_tick is not None and rk4_step is _RK4_STEP
+            and coupled_derivative_array is _DERIVATIVE):
+        out = fused_tick(y, u, m_L, params.derived, dt, n_sub)
+        if out is not None:
+            return out
+
+    def f(v, w):
+        return coupled_derivative_array(v, w, m_L, params)
+
     for _ in range(n_sub):
         y = rk4_step(f, y, u, dt)
     if not all(map(math.isfinite, y)):
         raise FloatingPointError("non-finite state")
-    return y, cable_offset(y[12], y[13], L)
+    return y, cable_offset(y[12], y[13], params.L)
+
+
+# the objects a run's ticks must still be bound to for the compiled path
+_RK4_STEP = rk4_step
+_DERIVATIVE = coupled_derivative_array
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -306,14 +289,8 @@ def run(config: SimConfig) -> SimLog:
     dt_p = config.dt_physics
     n_sub = config.n_sub
     m_L = config.m_L
-
-    def deriv(y, u):
-        # the module global, so a rebound coupled_derivative_array is seen
-        return coupled_derivative_array(y, u, m_L, par)
-
     y = [*START_POS] + [0.0] * 13
-    L = par.L
-    zeta = cable_offset(y[12], y[13], L)
+    zeta = cable_offset(y[12], y[13], par.L)
     rows = np.empty((config.n_ticks + 1, LOG_WIDTH))
     row_bytes = memoryview(rows).cast("B")
     stride = rows.strides[0]
@@ -323,7 +300,7 @@ def run(config: SimConfig) -> SimLog:
         t = k * dt_c
         if k:
             try:
-                y, zeta = advance_tick(deriv, y, u, dt_p, n_sub, L)
+                y, zeta = advance_tick(y, u, m_L, par, dt_p, n_sub)
             except (TautCableError, GimbalLockError, ArithmeticError) as exc:
                 reason = f"{type(exc).__name__} at t={t:.3f}: {exc}"
                 break

@@ -17,7 +17,7 @@ from slungsim.controllers import (
     _switch,
     desired_angles,
 )
-from slungsim.dynamics import VehicleParams, coupled_derivative_array
+from slungsim.dynamics import VehicleParams
 from slungsim.mpc import HORIZON, MOVE_ATT, MpcController
 from slungsim.simloop import SimConfig, advance_tick, make_controller
 from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
@@ -366,10 +366,6 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
                          ref_fn=square_reference):
     """Load-free closed loop (massless load); returns per-tick records."""
     params = ctrl.params
-
-    def deriv(y, u):
-        return coupled_derivative_array(y, u, 0.0, params)
-
     y = [0.0] * 16
     y[:3] = (0.0, 0.0, 1.5) if start is None else start
     dt_p = dt_c / n_sub
@@ -380,7 +376,7 @@ def _closed_loop_nominal(ctrl, duration, dt_c=0.01, n_sub=10, start=None,
         ref = ref_fn(t)
         out = ctrl.step(state, ref)
         records.append((t, state, ref, out))
-        y, _ = advance_tick(deriv, y, out[:4], dt_p, n_sub, params.L)
+        y, _ = advance_tick(y, out[:4], 0.0, params, dt_p, n_sub)
     return records
 
 

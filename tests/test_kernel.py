@@ -1,10 +1,13 @@
-"""The compiled coupled derivative against its Python reference.
+"""The compiled coupled derivative and tick against their Python reference.
 
 dynamics.coupled_derivative_array is the compiled twin from _dynamics.c
 wherever a C compiler works, and coupled_derivative_python is the Python
 function it copies.  The twin must return the same bits, or raise the same
 exception type with the same message, on every input: taut states, guard
 aborts, divisions by zero, non-finite values and every sequence type.
+dynamics.fused_tick runs a whole control tick; it must return the bits of
+n_sub rk4_step calls of the Python function, or None wherever that tick
+raises, so that simloop.advance_tick raises the Python exception.
 """
 
 import math
@@ -19,9 +22,10 @@ import pytest
 
 from slungsim import dynamics, simloop
 from slungsim.controllers import PdGains
-from slungsim.dynamics import (VehicleParams, coupled_derivative_array,
+from slungsim.dynamics import (GimbalLockError, TautCableError, VehicleParams,
+                               cable_offset, coupled_derivative_array,
                                coupled_derivative_python)
-from slungsim.simloop import SimConfig, run
+from slungsim.simloop import SimConfig, advance_tick, rk4_step, run
 
 compiled = pytest.mark.skipif(dynamics.KERNEL != "c",
                               reason="no C compiler built the kernel")
@@ -96,7 +100,8 @@ def test_compiler_on_path_means_compiled_kernel():
 def test_kernel_names_what_runs():
     assert dynamics.KERNEL in ("c", "python")
     assert ((dynamics.KERNEL == "python")
-            == (coupled_derivative_array is coupled_derivative_python))
+            == (coupled_derivative_array is coupled_derivative_python)
+            == (dynamics.fused_tick is None))
     assert simloop.coupled_derivative_array is coupled_derivative_array
 
 
@@ -171,10 +176,146 @@ def test_aborted_run_identical(monkeypatch):
     assert logs[0].rows.tobytes() == logs[1].rows.tobytes()
 
 
+def reference_tick(y, u, m_L, p, dt, n_sub):
+    """A tick through the Python reference: n_sub rk4_step calls of
+    coupled_derivative_python, the non-finite check and the cable offset,
+    as one flat list of the 16 state floats and zeta."""
+    def f(v, w):
+        return coupled_derivative_python(v, w, m_L, p)
+    for _ in range(n_sub):
+        y = rk4_step(f, y, u, dt)
+    if not all(map(math.isfinite, y)):
+        raise FloatingPointError("non-finite state")
+    return [*y, cable_offset(y[12], y[13], p.L)]
+
+
+def tick_outcome(*args):
+    """advance_tick's outcome in the form reference_tick's has."""
+    def flat(*a):
+        y, zeta = advance_tick(*a)
+        return [*y, zeta]
+    return outcome(flat, *args)
+
+
+@compiled
+def test_fused_tick_equals_generic_rk4_steps():
+    kinds = set()
+    for y, u, m_L, p in random_cases(600, seed=20261020):
+        for dt, n_sub in ((1e-3, 10), (4e-3, 3), (1e-3, 1)):
+            want = outcome(reference_tick, y, u, m_L, p, dt, n_sub)
+            got = dynamics.fused_tick(y, u, m_L, p.derived, dt, n_sub)
+            if got is None:
+                assert isinstance(want, tuple), (y, u, m_L, p, dt, n_sub)
+                kinds.add(want[0])
+            else:
+                assert [float.hex(v) for v in (*got[0], got[1])] == want
+                assert type(got[0]) is tuple
+                kinds.add("completed")
+    assert kinds == {"completed", GimbalLockError, TautCableError,
+                     ZeroDivisionError, FloatingPointError}
+
+
+TICK = dict(y=[0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.1, -0.05, 0.2, 0.1],
+            u=[12.0, 0.0, 0.0, 0.0], m_L=0.3, p=VehicleParams(), dt=1e-3,
+            n_sub=10)
+# (changes to TICK: an int key sets that state entry, a name replaces that
+# argument; the exception the Python tick raises, or None where it ends)
+HAND_OFFS = {
+    "gimbal lock": ({6: 1.6}, GimbalLockError),
+    # theta crosses 90 deg in the second stage of the first step
+    "gimbal lock mid-tick": ({7: 1.5705, 10: 10.0}, GimbalLockError),
+    "slack cable": ({12: 0.5}, TautCableError),
+    # every stage is taut, only the state the step ends in is slack
+    "slack final state": ({12: 0.3418, 13: 0.3646, 14: 0.4, 15: -0.03,
+                           "u": [8.76, 0.0, 0.0, 0.0], "dt": 1.4e-3,
+                           "n_sub": 1}, TautCableError),
+    "zero divisor": ({"p": VehicleParams(m_q=5e-324)}, ZeroDivisionError),
+    "non-finite state": ({0: math.inf}, FloatingPointError),
+    "int in state": ({2: 2}, None),
+    "ndarray input": ({"u": np.array([12.0, 0.0, 0.0, 0.0])}, None),
+    "numpy m_L": ({"m_L": np.float64(0.3)}, None),
+    "numpy n_sub": ({"n_sub": np.int64(10)}, None),
+}
+
+
+@compiled
+@pytest.mark.parametrize("case", HAND_OFFS)
+def test_fused_tick_hands_off_to_python(case):
+    changes, raised = HAND_OFFS[case]
+    tick = dict(TICK, y=list(TICK["y"]))
+    for key, value in changes.items():
+        if isinstance(key, int):
+            tick["y"][key] = value
+        else:
+            tick[key] = value
+    args = tuple(tick.values())
+    y, u, m_L, p, dt, n_sub = args
+    assert dynamics.fused_tick(y, u, m_L, p.derived, dt, n_sub) is None
+    want = outcome(reference_tick, *args)
+    if raised is not None:
+        assert want[0] is raised
+    else:
+        assert isinstance(want, list)
+    assert tick_outcome(*args) == want
+
+
+def runs_to_compare(controller):
+    """The runs whose rows must not depend on the tick's path: four load
+    masses on the square, hover and single_leg, and the aborts: a
+    subnormal m_q, whose first tick divides by zero (MPC cannot be built
+    for it), and for PD a gimbal lock.  The golden and fingerprint tests
+    hold the sweep's whole 75 s runs."""
+    cfgs = [SimConfig(controller=controller, trajectory=name, m_L=m,
+                      duration=20.0)
+            for name, m in (("square", 0.0), ("square", 0.005),
+                            ("square", 0.3), ("square", 0.55),
+                            ("hover", 0.3), ("single_leg", 0.3))]
+    if controller != "MPC":
+        cfgs.append(SimConfig(controller=controller, duration=1.0,
+                              params=VehicleParams(m_q=5e-324)))
+    if controller == "PD":
+        cfgs.append(SimConfig(controller="PD", m_L=0.5, duration=10.0,
+                              pd_gains=PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3,
+                                               Kdt=1e-3)))
+    return cfgs
+
+
+@compiled
+@pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
+def test_fused_rows_equal_python_loop_rows(monkeypatch, controller):
+    cfgs = runs_to_compare(controller)
+    fast = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(simloop, "fused_tick", None)
+    for cfg, log in zip(cfgs, fast):
+        slow = run(cfg)
+        assert log.failure_reason == slow.failure_reason
+        assert log.rows.tobytes() == slow.rows.tobytes()
+    assert [log.failed for log in fast].count(True) == {
+        "PD": 2, "SMC": 1, "MPC": 0}[controller]
+
+
+@compiled
+@pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
+def test_default_run_takes_the_compiled_tick(monkeypatch, controller):
+    # a run that silently went back to the Python loop fails here
+    results = []
+
+    def recording(*args):
+        results.append(dynamics.fused_tick(*args))
+        return results[-1]
+    monkeypatch.setattr(simloop, "fused_tick", recording)
+    cfg = SimConfig(controller=controller, duration=1.0)
+    assert not run(cfg).failed
+    assert len(results) == cfg.n_ticks
+    assert None not in results
+
+
 @compiled
 def test_loader_builds_once_then_loads(tmp_path, monkeypatch):
     f = dynamics._load_kernel(cache_dir=str(tmp_path))
     assert f is not None
+    f = f.coupled_derivative_array
     built = [p.name for p in tmp_path.iterdir()]
     assert len(built) == 1 and built[0].startswith("_dynamics.")
 
@@ -183,6 +324,7 @@ def test_loader_builds_once_then_loads(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     g = dynamics._load_kernel(cache_dir=str(tmp_path))
     assert g is not None
+    g = g.coupled_derivative_array
     y, u, m_L, p = next(random_cases(2, seed=2))
     assert f(y, u, m_L, p) == g(y, u, m_L, p) \
         == coupled_derivative_python(y, u, m_L, p)

@@ -194,6 +194,18 @@ class TestConfig:
         assert all(type(x) is float for x in (v if type(v) is tuple else [v]))
         assert hash(record) == hash(type(record)(**{name: want}))
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: MpcWeights(s=()), "MpcWeights.s"),
+        (lambda: MpcWeights(s=[]), "MpcWeights.s"),
+        (lambda: SimConfig(controller="MPC", mpc_move_pos=np.array([])),
+         "mpc_move_pos"),
+    ], ids=["mpc tuple", "mpc list", "move_pos ndarray"])
+    def test_empty_list_rejected(self, build, name):
+        # every entry of an empty list passes the rule, but there is none
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must "
+                                             f"have at least one entry$"):
+            build()
+
     @pytest.mark.parametrize("move_pos", [(0.4, 0.4), (0.4, 0.4, 1.0, 1.0)],
                              ids=["two", "four"])
     def test_move_pos_needs_three_entries(self, move_pos):
@@ -358,22 +370,6 @@ class TestScalarPhysics:
                         yv, u, 1e-3)
                 assert list(ys) == yv.tolist()
 
-    def test_unrolled_step_bitwise_equal_to_generic_path(self):
-        # padding the state to 17 floats sends it down the comprehension
-        # path, the reference for the unrolled 16-float one
-        p = self.OTHER_VEHICLE
-        for y, u, m_L in self._random_taut_states(100, seed=3, L=p.L):
-            def deriv(v, w):
-                return coupled_derivative_array(v, w, m_L, p)
-
-            def padded(v, w):
-                return coupled_derivative_array(v[:16], w, m_L, p) + [0.0]
-
-            ys, ul = y.tolist(), u.tolist()
-            fast = rk4_step(deriv, ys, ul, 1e-3)
-            ref = rk4_step(padded, ys + [0.0], ul, 1e-3)
-            assert list(fast) == list(ref[:16])
-
     def test_array_and_list_inputs_agree(self):
         for p in (VehicleParams(), self.OTHER_VEHICLE):
             for y, u, m_L in self._random_taut_states(50, seed=7, L=p.L):
@@ -389,11 +385,14 @@ class TestScalarPhysics:
         (1.0, TautCableError, "load offset (r=1.0000, s=0.0000) leaves the "
                               "taut-cable regime (cable length 0.5)")],
         ids=["non-finite", "slack"])
-    def test_advance_tick_checks_the_final_state(self, rate, error, message):
+    def test_advance_tick_checks_the_final_state(self, monkeypatch, rate,
+                                                 error, message):
         # one 1 s sub-step moves only the load offset r, by rate
-        f = lambda y, u: [0.0] * 12 + [rate, 0.0, 0.0, 0.0]
+        monkeypatch.setattr(simloop, "coupled_derivative_array",
+                            lambda y, u, m_L, p: [0.0] * 12 + [rate, 0.0,
+                                                               0.0, 0.0])
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            advance_tick(f, [0.0] * 16, None, 1.0, 1, 0.5)
+            advance_tick([0.0] * 16, None, 0.3, VehicleParams(), 1.0, 1)
 
 
 class TestRun:
