@@ -1,24 +1,23 @@
-/* Compiled twin of slungsim.dynamics.coupled_derivative_array, and of a
-   whole control tick of slungsim.simloop.advance_tick.
+/* One control tick of slungsim.simloop.advance_tick, compiled: the n_sub
+   RK4 steps of slungsim.dynamics.coupled_derivative_array, the non-finite
+   check and the cable offset, on C arrays.
 
    slungsim.dynamics builds this file once with -O2 -ffp-contract=off -fPIC
    and no flag that lets the compiler reassociate, fuse or widen float
    arithmetic, so each expression below rounds exactly as the Python
    expression it copies: the same operations, in the same order, with the
-   same association.  Only the arithmetic is copied.  A call whose attitude
-   or taut-cable guard fails, or that divides by zero, is handed to Python,
-   which raises its own exception with its own message:
-   coupled_derivative_array calls the Python function itself, and
-   fused_tick returns None, on which advance_tick runs its Python loop from
-   the same state.  fused_tick also returns None for a non-finite final
-   state and a slack final cable, the two checks that end a tick.
+   same association.  Only the arithmetic is copied.  Where the Python
+   tick would raise (an attitude or taut-cable guard fails in a stage, a
+   stage divides by zero, or the final state is non-finite or slack),
+   fused_tick returns None, and advance_tick runs its Python loop from the
+   same state, which raises its own exception with its own message.
 
    Only lists and tuples of exact floats, of lengths 16 and 4, an exact
-   float m_L and a params.derived tuple of 11 exact floats are read here
-   (fused_tick also takes an exact float dt > 0 and an exact int n_sub of
-   at least 1).  Any other input (an ndarray, ints, numpy scalars, keyword
-   arguments) is handed to Python too, whose arithmetic follows those
-   types' own rules: numpy scalars, for one, warn where Python floats raise.
+   float m_L, a params.derived tuple of 11 exact floats, an exact float
+   dt > 0 and an exact int n_sub of at least 1 are read here.  For any
+   other input (an ndarray, ints, numpy scalars) fused_tick returns None
+   too, and the Python loop's arithmetic follows those types' own rules:
+   numpy scalars, for one, warn where Python floats raise.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,10 +25,6 @@
 #include <math.h>
 
 #define HALF_PI (Py_MATH_PI / 2.0)
-
-/* set once by bind(): the Python function */
-static PyObject *reference;
-static PyObject *derived_name;
 
 /* Copy the values of the n entries of seq to out; 0 if seq is not an
    exact list or tuple of n exact floats. */
@@ -48,19 +43,17 @@ read_floats(PyObject *seq, Py_ssize_t n, double *out)
     return 1;
 }
 
-/* A new list, or tuple, of the 16 floats in v; NULL if out of memory */
+/* A new tuple of the 16 floats in v; NULL if out of memory */
 static PyObject *
-new_floats(const double *v, int tuple)
+new_floats(const double *v)
 {
-    PyObject *out = tuple ? PyTuple_New(16) : PyList_New(16);
+    PyObject *out = PyTuple_New(16);
     for (int i = 0; out != NULL && i < 16; i++) {
         PyObject *item = PyFloat_FromDouble(v[i]);
         if (item == NULL)
             Py_CLEAR(out);
-        else if (tuple)
-            PyTuple_SET_ITEM(out, i, item);
         else
-            PyList_SET_ITEM(out, i, item);
+            PyTuple_SET_ITEM(out, i, item);
     }
     return out;
 }
@@ -147,31 +140,6 @@ derivative(const double *y, const double *u, double m_L, const double *d,
     return !fail;
 }
 
-static PyObject *
-coupled_derivative_array(PyObject *module, PyObject *const *args,
-                         size_t nargsf, PyObject *kwnames)
-{
-    PyObject *derived = NULL;
-    double y[16], u[4], d[11], value[16];
-
-    if (reference == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "_dynamics is not bound");
-        return NULL;
-    }
-    /* params first: a lookup may run Python code that changes y */
-    if (kwnames == NULL && PyVectorcall_NARGS(nargsf) == 4
-            && (derived = PyObject_GetAttr(args[3], derived_name)) == NULL)
-        PyErr_Clear();
-    int exact = derived != NULL && read_floats(derived, 11, d);
-    Py_XDECREF(derived);
-    if (!exact || !read_floats(args[0], 16, y)
-            || !read_floats(args[1], 4, u)
-            || !PyFloat_CheckExact(args[2])
-            || !derivative(y, u, PyFloat_AS_DOUBLE(args[2]), d, value))
-        return PyObject_Vectorcall(reference, args, nargsf, kwnames);
-    return new_floats(value, 0);
-}
-
 /* stage = y + c * k, element by element, as rk4_step forms it */
 static void
 stage(const double *y, double c, const double *k, double *out)
@@ -226,55 +194,24 @@ fused_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (zsq <= d[2])
         Py_RETURN_NONE;
 
-    PyObject *state = new_floats(y, 1);
+    PyObject *state = new_floats(y);
     return state == NULL ? NULL : Py_BuildValue("(Nd)", state, sqrt(zsq));
 }
 
-static PyObject *
-bind(PyObject *module, PyObject *ref)
-{
-    Py_XSETREF(reference, Py_NewRef(ref));
-    Py_RETURN_NONE;
-}
-
-static int
-exec_module(PyObject *module)
-{
-    if (derived_name == NULL)
-        derived_name = PyUnicode_InternFromString("derived");
-    return derived_name == NULL ? -1 : 0;
-}
-
 static PyMethodDef methods[] = {
-    {"coupled_derivative_array",
-     (PyCFunction)(void (*)(void))coupled_derivative_array,
-     METH_FASTCALL | METH_KEYWORDS,
-     "coupled_derivative_array(y, u, m_L, params)\n--\n\n"
-     "Time derivative of the 16-element coupled state, as a list: the\n"
-     "Python function's result, bit for bit."},
     {"fused_tick", (PyCFunction)(void (*)(void))fused_tick, METH_FASTCALL,
      "fused_tick(y, u, m_L, derived, dt, n_sub)\n--\n\n"
      "One control tick: n_sub RK4 steps of the coupled derivative, u held,\n"
      "then the non-finite check and the cable offset.  Returns\n"
      "(state tuple, zeta) with the Python loop's bits, or None where that\n"
      "loop would raise or this module does not read the input."},
-    {"bind", bind, METH_O,
-     "bind(reference)\n--\n\n"
-     "Hand over the Python function that takes every call this module\n"
-     "does not finish: input it does not read, and every call that raises."},
     {NULL, NULL, 0, NULL}
-};
-
-static PyModuleDef_Slot slots[] = {
-    {Py_mod_exec, exec_module},
-    {0, NULL}
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_dynamics",
-    "Compiled twin of slungsim.dynamics.coupled_derivative_array and of\n"
-    "one tick of slungsim.simloop.advance_tick.",
-    0, methods, slots, NULL, NULL, NULL
+    "One control tick of slungsim.simloop.advance_tick, compiled.",
+    0, methods, NULL, NULL, NULL, NULL
 };
 
 PyMODINIT_FUNC

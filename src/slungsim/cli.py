@@ -231,11 +231,18 @@ def _sweep_rows(spec: SweepSpec, jobs: Optional[int]):
     if jobs == 1:
         return [_sweep_case(cfg) for cfg in spec.cases]
     # Ctrl-C reaches the workers too; they ignore it, and the pool's exit
-    # terminates them once the interrupt stops the parent
-    with multiprocessing.Pool(
-            processes=jobs, initializer=signal.signal,
-            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        return pool.map(_sweep_case, spec.cases, chunksize=1)
+    # terminates them once the interrupt stops the parent.  It is held
+    # until the `with` block owns the pool: landing in Pool's constructor,
+    # it would leave workers that nothing stops.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with multiprocessing.Pool(
+                processes=jobs, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            return pool.map(_sweep_case, spec.cases, chunksize=1)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):

@@ -35,20 +35,17 @@ depend on the load mass (L, L^2, the taut-cable floor^2, m_q, g, the inertia
 ratios and I_z) is computed once per vehicle into VehicleParams.derived;
 only M and mu are formed per evaluation.
 
-The model is written twice.  The Python function below is the reference,
-kept as coupled_derivative_python.  _dynamics.c is its compiled twin: the
-same float operations in the same order, so it returns the same bits.  It
-copies only the arithmetic: a call whose guard fails or that divides by
-zero, like any input the twin does not read, is handed to the Python
-function, which raises its own exception.  _dynamics.c also holds
-fused_tick, a whole control tick of simloop.advance_tick (its RK4 steps,
-non-finite check and cable offset) on C arrays; it returns None for a
-tick it cannot finish, and advance_tick runs that tick in Python.
-Importing this module builds _dynamics.c once into this package's
-__pycache__ (see _load_kernel), binds coupled_derivative_array to the
-twin and fused_tick to the compiled tick; where no C compiler works,
-coupled_derivative_array stays bound to the Python function and
-fused_tick is None.  KERNEL says which runs: "c" or "python".
+The model is written once, in Python.  _dynamics.c holds only
+fused_tick, a whole control tick of simloop.advance_tick (its RK4 steps of
+the same float operations in the same order, the non-finite check and the
+cable offset) on C arrays, so it returns the same bits.  It copies only
+the arithmetic: for a tick whose guard fails, that divides by zero or that
+ends non-finite or slack, like any input it does not read, it returns
+None, and advance_tick runs that tick in Python, which raises its own
+exception.  Importing this module builds _dynamics.c once into this
+package's __pycache__ (see _load_kernel) and binds fused_tick to the
+compiled tick; where no C compiler works, fused_tick is None.  KERNEL
+says which runs a tick: "c" or "python".
 """
 
 from __future__ import annotations
@@ -83,8 +80,8 @@ def store_positive_floats(record, prefix: str = "", names=None):
     positive and finite, and store each as a float, or a field holding a
     sequence (tuple, list or 1-d ndarray) with at least one entry as a
     tuple of floats.  The one rule for every settings record: the compiled
-    twin reads exact floats only, and hands a call with an int or a numpy
-    scalar to the slower Python reference."""
+    tick reads exact floats only, and hands a tick with an int or a numpy
+    scalar back to the slower Python loop."""
     for name in names or [f.name for f in fields(record)]:
         v = getattr(record, name)
         seq = isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) == 1
@@ -165,8 +162,8 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
     """Time derivative of the 16-element coupled state, as a list.
 
     y and u are any 16- and 4-float sequences (lists on the run path,
-    arrays from tests and checks).  This is the reference implementation
-    of the coupled physics, which _dynamics.c copies operation for
+    arrays from tests and checks).  This is the one implementation of the
+    coupled physics, which _dynamics.c's fused_tick copies operation for
     operation: the attitude guard, the taut-cable floor, the coupled
     translational/load solve and the rotational rows are all inline, so an
     evaluation is scalar float arithmetic with no allocation beyond the
@@ -287,7 +284,8 @@ def pendulum_energy(r: float, s: float, vr: float, vs: float, m_L: float,
     return kinetic + potential
 
 
-# fixed, so the twin rounds as Python does: no FMA contraction, no fast-math
+# fixed, so the compiled tick rounds as Python does: no FMA contraction,
+# no fast-math
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC")
 
 
@@ -315,8 +313,7 @@ def _compile(source: str, path: str) -> None:
 
 
 def _load_kernel(cache_dir=None):
-    """The compiled _dynamics module, bound to the Python reference, or None
-    where none builds.
+    """The compiled _dynamics module, or None where none builds.
 
     The extension lives in cache_dir (this package's __pycache__) under a
     name tagged with the CRC-32 of _dynamics.c and _C_FLAGS, so it is
@@ -345,14 +342,10 @@ def _load_kernel(cache_dir=None):
         loader.exec_module(module)
     except (OSError, ImportError):
         return None
-    module.bind(coupled_derivative_python)
     return module
 
 
-coupled_derivative_python = coupled_derivative_array
 _kernel = _load_kernel()
-coupled_derivative_array = (_kernel.coupled_derivative_array if _kernel
-                            else coupled_derivative_python)
 # one whole control tick, compiled; None where no compiler works
 fused_tick = _kernel.fused_tick if _kernel else None
-KERNEL = "c" if _kernel else "python"
+KERNEL = "python" if fused_tick is None else "c"

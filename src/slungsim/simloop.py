@@ -19,11 +19,12 @@ Each tick's physics is one advance_tick call.  Where a compiler built
 _dynamics.c, that is one dynamics.fused_tick call, which runs the tick's
 n_sub RK4 steps, the non-finite check and the cable offset in C with the
 Python loop's bits.  The Python loop (n_sub rk4_step calls, each making
-four coupled_derivative_array calls) runs a tick where no compiler works,
-where fused_tick hands the tick back because it raises, and on every tick
-of a run in which rk4_step or coupled_derivative_array is rebound, as the
-benchmark's tracer does.  All three names are looked up in this module
-at call time, so a rebound one is seen.
+four calls of the Python coupled_derivative_array, the one model) runs a
+tick where no compiler works, where fused_tick hands the tick back
+because it raises, and on every tick of a run in which rk4_step or
+coupled_derivative_array is rebound, as the benchmark's tracer does.  All
+three names are looked up in this module at call time, so a rebound one
+is seen.
 
 The log is one preallocated float array with a row per tick, written once
 per tick by packing the row's floats into a byte view of the array.  Its

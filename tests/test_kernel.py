@@ -1,13 +1,13 @@
-"""The compiled coupled derivative and tick against their Python reference.
+"""The compiled control tick against the Python loop it copies.
 
-dynamics.coupled_derivative_array is the compiled twin from _dynamics.c
-wherever a C compiler works, and coupled_derivative_python is the Python
-function it copies.  The twin must return the same bits, or raise the same
-exception type with the same message, on every input: taut states, guard
-aborts, divisions by zero, non-finite values and every sequence type.
-dynamics.fused_tick runs a whole control tick; it must return the bits of
-n_sub rk4_step calls of the Python function, or None wherever that tick
-raises, so that simloop.advance_tick raises the Python exception.
+dynamics.coupled_derivative_array is the one model, a Python function.
+dynamics.fused_tick, built from _dynamics.c wherever a C compiler works,
+runs a whole control tick; it must return the bits of n_sub rk4_step calls
+of that function, or None wherever that tick raises or its input is not
+read, so that simloop.advance_tick runs the Python loop and raises the
+Python exception.  dynamics._load_kernel builds _dynamics.c into a cache
+directory under a name tagged with the source and flags; a build removes
+the finished builds of other tags there, and nothing else.
 """
 
 import math
@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sysconfig
 import warnings
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ import pytest
 from slungsim import dynamics, simloop
 from slungsim.controllers import PdGains
 from slungsim.dynamics import (GimbalLockError, TautCableError, VehicleParams,
-                               cable_offset, coupled_derivative_array,
-                               coupled_derivative_python)
+                               cable_offset, coupled_derivative_array)
 from slungsim.simloop import SimConfig, advance_tick, rk4_step, run
 
 compiled = pytest.mark.skipif(dynamics.KERNEL != "c",
@@ -99,94 +99,42 @@ def test_compiler_on_path_means_compiled_kernel():
 
 def test_kernel_names_what_runs():
     assert dynamics.KERNEL in ("c", "python")
-    assert ((dynamics.KERNEL == "python")
-            == (coupled_derivative_array is coupled_derivative_python)
-            == (dynamics.fused_tick is None))
+    assert (dynamics.KERNEL == "python") == (dynamics.fused_tick is None)
+    assert simloop.fused_tick is dynamics.fused_tick
     assert simloop.coupled_derivative_array is coupled_derivative_array
 
 
-@compiled
-def test_same_outcome_on_seeded_states():
-    kinds = set()
-    for y, u, m_L, p in random_cases(4000, seed=20261020):
-        want = outcome(coupled_derivative_python, y, u, m_L, p)
-        assert outcome(coupled_derivative_array, y, u, m_L, p) == want, \
-            (y, u, m_L, p)
-        kinds.add(want[0] if isinstance(want, tuple) else "completed")
-    assert kinds == {"completed", dynamics.GimbalLockError,
-                     dynamics.TautCableError, ZeroDivisionError}
-
-
-@compiled
-def test_same_outcome_for_every_sequence_type():
-    for y, u, m_L, p in random_cases(200, seed=5):
-        want = outcome(coupled_derivative_python, y, u, m_L, p)
-        for yy, uu in ((tuple(y), tuple(u)), (y, tuple(u)), (tuple(y), u)):
-            assert outcome(coupled_derivative_array, yy, uu, m_L, p) == want
-    # numpy inputs take the Python function's own numpy arithmetic
-    for y, u, m_L, p in random_cases(100, seed=6):
-        ya, ua = np.array(y), np.array(u)
-        assert (outcome(coupled_derivative_array, ya, ua, m_L, p)
-                == outcome(coupled_derivative_python, ya, ua, m_L, p))
-        assert (outcome(coupled_derivative_array, y, u, np.float64(m_L), p)
-                == outcome(coupled_derivative_python, y, u, np.float64(m_L),
-                           p))
-
-
-@compiled
-def test_same_errors_on_malformed_calls():
-    y, u, m_L, p = next(random_cases(2, seed=1))
-    for args in ((y[:15], u, m_L, p), (y + [0.0], u, m_L, p),
-                 (y, u[:3], m_L, p), (y, u, m_L, object()),
-                 (y, u, "0.3", p), (y, u, m_L), (None, u, m_L, p)):
-        assert (outcome(coupled_derivative_array, *args)
-                == outcome(coupled_derivative_python, *args))
-    ints = [0] * 16
-    ints[2] = 2
-    assert (outcome(coupled_derivative_array, ints, [12, 0, 0, 0], 0, p)
-            == outcome(coupled_derivative_python, ints, [12, 0, 0, 0], 0, p))
-    assert (coupled_derivative_array(y=y, u=u, m_L=m_L, params=p)
-            == coupled_derivative_python(y, u, m_L, p))
-
-
-@compiled
-@pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
-def test_whole_run_rows_identical(monkeypatch, controller):
-    cfg = SimConfig(controller=controller, duration=5.0)
-    fast = run(cfg)
-    monkeypatch.setattr(simloop, "coupled_derivative_array",
-                        coupled_derivative_python)
-    slow = run(cfg)
-    assert not fast.failed
-    assert fast.rows.tobytes() == slow.rows.tobytes()
-
-
-@compiled
-def test_aborted_run_identical(monkeypatch):
-    cfg = SimConfig(controller="PD", m_L=0.5, duration=10.0,
-                    pd_gains=PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3))
-    logs = [run(cfg)]
-    monkeypatch.setattr(simloop, "coupled_derivative_array",
-                        coupled_derivative_python)
-    logs.append(run(cfg))
-    for log in logs:
-        assert log.failure_reason.startswith("GimbalLockError at t=0.140")
-        assert log.n_rows == 14
-    assert logs[0].failure_reason == logs[1].failure_reason
-    assert logs[0].rows.tobytes() == logs[1].rows.tobytes()
-
-
 def reference_tick(y, u, m_L, p, dt, n_sub):
-    """A tick through the Python reference: n_sub rk4_step calls of
-    coupled_derivative_python, the non-finite check and the cable offset,
+    """A tick through the Python loop: n_sub rk4_step calls of
+    coupled_derivative_array, the non-finite check and the cable offset,
     as one flat list of the 16 state floats and zeta."""
     def f(v, w):
-        return coupled_derivative_python(v, w, m_L, p)
+        return coupled_derivative_array(v, w, m_L, p)
     for _ in range(n_sub):
         y = rk4_step(f, y, u, dt)
     if not all(map(math.isfinite, y)):
         raise FloatingPointError("non-finite state")
     return [*y, cable_offset(y[12], y[13], p.L)]
+
+
+def fused_outcome(tick, y, u, m_L, p, dt, n_sub):
+    """What tick (a fused_tick) returns, in the form of reference_tick's
+    outcome, or None where it hands the tick back."""
+    got = tick(y, u, m_L, p.derived, dt, n_sub)
+    if got is None:
+        return None
+    assert type(got[0]) is tuple
+    return [float.hex(v) for v in (*got[0], got[1])]
+
+
+def checked_tick(*args):
+    """Assert that fused_tick returns reference_tick's bits on one tick, or
+    None where that raises; the kind of the reference's outcome."""
+    want = outcome(reference_tick, *args)
+    raised = isinstance(want, tuple)
+    assert fused_outcome(dynamics.fused_tick, *args) == (
+        None if raised else want), args
+    return want[0] if raised else "completed"
 
 
 def tick_outcome(*args):
@@ -198,21 +146,36 @@ def tick_outcome(*args):
 
 
 @compiled
-def test_fused_tick_equals_generic_rk4_steps():
-    kinds = set()
-    for y, u, m_L, p in random_cases(600, seed=20261020):
-        for dt, n_sub in ((1e-3, 10), (4e-3, 3), (1e-3, 1)):
-            want = outcome(reference_tick, y, u, m_L, p, dt, n_sub)
-            got = dynamics.fused_tick(y, u, m_L, p.derived, dt, n_sub)
-            if got is None:
-                assert isinstance(want, tuple), (y, u, m_L, p, dt, n_sub)
-                kinds.add(want[0])
-            else:
-                assert [float.hex(v) for v in (*got[0], got[1])] == want
-                assert type(got[0]) is tuple
-                kinds.add("completed")
+def test_same_outcome_on_seeded_states():
+    # one RK4 sub-step a case, so each derivative stage is held to the bits
+    kinds = {checked_tick(y, u, m_L, p, 1e-3, 1)
+             for y, u, m_L, p in random_cases(4000, seed=20261020)}
     assert kinds == {"completed", GimbalLockError, TautCableError,
                      ZeroDivisionError, FloatingPointError}
+
+
+@compiled
+def test_same_outcome_for_every_sequence_type():
+    for y, u, m_L, p in random_cases(200, seed=5):
+        want = fused_outcome(dynamics.fused_tick, y, u, m_L, p, 1e-3, 10)
+        for yy, uu in ((tuple(y), tuple(u)), (y, tuple(u)), (tuple(y), u)):
+            assert fused_outcome(dynamics.fused_tick, yy, uu, m_L, p, 1e-3,
+                                 10) == want
+
+
+@compiled
+def test_fused_tick_equals_generic_rk4_steps():
+    kinds = {checked_tick(y, u, m_L, p, dt, n_sub)
+             for y, u, m_L, p in random_cases(600, seed=20261020)
+             for dt, n_sub in ((1e-3, 10), (4e-3, 3), (1e-3, 1))}
+    assert kinds == {"completed", GimbalLockError, TautCableError,
+                     ZeroDivisionError, FloatingPointError}
+
+
+@compiled
+def test_fused_tick_checks_its_argument_count():
+    with pytest.raises(TypeError):
+        dynamics.fused_tick(TICK["y"], TICK["u"])
 
 
 TICK = dict(y=[0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -236,6 +199,9 @@ HAND_OFFS = {
     "ndarray input": ({"u": np.array([12.0, 0.0, 0.0, 0.0])}, None),
     "numpy m_L": ({"m_L": np.float64(0.3)}, None),
     "numpy n_sub": ({"n_sub": np.int64(10)}, None),
+    # the Python loop's unpacking raises for a short state or input
+    "15-float state": ({"y": TICK["y"][:15]}, ValueError),
+    "3-float input": ({"u": [12.0, 0.0, 0.0]}, ValueError),
 }
 
 
@@ -315,7 +281,6 @@ def test_default_run_takes_the_compiled_tick(monkeypatch, controller):
 def test_loader_builds_once_then_loads(tmp_path, monkeypatch):
     f = dynamics._load_kernel(cache_dir=str(tmp_path))
     assert f is not None
-    f = f.coupled_derivative_array
     built = [p.name for p in tmp_path.iterdir()]
     assert len(built) == 1 and built[0].startswith("_dynamics.")
 
@@ -324,10 +289,26 @@ def test_loader_builds_once_then_loads(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     g = dynamics._load_kernel(cache_dir=str(tmp_path))
     assert g is not None
-    g = g.coupled_derivative_array
-    y, u, m_L, p = next(random_cases(2, seed=2))
-    assert f(y, u, m_L, p) == g(y, u, m_L, p) \
-        == coupled_derivative_python(y, u, m_L, p)
+    args = (*next(random_cases(2, seed=2)), 1e-3, 10)
+    want = outcome(reference_tick, *args)
+    assert isinstance(want, list)
+    assert fused_outcome(f.fused_tick, *args) == want
+    assert fused_outcome(g.fused_tick, *args) == want
+
+
+@compiled
+def test_build_removes_only_stale_builds(tmp_path):
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = f"_dynamics.0123abcd{suffix}"
+    # another process's build in progress, and a file that is no build
+    kept = {f"_dynamics.89abcdef{suffix}.4242.tmp",
+            f"_dynamics.notahex{suffix}"}
+    for name in (stale, *kept):
+        (tmp_path / name).write_bytes(b"x")
+    assert dynamics._load_kernel(cache_dir=str(tmp_path)) is not None
+    built = {p.name for p in tmp_path.iterdir()} - kept
+    assert len(built) == 1 and stale not in built
+    assert built.pop().startswith("_dynamics.")
 
 
 @pytest.mark.parametrize("compiler", ["fails", "missing"])
