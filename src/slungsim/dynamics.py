@@ -39,9 +39,10 @@ The model is written once, in Python.  _dynamics.c holds only
 fused_tick, a whole control tick of simloop.advance_tick (its RK4 steps of
 the same float operations in the same order, the non-finite check and the
 cable offset) on C arrays, so it returns the same bits.  It copies only
-the arithmetic: for a tick whose guard fails, that divides by zero or that
-ends non-finite or slack, like any input it does not read, it returns
-None, and advance_tick runs that tick in Python, which raises its own
+the arithmetic and hands a tick back (returns None) where a guard fails
+in a stage, the final state is non-finite or slack, or an input is not
+read; a division by zero is handed back because it ends non-finite.
+advance_tick then runs that tick in Python, which raises its own
 exception.  Importing this module builds _dynamics.c once into this
 package's __pycache__ (see _load_kernel) and binds fused_tick to the
 compiled tick; where no C compiler works, fused_tick is None.  KERNEL

@@ -237,12 +237,13 @@ def advance_tick(y, u, m_L: float, params: VehicleParams, dt: float,
 
     While rk4_step and coupled_derivative_array are this module's own
     objects and a compiler built _dynamics.c, the tick is one fused_tick
-    call.  It returns None where it cannot finish the tick (a guard or a
-    division by zero in any stage, a non-finite or slack final state,
-    input it does not read); the Python loop below then runs the tick
-    again from the same y and raises its own exception.  A traced or
-    counted run rebinds those two names, so every one of its ticks takes
-    the Python loop, which looks each name up here at call time.
+    call.  It hands the tick back (returns None) where a guard fails in a
+    stage, the final state is non-finite or slack, or an input is not
+    read; a division by zero is handed back because it ends non-finite.
+    The Python loop below then runs the tick again from the same y and
+    raises its own exception.  A traced or counted run rebinds those two
+    names, so every one of its ticks takes the Python loop, which looks
+    each name up here at call time.
     """
     if (fused_tick is not None and rk4_step is _RK4_STEP
             and coupled_derivative_array is _DERIVATIVE):

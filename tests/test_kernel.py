@@ -11,12 +11,14 @@ the finished builds of other tags there, and nothing else.
 """
 
 import math
+import os
 import shlex
 import shutil
 import subprocess
 import sysconfig
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +184,9 @@ TICK = dict(y=[0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                0.1, -0.05, 0.2, 0.1],
             u=[12.0, 0.0, 0.0, 0.0], m_L=0.3, p=VehicleParams(), dt=1e-3,
             n_sub=10)
+# a stand-in for VehicleParams whose I_z, the last derived entry, is 0
+FLAT_YAW = SimpleNamespace(L=TICK["p"].L,
+                           derived=(*TICK["p"].derived[:-1], 0.0))
 # (changes to TICK: an int key sets that state entry, a name replaces that
 # argument; the exception the Python tick raises, or None where it ends)
 HAND_OFFS = {
@@ -194,6 +199,16 @@ HAND_OFFS = {
                            "u": [8.76, 0.0, 0.0, 0.0], "dt": 1.4e-3,
                            "n_sub": 1}, TautCableError),
     "zero divisor": ({"p": VehicleParams(m_q=5e-324)}, ZeroDivisionError),
+    # one stage that divides by zero and passes both guards, so only the
+    # final non-finite test hands these back: M = 0 (the determinant is
+    # inf, but mu and U1 / M are not finite), and I_z = 0 with U4 = 1 and
+    # U4 = 0
+    "zero total mass": ({"m_L": -TICK["p"].m_q, "n_sub": 1},
+                        ZeroDivisionError),
+    "zero yaw inertia": ({"p": FLAT_YAW, "u": [12.0, 0.0, 0.0, 1.0],
+                          "n_sub": 1}, ZeroDivisionError),
+    "zero yaw inertia, no yaw input": ({"p": FLAT_YAW, "n_sub": 1},
+                                       ZeroDivisionError),
     "non-finite state": ({0: math.inf}, FloatingPointError),
     "int in state": ({2: 2}, None),
     "ndarray input": ({"u": np.array([12.0, 0.0, 0.0, 0.0])}, None),
@@ -275,6 +290,20 @@ def test_default_run_takes_the_compiled_tick(monkeypatch, controller):
     assert not run(cfg).failed
     assert len(results) == cfg.n_ticks
     assert None not in results
+
+
+@compiled
+def test_source_builds_without_warnings(tmp_path):
+    # a temporary or variable left unused by an edit fails here; a
+    # METH_FASTCALL function does not use its module argument
+    source = os.path.join(os.path.dirname(dynamics.__file__), "_dynamics.c")
+    build = subprocess.run(
+        [*shlex.split(sysconfig.get_config_var("LDSHARED")),
+         *dynamics._C_FLAGS, "-Wall", "-Wextra", "-Wno-unused-parameter",
+         "-Werror", "-I", sysconfig.get_path("include"), source,
+         "-o", str(tmp_path / f"_dynamics{EXTENSION_SUFFIXES[0]}")],
+        capture_output=True, text=True, timeout=60, stdin=subprocess.DEVNULL)
+    assert build.returncode == 0, build.stderr
 
 
 @compiled

@@ -167,9 +167,9 @@ class TestConfig:
     ], ids=["numpy m_L", "int m_L", "vehicle", "times", "pd gains",
             "smc gains", "mpc settings"])
     def test_checked_values_stored_as_floats(self, given, floats):
-        # the compiled derivative reads exact floats only: an int or a
-        # numpy scalar kept as given would send every call to the slower
-        # Python reference
+        # the compiled tick reads exact floats only: an int or a numpy
+        # scalar kept as given would hand every tick back to the slower
+        # Python loop
         cfg = SimConfig(**{"controller": "SMC", "duration": 0.5, **given})
         numbers = list(_numbers(cfg))
         # SimConfig 6 or 9, VehicleParams 9, PdGains 12, SmcGains 13
