@@ -199,23 +199,24 @@ class PdController:
     def __init__(self, gains: PdGains, params: VehicleParams):
         self.gains = gains
         self.params = params
+        # torque scales, set once: params is frozen
+        self._I_x_l = params.I_x / params.l
+        self._I_y_l = params.I_y / params.l
 
     def step(self, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
         x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
-        a_cx = (ref.acc[0] + g.Kdx * (ref.vel[0] - vx)
-                + g.Kpx * (ref.pos[0] - x))
-        a_cy = (ref.acc[1] + g.Kdy * (ref.vel[1] - vy)
-                + g.Kpy * (ref.pos[1] - y))
-        a_cz = (ref.acc[2] + g.Kdz * (ref.vel[2] - vz)
-                + g.Kpz * (ref.pos[2] - z))
+        (rx, ry, rz), (rvx, rvy, rvz), (rax, ray, raz) = ref
+        a_cx = rax + g.Kdx * (rvx - vx) + g.Kpx * (rx - x)
+        a_cy = ray + g.Kdy * (rvy - vy) + g.Kpy * (ry - y)
+        a_cz = raz + g.Kdz * (rvz - vz) + g.Kpz * (rz - z)
         U1_raw = p.m_q * (a_cz + p.g) / (math.cos(phi) * math.cos(theta))
         phi_d, theta_d, U1, saturated = _position_output(
             a_cx, a_cy, U1_raw, p, starve=False)
 
-        U2 = (p.I_x / p.l) * (g.Kpp * (phi_d - phi) - g.Kdp * p_rate)
-        U3 = (p.I_y / p.l) * (g.Kpt * (theta_d - theta) - g.Kdt * q_rate)
+        U2 = self._I_x_l * (g.Kpp * (phi_d - phi) - g.Kdp * p_rate)
+        U3 = self._I_y_l * (g.Kpt * (theta_d - theta) - g.Kdt * q_rate)
         # psi_d = 0; 0.0 - psi (not -psi) keeps U4 at +0.0 for psi = 0
         U4 = p.I_z * (g.Kpps * (0.0 - psi) - g.Kdps * r_rate)
         _check_torques(U2, U3, U4)
@@ -243,29 +244,37 @@ class SmcController:
         self.dt = dt
         self._prev_phi_d = None
         self._prev_theta_d = None
+        # torque scales and gyroscopic cross-term ratios, set once: params
+        # is frozen
+        self._I_x_l = params.I_x / params.l
+        self._I_y_l = params.I_y / params.l
+        self._cross = ((params.I_y - params.I_z) / params.I_x,
+                       (params.I_z - params.I_x) / params.I_y,
+                       (params.I_x - params.I_y) / params.I_z)
 
     def step(self, s, ref: ReferencePoint):
         g = self.gains
         p = self.params
         x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
+        (rx, ry, rz), (rvx, rvy, rvz), (rax, ray, raz) = ref
         k_phi, k_theta, k_psi, k_x, k_y, k_z = g.k
         l_phi, l_theta, l_psi, l_x, l_y, l_z = g.lam
         bl = g.boundary_layer
 
         # position loop
-        e_x = ref.pos[0] - x
-        e_y = ref.pos[1] - y
-        e_z = ref.pos[2] - z
-        ed_x = ref.vel[0] - vx
-        ed_y = ref.vel[1] - vy
-        ed_z = ref.vel[2] - vz
+        e_x = rx - x
+        e_y = ry - y
+        e_z = rz - z
+        ed_x = rvx - vx
+        ed_y = rvy - vy
+        ed_z = rvz - vz
         S_x = ed_x + l_x * e_x
         S_y = ed_y + l_y * e_y
         S_z = ed_z + l_z * e_z
-        a_cx = ref.acc[0] + l_x * ed_x + k_x * _switch(S_x, bl)
-        a_cy = ref.acc[1] + l_y * ed_y + k_y * _switch(S_y, bl)
+        a_cx = rax + l_x * ed_x + k_x * _switch(S_x, bl)
+        a_cy = ray + l_y * ed_y + k_y * _switch(S_y, bl)
         U1_raw = (p.m_q / (math.cos(phi) * math.cos(theta))
-                  * (p.g + ref.acc[2] + l_z * ed_z + k_z * _switch(S_z, bl)))
+                  * (p.g + raz + l_z * ed_z + k_z * _switch(S_z, bl)))
         phi_d, theta_d, U1, saturated = _position_output(
             a_cx, a_cy, U1_raw, p, starve=True)
 
@@ -290,12 +299,12 @@ class SmcController:
         S_psi = ed_psi + l_psi * e_psi
 
         # each row cancels its gyroscopic cross term from the plant model
-        U2 = (p.I_x / p.l) * (k_phi * _switch(S_phi, bl) + l_phi * ed_phi
-                              - (p.I_y - p.I_z) / p.I_x * q_rate * r_rate)
-        U3 = (p.I_y / p.l) * (k_theta * _switch(S_theta, bl)
-                              + l_theta * ed_theta
-                              - (p.I_z - p.I_x) / p.I_y * p_rate * r_rate)
+        c_x, c_y, c_z = self._cross
+        U2 = self._I_x_l * (k_phi * _switch(S_phi, bl) + l_phi * ed_phi
+                            - c_x * q_rate * r_rate)
+        U3 = self._I_y_l * (k_theta * _switch(S_theta, bl)
+                            + l_theta * ed_theta - c_y * p_rate * r_rate)
         U4 = p.I_z * (k_psi * _switch(S_psi, bl) + l_psi * ed_psi
-                      - (p.I_x - p.I_y) / p.I_z * q_rate * p_rate)
+                      - c_z * q_rate * p_rate)
         _check_torques(U2, U3, U4)
         return U1, U2, U3, U4, phi_d, theta_d, saturated

@@ -27,10 +27,13 @@ With the reference held over the horizon, that solve is linear in the
 reference r, the measured state x and the applied input u, so each loop
 reduces to one constant gain computed at construction:
 u_next = K @ [r, x, u].  `mpc_solve` keeps the stacked problem as the
-reference that gain is tested against.  Each K @ [r, x, u] stays one
-numpy matrix-vector product, because scalar dot products would sum in
-another order and move the rounding; its result is stored back as Python
-floats, so step returns the float tuple of the controllers interface.
+reference that gain is tested against.  Each step packs [r, x, u] into a
+12-entry buffer that the controller owns and forms the product with one
+np.dot into a 3-entry buffer it owns: the same BLAS gemv call that
+K @ np.array([r, x, u]) makes, so the bits are the same, and no array is
+built per step.  Scalar dot products would sum in another order and move
+the rounding.  The product is read back as Python floats, so step returns
+the float tuple of the controllers interface.
 
 The steady-state Riccati solution (`solve_dare`, `dare_residual`) serves
 the numerical-core checks; the controller does not use it, because it
@@ -39,6 +42,7 @@ measures the full state.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,9 @@ HORIZON = 25
 # Stable plateau measured at tilt move weight 0.2-0.8 x attitude move
 # weight 1e-4 to 5e-4.
 MOVE_ATT = 0.0002
+
+# writes one loop's [r, x, u] as native float64s into a byte buffer
+_pack_gain_input = struct.Struct("12d").pack_into
 
 
 @dataclass(frozen=True)
@@ -299,6 +306,20 @@ class MpcController:
                                    MpcWeights(s=move_att), horizon)
         self._u_pos = [0.0, 0.0, 0.0]  # (theta_d, phi_d, G) applied this tick
         self._u_att = [0.0, 0.0, 0.0]  # (U2, U3, U4) applied this tick
+        # each loop's [r, x, u] and its product, reused every step
+        self._v = np.empty(12)
+        self._v_bytes = memoryview(self._v).cast("B")
+        self._Kv = np.empty(3)
+
+    def _gain_product(self, K):
+        """K @ self._v as floats, by np.dot into self._Kv: the gemv call
+        that K @ v makes.  np.dot words a FloatingPointError "... in dot",
+        so the product is then formed again with @, whose error an abort
+        reason has always quoted ("... in matmul")."""
+        try:
+            return np.dot(K, self._v, self._Kv).tolist()
+        except FloatingPointError:
+            return (K @ self._v).tolist()
 
     def step(self, s, ref: ReferencePoint):
         par = self.params
@@ -315,16 +336,15 @@ class MpcController:
         # position loop: the current reference point, held over the horizon,
         # the measured state and the applied input decide the next input
         x, y, z, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = s
-        rx, ry, rz = ref.pos[:3]
-        self._u_pos = (self.K_pos @ np.array([
-            rx, ry, rz, x, vx, y, vy, z, vz,
-            theta_d, phi_d, G_app])).tolist()
+        rx, ry, rz = ref.pos
+        _pack_gain_input(self._v_bytes, 0, rx, ry, rz, x, vx, y, vy, z, vz,
+                         theta_d, phi_d, G_app)
+        self._u_pos = self._gain_product(self.K_pos)
 
         # attitude loop tracks this tick's applied tilt, held over the horizon
-        self._u_att = (self.K_att @ np.array([
-            phi_d, theta_d, 0.0,
-            phi, p_rate, theta, q_rate, psi, r_rate,
-            U2, U3, U4])).tolist()
+        _pack_gain_input(self._v_bytes, 0, phi_d, theta_d, 0.0,
+                         phi, p_rate, theta, q_rate, psi, r_rate, U2, U3, U4)
+        self._u_att = self._gain_product(self.K_att)
 
         # the attitude model decides torques; the roll/pitch inputs are
         # rotor force differences with moment arm l, so those two are

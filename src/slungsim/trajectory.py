@@ -34,6 +34,9 @@ T_ACCEL = 2.5       # s
 T_CRUISE = 10.0     # s
 T_LEG = 2.0 * T_ACCEL + T_CRUISE
 LEG_LENGTH = A_PEAK * T_ACCEL ** 2 + V_CRUISE * T_CRUISE
+# displacement at the end of the acceleration ramp and of the cruise
+_D_RAMP = 0.5 * A_PEAK * T_ACCEL * T_ACCEL
+_D_CRUISE = _D_RAMP + V_CRUISE * T_CRUISE
 
 
 def leg_sample(tau: float):
@@ -43,13 +46,11 @@ def leg_sample(tau: float):
         raise ValueError(f"leg time {tau} outside [0, {T_LEG}]")
     if tau < ta:
         return 0.5 * a * tau * tau, a * tau, a
-    d_ramp = 0.5 * a * ta * ta
     if tau < ta + tc:
         t1 = tau - ta
-        return d_ramp + v * t1, v, 0.0
+        return _D_RAMP + v * t1, v, 0.0
     t2 = tau - ta - tc
-    d_cruise = d_ramp + v * tc
-    return d_cruise + v * t2 - 0.5 * a * t2 * t2, v - a * t2, -a
+    return _D_CRUISE + v * t2 - 0.5 * a * t2 * t2, v - a * t2, -a
 
 
 START_POS = (0.0, 0.0, 1.5)    # where every run starts, at rest
@@ -87,9 +88,9 @@ def _waypoints(corners, window: float, arrival: bool = False) -> Trajectory:
         k = int(t // T_LEG)
         x0, y0, dx, dy = legs[k]
         d, v, a = leg_sample(t - k * T_LEG)
-        return ReferencePoint(pos=(x0 + dx * d, y0 + dy * d, _Z_HOLD),
-                              vel=(dx * v, dy * v, 0.0),
-                              acc=(dx * a, dy * a, 0.0))
+        # positional, because a NamedTuple built by keyword is slower
+        return ReferencePoint((x0 + dx * d, y0 + dy * d, _Z_HOLD),
+                              (dx * v, dy * v, 0.0), (dx * a, dy * a, 0.0))
 
     transitions = tuple(k * T_LEG for k in range(1, len(legs) + 1))
     return Trajectory(reference, window, transitions, arrival)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slungsim.controllers import ANGLE_CAP
 from slungsim.dynamics import VehicleParams
 from slungsim.mpc import (
+    _pack_gain_input,
     HORIZON,
     DiscreteModel,
     MOVE_ATT,
@@ -22,7 +24,8 @@ from slungsim.mpc import (
     mpc_solve,
     solve_dare,
 )
-from slungsim.trajectory import ReferencePoint
+from slungsim.simloop import SimConfig, run
+from slungsim.trajectory import ReferencePoint, square_reference
 
 from test_dynamics import vehicle_state
 
@@ -323,3 +326,69 @@ class TestController:
             outs.append([ctrl.step(s, hover_ref()) for s in seq])
         assert outs[0] == outs[1]
 
+
+    def test_alternated_instances_step_as_each_alone(self, params):
+        # each controller owns its gain-product buffers, so stepping two
+        # in turn gives each one's outputs of stepping it alone
+        log = run(SimConfig(controller="MPC", m_L=0.3, duration=2.0))
+        ticks = list(zip(log.quad.tolist(), map(square_reference, log.t)))
+
+        def pair():
+            return (default_mpc(params),
+                    MpcController(params, 0.01, 10, (0.2, 0.2, 0.001), 1e-3))
+
+        alone = [[repr(c.step(s, ref)) for s, ref in ticks] for c in pair()]
+        a, b = pair()
+        assert a._v is not b._v and a._Kv is not b._Kv
+        turns = [[], []]
+        for s, ref in ticks:
+            turns[0].append(repr(a.step(s, ref)))
+            turns[1].append(repr(b.step(s, ref)))
+        assert alone[0] != alone[1]
+        assert turns == alone
+
+    @pytest.mark.parametrize("v, text", [(1e308, "overflow"),
+                                         (math.inf, "invalid value")])
+    def test_raised_product_error_names_matmul(self, params, v, text):
+        # np.dot words its error "... in dot"; the step hands the product
+        # to @ so that a run's abort reason reads as it always has
+        ctrl = default_mpc(params)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="^" + text
+                               + " encountered in matmul$"):
+                ctrl.step([v] * 12, hover_ref())
+
+
+# what a gain product meets at the edges: signed zeros, subnormals, the
+# smallest normal, huge values whose products overflow, and non-finites
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf,
+               math.nan)
+_MPC = default_mpc(VehicleParams())
+
+
+def _product_outcome(product):
+    """The product's bytes, or the text of the FloatingPointError it raised."""
+    try:
+        return np.array(product()).tobytes()
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.one_of(st.floats(-1e3, 1e3),
+                            st.sampled_from(EDGE_FLOATS)),
+                  min_size=12, max_size=12),
+       errors=st.sampled_from(("ignore", "raise")))
+@example(v=[1e300] * 12, errors="ignore")
+@example(v=[1.7976931348623157e308] * 12, errors="raise")
+@example(v=[math.inf, -0.0] * 6, errors="raise")
+def test_buffered_gain_product_is_the_matmul(v, errors):
+    # both gains, written through the controller's buffers, against
+    # K @ np.array(v): the same bits, or the same error text
+    for K in (_MPC.K_pos, _MPC.K_att):
+        with np.errstate(all=errors):
+            _pack_gain_input(_MPC._v_bytes, 0, *v)
+            got = _product_outcome(lambda: _MPC._gain_product(K))
+            want = _product_outcome(lambda: (K @ np.array(v)).tolist())
+        assert got == want

@@ -2,9 +2,11 @@
 and the TRAJECTORIES table that config, run and metrics read."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slungsim.metrics import compute_run_metrics
 from slungsim.simloop import LOG_WIDTH, SimConfig, SimLog, run
@@ -13,8 +15,10 @@ from slungsim.trajectory import (
     LEG_LENGTH,
     START_POS,
     T_ACCEL,
+    T_CRUISE,
     T_LEG,
     TRAJECTORIES,
+    ReferencePoint,
     V_CRUISE,
     hover_reference,
     leg_sample,
@@ -223,3 +227,76 @@ def test_reference_point_is_read_only(name):
     ref = square_reference(20.0)
     with pytest.raises(AttributeError):
         setattr(ref, name, REST)
+
+
+def _leg_sample_as_written(tau):
+    """leg_sample with its ramp displacements formed on every call."""
+    a, v, ta, tc = A_PEAK, V_CRUISE, T_ACCEL, T_CRUISE
+    if tau < 0.0 or tau > T_LEG:
+        raise ValueError(f"leg time {tau} outside [0, {T_LEG}]")
+    if tau < ta:
+        return 0.5 * a * tau * tau, a * tau, a
+    d_ramp = 0.5 * a * ta * ta
+    if tau < ta + tc:
+        t1 = tau - ta
+        return d_ramp + v * t1, v, 0.0
+    t2 = tau - ta - tc
+    d_cruise = d_ramp + v * tc
+    return d_cruise + v * t2 - 0.5 * a * t2 * t2, v - a * t2, -a
+
+
+def _reference_as_written(name, t):
+    """The reference of WAYPOINTS[name], its ReferencePoint by keyword."""
+    corners, window = WAYPOINTS[name], TRAJECTORIES[name].window
+    z = START_POS[2]
+    legs = [(x0, y0, (x1 - x0) / LEG_LENGTH, (y1 - y0) / LEG_LENGTH)
+            for (x0, y0), (x1, y1) in zip(corners, corners[1:])]
+    if t < 0.0 or t > window:
+        raise ValueError(f"reference time {t} outside [0, {window}]")
+    if t >= len(legs) * T_LEG:
+        return ReferencePoint(pos=(*corners[-1], z), vel=REST, acc=REST)
+    k = int(t // T_LEG)
+    x0, y0, dx, dy = legs[k]
+    d, v, a = _leg_sample_as_written(t - k * T_LEG)
+    return ReferencePoint(pos=(x0 + dx * d, y0 + dy * d, z),
+                          vel=(dx * v, dy * v, 0.0),
+                          acc=(dx * a, dy * a, 0.0))
+
+
+def _sample(reference, t):
+    """repr of the point, which tells -0.0 from 0.0, or the error text."""
+    try:
+        return repr(reference(t))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# the window of each reference a run samples; hover's is unbounded, and
+# its longest tested run is 200 s
+TICKED_SPAN = {"square": 75.0, "single_leg": 75.0, "hover": 200.0}
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORIES))
+def test_reference_equals_its_formula_at_every_tick(name):
+    reference = TRAJECTORIES[name].reference
+    for k in range(round(TICKED_SPAN[name] / 0.01) + 1):
+        t = k * 0.01    # as run forms each tick's time
+        assert _sample(reference, t) == _sample(
+            partial(_reference_as_written, name), t)
+
+
+# the ends and ramp changes of every leg, and times just past them
+_LEG_EDGES = [k * T_LEG + d + e for k in range(6)
+              for d in (0.0, T_ACCEL, T_ACCEL + T_CRUISE)
+              for e in (0.0, 1e-12, -1e-12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(list(TRAJECTORIES)),
+       t=st.one_of(st.floats(-1.0, 80.0), st.floats(),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, *_LEG_EDGES])))
+def test_reference_equals_its_formula_at_any_time(name, t):
+    # bit for bit, the sign of zero included, and the same ValueError
+    # outside the window
+    assert _sample(TRAJECTORIES[name].reference, t) == _sample(
+        partial(_reference_as_written, name), t)
