@@ -16,6 +16,8 @@ import multiprocessing
 import os
 import signal
 import sys
+from dataclasses import fields
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +25,8 @@ import numpy as np
 from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                      load_config, load_sweep_spec)
 from .dynamics import VehicleParams
-from .metrics import (compute_run_metrics, critical_motion_mass,
-                      max_feasible_accel)
+from .metrics import (SWEPT, UNREPORTED, RunMetrics, compute_run_metrics,
+                      critical_motion_mass, max_feasible_accel)
 from .simloop import LOG_WIDTH, TRACE_COLUMNS, SimConfig, SimLog, run
 from .trajectory import TRAJECTORIES
 
@@ -34,19 +36,17 @@ EXIT_ABORT = 3
 EXIT_IO = 4
 EXIT_INTERRUPT = 130
 
-# RunMetrics fields, in the order metrics.csv (which then ends in
-# failure_reason) and analyze give them
-RUN_FIELDS = ("e_max", "err_x_max", "err_y_max", "phi_max", "theta_max",
-              "t_smax", "stage_times", "arrival_time", "saturation_count",
-              "failed")
-
-# run_sweep's 7-tuple, then the failure reason; read_sweep parses the
-# columns named in _SWEEP_PARSERS as given there, the others as floats
-SWEEP_COLUMNS = ("controller", "m_L", "e_max", "phi_max", "theta_max",
-                 "t_smax", "failed", "failure_reason")
-_SWEEP_METRICS = SWEEP_COLUMNS[2:-2]    # the RunMetrics fields of a row
-_SWEEP_PARSERS = {"controller": str, "failed": lambda v: bool(int(v)),
-                  "failure_reason": str}
+# metrics.csv's columns (then failure_reason) and analyze's lines: the
+# RunMetrics fields in order, but the one marked UNREPORTED
+RUN_FIELDS = tuple(f.name for f in fields(RunMetrics)
+                   if f.metadata != UNREPORTED)
+_SWEPT = {f.name: f.type for f in fields(RunMetrics) if f.metadata == SWEPT}
+# sweep.csv's columns, each with the type that read_sweep parses it by:
+# the case, its RunMetrics fields marked SWEPT, then the failure reason
+SWEEP_COLUMNS = {"controller": str, "m_L": float, **_SWEPT,
+                 "failure_reason": str}
+_SWEEP_TUPLE = ("controller", "m_L", "e_max", "phi_max", "theta_max",
+                "t_smax", "failed")         # run_sweep's fixed row
 
 
 def _cell(v, fmt: str = "%.17g") -> str:
@@ -193,25 +193,23 @@ def write_metrics(log: SimLog, path: str, trajectory: str):
                    + [log.failure_reason])
 
 
-def _sweep_case(cfg: SimConfig):
-    """One sweep.csv row: run_sweep's 7-tuple, then the failure reason
-    ("" for a passing run).
+def _sweep_case(cfg: SimConfig) -> dict:
+    """One sweep.csv row, keyed by column name.
 
     A case that raises becomes a flagged row of NaNs whose reason is the
     error; an aborted run keeps its metrics and its abort reason.
     """
-    controller, m_L = cfg.controller, cfg.m_L
     try:
         log = run(cfg)
-        met = compute_run_metrics(log, trajectory=cfg.trajectory)
+        met = vars(compute_run_metrics(log, trajectory=cfg.trajectory))
+        reason = log.failure_reason
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        print(f"sweep case {controller} m_L={m_L:g} failed: {reason}",
-              file=sys.stderr)
-        nans = [math.nan] * len(_SWEEP_METRICS)
-        return (controller, m_L, *nans, True, reason)
-    return (controller, m_L, *(getattr(met, f) for f in _SWEEP_METRICS),
-            log.failed, log.failure_reason)
+        print(f"sweep case {cfg.controller} m_L={cfg.m_L:g} failed: "
+              f"{reason}", file=sys.stderr)
+        met = {**dict.fromkeys(_SWEPT, math.nan), "failed": True}
+    return {"controller": cfg.controller, "m_L": cfg.m_L,
+            **{f: met[f] for f in _SWEPT}, "failure_reason": reason}
 
 
 def _usable_cpus() -> int:
@@ -248,30 +246,31 @@ def _sweep_rows(spec: SweepSpec, jobs: Optional[int]):
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None):
     """All (controller, mass) cases; failures become flagged rows.
 
-    Rows come back sorted by controller (PD, SMC, MPC) then mass, as
-    7-tuples (controller, m_L, e_max, phi_max, theta_max, t_smax,
-    failed).  Worker processes only simulate; the caller writes any
-    files.  jobs (default: the usable CPUs) is capped at the usable CPUs
-    and at the case count; jobs < 1 raises ConfigError.
+    Rows come back sorted by controller (PD, SMC, MPC) then mass, each
+    the 7-tuple of its sweep.csv row's `_SWEEP_TUPLE` columns: a fixed
+    API that the benchmark reads by position.  Worker processes only
+    simulate; the caller writes any files.  jobs (default: the usable
+    CPUs) is capped at them and at the case count; < 1 is a ConfigError.
     """
-    return [row[:-1] for row in _sweep_rows(spec, jobs)]
+    return [tuple(r[c] for c in _SWEEP_TUPLE) for r in _sweep_rows(spec, jobs)]
 
 
 def write_sweep(rows, path: str):
-    """Write sweep.csv: rows of the SWEEP_COLUMNS values, each a `run_sweep`
-    7-tuple and its failure reason ("" for a passing run).  The reason is
-    the one column that csv may quote.
-    """
+    """Write sweep.csv from rows as `read_sweep` returns them: dicts keyed
+    by SWEEP_COLUMNS, each cell's text following from its value's type."""
     with _replacing(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        # csv quotes a "\r" in a cell only where lines end in "\r"
+        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        w = csv.writer(lf, lineterminator="\r\n")
         w.writerow(SWEEP_COLUMNS)
-        w.writerows([_cell(v) for v in row] for row in rows)
+        w.writerows([_cell(row[c]) for c in SWEEP_COLUMNS] for row in rows)
 
 
 def read_sweep(path: str):
+    """The rows `write_sweep` wrote, each cell parsed by its column's type."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return [{c: _SWEEP_PARSERS.get(c, float)(row[c])
-                 for c in SWEEP_COLUMNS} for row in csv.DictReader(fh)]
+        return [{c: bool(int(r[c])) if t is bool else t(r[c]) for c, t in
+                 SWEEP_COLUMNS.items()} for r in csv.DictReader(fh)]
 
 
 def _cmd_simulate(args) -> int:
@@ -298,7 +297,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     write_sweep(rows, path)
-    n_failed = sum(1 for r in rows if r[6])
+    n_failed = sum(r["failed"] for r in rows)
     print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     return EXIT_OK
 

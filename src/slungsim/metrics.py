@@ -2,13 +2,12 @@
 arrival, and the thrust-budget critical-mass quantities.
 
 All log-based metrics are pure functions over completed SimLogs.  Angles
-are reported in degrees here even though logs store radians.
+are reported in degrees here even though logs store radians.  Annotations
+are not postponed: cli parses each RunMetrics column by its field's type.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,21 +19,23 @@ from .trajectory import TRAJECTORIES
 BAND_DEG = 0.2
 DWELL_S = 1.0
 ARRIVAL_THRESHOLD_M = 0.01
+SWEPT = {"sweep.csv": True}          # a field that sweep.csv reports too
+UNREPORTED = {"metrics.csv": False}  # the field that no file reports
 
 
 @dataclass(frozen=True)
 class RunMetrics:
-    e_max: float
+    e_max: float = field(metadata=SWEPT)
     err_x_max: float
     err_y_max: float
-    phi_max: float          # deg
-    theta_max: float        # deg
-    t_smax: float
+    phi_max: float = field(metadata=SWEPT)          # deg
+    theta_max: float = field(metadata=SWEPT)        # deg
+    t_smax: float = field(metadata=SWEPT)
     stage_times: tuple
-    unstable: tuple
+    unstable: tuple = field(metadata=UNREPORTED)
     arrival_time: float     # nan when the scenario has no arrival notion
     saturation_count: int
-    failed: bool
+    failed: bool = field(metadata=SWEPT)
 
 
 def max_tracking_error(log: SimLog):

@@ -107,5 +107,3 @@ TRAJECTORIES = {
 }
 
 square_reference = TRAJECTORIES["square"].reference
-single_leg_reference = TRAJECTORIES["single_leg"].reference
-hover_reference = TRAJECTORIES["hover"].reference

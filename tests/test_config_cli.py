@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import slungsim
 from slungsim import cli
@@ -465,8 +465,9 @@ class TestWholeFiles:
         write = {
             "trace.csv": lambda: write_trace(log, path, VehicleParams()),
             "metrics.csv": lambda: cli.write_metrics(log, path, "square"),
+            # a row of each column type's zero value
             "sweep.csv": lambda: write_sweep(
-                [("PD", 0.3, 0.5, 1.0, 2.0, 3.0, False, "")], path)}[name]
+                [{c: t() for c, t in cli.SWEEP_COLUMNS.items()}], path)}[name]
         rows = log.rows
         if name == "trace.csv":
             log.rows = _CutRows(rows)
@@ -574,6 +575,11 @@ def _serial_pool(monkeypatch):
     return sizes
 
 
+# the columns of run_sweep's fixed 7-tuple, in its order
+RUN_SWEEP_NAMES = ("controller", "m_L", "e_max", "phi_max", "theta_max",
+                   "t_smax", "failed")
+
+
 class TestSweepCsv:
     def test_rows_sorted_and_round_trip(self, tmp_path):
         spec = SweepSpec(masses=(0.1, 0.3), controllers=("SMC", "PD"),
@@ -582,9 +588,10 @@ class TestSweepCsv:
         assert [(r[0], r[1]) for r in results] == [
             ("PD", 0.1), ("PD", 0.3), ("SMC", 0.1), ("SMC", 0.3)]
         path = str(tmp_path / "sweep.csv")
-        write_sweep([(*r, "") for r in results], path)
+        written = cli._sweep_rows(spec, jobs=1)
+        write_sweep(written, path)
         rows = read_sweep(path)
-        assert len(rows) == 4
+        assert rows == written
         assert rows[0]["controller"] == "PD"
         assert rows[0]["m_L"] == 0.1
         assert rows[0]["e_max"] == results[0][2]
@@ -598,8 +605,8 @@ class TestSweepCsv:
         reasons = ['GimbalLockError at t=0.140: attitude (phi=0.0, '
                    'theta="-1.7")', "RuntimeError: two\nlines", ""]
         path = tmp_path / "sweep.csv"
-        write_sweep([(*r, why) for r, why in zip(results, reasons)],
-                    str(path))
+        write_sweep([{**dict(zip(RUN_SWEEP_NAMES, r)), "failure_reason": why}
+                     for r, why in zip(results, reasons)], str(path))
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert lines[1] == ("PD,0.10000000000000001,0.5,1,2,3,1,"
@@ -670,6 +677,8 @@ class TestSweepCsv:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_case_becomes_flagged_row(self, tmp_path, monkeypatch,
                                               capfd, jobs):
+        """A case that raises is a flagged NaN row, and run_sweep's fixed
+        7-tuples hold the same-named values as the sweep.csv rows."""
         spec = SweepSpec(masses=(0.1, 0.2, 0.3), controllers=("PD",),
                          base=SimConfig(duration=1.0))
         clean = run_sweep(spec, jobs=1)
@@ -688,7 +697,9 @@ class TestSweepCsv:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--jobs", str(jobs)]) == EXIT_OK
-        assert "RuntimeError: injected failure" in capfd.readouterr().err
+        captured = capfd.readouterr()
+        assert "RuntimeError: injected failure" in captured.err
+        assert "(3 rows, 1 failed)" in captured.out
         rows = read_sweep(str(out / "sweep.csv"))
         assert [(r["controller"], r["m_L"]) for r in rows] == [
             ("PD", 0.1), ("PD", 0.2), ("PD", 0.3)]
@@ -699,9 +710,59 @@ class TestSweepCsv:
         assert all(math.isnan(bad[k])
                    for k in ("e_max", "phi_max", "theta_max", "t_smax"))
         for row, ref in ((rows[0], clean[0]), (rows[2], clean[2])):
-            assert (row["controller"], row["m_L"], row["e_max"],
-                    row["phi_max"], row["theta_max"], row["t_smax"],
-                    row["failed"]) == ref
+            assert tuple(row[c] for c in RUN_SWEEP_NAMES) == ref
+        results = run_sweep(spec, jobs=jobs)
+        assert all(type(r) is tuple for r in results)
+        assert [tuple(map(type, r)) for r in results] == [
+            (str, float, float, float, float, float, bool)] * 3
+        np.testing.assert_equal(
+            results, [tuple(row[c] for c in RUN_SWEEP_NAMES) for row in rows])
+
+
+_REASONS = st.one_of(
+    st.sampled_from(["", '"', ",", "\n", "\r", "\r\n", 'a "b", c\nd',
+                     "déjà vu ✓", "\u2028", "\x00"]),
+    st.text(st.characters(blacklist_categories=("Cs",))))
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e308, -1e308, math.inf, math.nan]))
+
+
+@st.composite
+def _sweep_row(draw):
+    """A sweep.csv row as read_sweep returns it; some flagged NaN rows."""
+    metrics = [c for c, t in cli.SWEEP_COLUMNS.items()
+               if t is float and c != "m_L"]
+    row = {"controller": draw(st.sampled_from(CONTROLLERS)),
+           "m_L": draw(_FLOATS)}
+    if draw(st.booleans()):
+        row.update(dict.fromkeys(metrics, math.nan), failed=True)
+    else:
+        row.update({c: draw(_FLOATS) for c in metrics},
+                   failed=draw(st.booleans()))
+    row["failure_reason"] = draw(_REASONS)
+    return {c: row[c] for c in cli.SWEEP_COLUMNS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_sweep_row(), max_size=6))
+# csv quotes a lone "\r" only because write_sweep makes rows ending "\r\n"
+@example(rows=[{c: t() for c, t in cli.SWEEP_COLUMNS.items()}
+               | {"failure_reason": "a\rb"}])
+def test_sweep_csv_round_trips_byte_for_byte(rows):
+    """write_sweep(read_sweep(p), q) rewrites p byte for byte, and
+    read_sweep gives back the rows that were written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        p, q = os.path.join(tmp, "p.csv"), os.path.join(tmp, "q.csv")
+        write_sweep(rows, p)
+        back = read_sweep(p)
+        write_sweep(back, q)
+        with open(p, "rb") as fp, open(q, "rb") as fq:
+            assert fp.read() == fq.read()
+    np.testing.assert_equal(back, rows)
+    assert [list(r) for r in back] == [list(cli.SWEEP_COLUMNS)] * len(rows)
+    assert all(type(r["failed"]) is bool for r in back)
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"

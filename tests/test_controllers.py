@@ -20,7 +20,7 @@ from slungsim.controllers import (
 from slungsim.dynamics import VehicleParams
 from slungsim.mpc import HORIZON, MOVE_ATT, MpcController
 from slungsim.simloop import SimConfig, advance_tick, make_controller
-from slungsim.trajectory import ReferencePoint, hover_reference, square_reference
+from slungsim.trajectory import TRAJECTORIES, ReferencePoint, square_reference
 
 from test_dynamics import vehicle_state
 
@@ -106,9 +106,9 @@ def test_overflowing_torque_raises():
     ctrl = MpcController(VehicleParams(l=5e-324), 0.01, HORIZON, None,
                          MOVE_ATT)
     s = vehicle_state(z=1.5, phi=0.1, theta=0.1)
-    ctrl.step(s, hover_reference(0.0))
+    ctrl.step(s, TRAJECTORIES["hover"].reference(0.0))
     with pytest.raises(FloatingPointError, match="torque"):
-        ctrl.step(s, hover_reference(0.0))
+        ctrl.step(s, TRAJECTORIES["hover"].reference(0.0))
 
 
 class TestSwitch:
@@ -163,7 +163,7 @@ class TestPdController:
     def test_hover_fixed_point(self, params):
         ctrl = PdController(PdGains(), params)
         U1, U2, U3, U4, phi_d, theta_d, saturated = ctrl.step(
-            hover_state(), hover_reference(0.0))
+            hover_state(), TRAJECTORIES["hover"].reference(0.0))
         assert U1 == params.m_q * params.g
         assert U2 == 0.0 and U3 == 0.0 and U4 == 0.0
         assert phi_d == 0.0 and theta_d == 0.0
@@ -191,7 +191,7 @@ class TestPdController:
         # roll is 0.1 rad of roll error
         ctrl = PdController(PdGains(), params)
         out = ctrl.step(vehicle_state(z=1.5, phi=-0.1),
-                        hover_reference(0.0))
+                        TRAJECTORIES["hover"].reference(0.0))
         assert out[1] == pytest.approx(0.15, rel=1e-12)
         assert out[2] == 0.0
 
@@ -199,7 +199,7 @@ class TestPdController:
         # 0.1 rad of yaw error
         ctrl = PdController(PdGains(), params)
         out = ctrl.step(vehicle_state(z=1.5, psi=-0.1),
-                        hover_reference(0.0))
+                        TRAJECTORIES["hover"].reference(0.0))
         assert out[3] == pytest.approx(0.026, rel=1e-12)
 
     def test_thrust_cap_flagged(self, params):
@@ -221,7 +221,7 @@ class TestSmcController:
     def test_hover_fixed_point_matches_pd(self, params):
         smc = SmcController(SmcGains(), params, 0.01)
         pd = PdController(PdGains(), params)
-        ref = hover_reference(0.0)
+        ref = TRAJECTORIES["hover"].reference(0.0)
         a = smc.step(hover_state(), ref)
         b = pd.step(hover_state(), ref)
         assert a[0] == b[0] == params.m_q * params.g
@@ -396,7 +396,7 @@ class TestClosedLoopNominal:
         ctrl = SmcController(gains, params, 0.01)
         records = _closed_loop_nominal(ctrl, duration=20.0,
                                        start=(-0.5, 0.4, 1.2),
-                                       ref_fn=hover_reference)
+                                       ref_fn=TRAJECTORIES["hover"].reference)
 
         lam = np.array(gains.lam)
         S_hist = []

@@ -20,9 +20,7 @@ from slungsim.trajectory import (
     TRAJECTORIES,
     ReferencePoint,
     V_CRUISE,
-    hover_reference,
     leg_sample,
-    single_leg_reference,
     square_reference,
 )
 
@@ -127,21 +125,21 @@ class TestSquare:
 
 class TestSingleLeg:
     def test_hold_after_arrival(self):
-        ref = single_leg_reference(20.0)
+        ref = TRAJECTORIES["single_leg"].reference(20.0)
         assert ref.pos == pytest.approx([1.0, 0.0, 1.5], rel=1e-12)
         assert ref.vel == REST and ref.acc == REST
 
     def test_start(self):
-        ref = single_leg_reference(0.0)
+        ref = TRAJECTORIES["single_leg"].reference(0.0)
         assert ref.pos == pytest.approx([0.0, 0.0, 1.5])
 
     def test_deceleration_midpoint(self):
-        ref = single_leg_reference(13.75)
+        ref = TRAJECTORIES["single_leg"].reference(13.75)
         assert ref.acc == pytest.approx([-0.032, 0.0, 0.0])
 
     def test_matches_square_first_leg(self):
         for t in (0.5, 3.0, 9.9, 14.2):
-            a = single_leg_reference(t)
+            a = TRAJECTORIES["single_leg"].reference(t)
             b = square_reference(t)
             assert a.pos == b.pos
             assert a.vel == b.vel
@@ -152,8 +150,7 @@ class TestTable:
         assert list(TRAJECTORIES) == ["square", "single_leg", "hover"]
 
     def test_references(self):
-        assert [tr.reference for tr in TRAJECTORIES.values()] == [
-            square_reference, single_leg_reference, hover_reference]
+        assert TRAJECTORIES["square"].reference is square_reference
 
     def test_square_leg_boundaries(self):
         assert TRAJECTORIES["square"].transitions == (
@@ -215,8 +212,8 @@ def test_table_entry(name):
 
 
 def test_hover_reference_constant():
-    a = hover_reference(0.0)
-    b = hover_reference(123.0)
+    a = TRAJECTORIES["hover"].reference(0.0)
+    b = TRAJECTORIES["hover"].reference(123.0)
     assert a.pos == b.pos
     assert a.vel == REST and a.acc == REST
 
