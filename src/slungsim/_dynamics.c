@@ -1,6 +1,9 @@
-/* One control tick of slungsim.simloop.advance_tick, compiled: the n_sub
-   RK4 steps of slungsim.dynamics.coupled_derivative_array, the non-finite
-   check and the cable offset, on C arrays.
+/* The compiled code of slungsim: one control tick of
+   slungsim.simloop.advance_tick, and the text of a block of trace rows.
+
+   fused_tick runs the n_sub RK4 steps of
+   slungsim.dynamics.coupled_derivative_array, the non-finite check and
+   the cable offset, on C arrays.
 
    slungsim.dynamics builds this file once with -O2 -ffp-contract=off -fPIC
    and no flag that lets the compiler reassociate, fuse or widen float
@@ -25,6 +28,13 @@
    other input (an ndarray, ints, numpy scalars) fused_tick returns None
    too, and the Python loop's arithmetic follows those types' own rules:
    numpy scalars, for one, warn where Python floats raise.
+
+   format_rows writes what slungsim.cli.write_trace's `%` of "%.17g,"
+   per value and "%d\n" per flag writes, through PyOS_double_to_string,
+   the function `%` calls, so the text is the same by construction.  It
+   hands a block back (returns None) where the block is not a 2-D
+   C-contiguous float64 buffer or a flag is not 0 or 1; `%` then writes
+   what it writes, or raises what it raises.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -185,6 +195,84 @@ fused_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return state == NULL ? NULL : Py_BuildValue("(Nd)", state, sqrt(zsq));
 }
 
+/* The longest text of PyOS_double_to_string(x, 'g', 17, 0, NULL): a sign,
+   17 digits, a point and a four-character exponent */
+#define VALUE_MAX 24
+
+static PyObject *
+format_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer view;
+    PyObject *text = NULL;
+    char *buf = NULL;
+
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "format_rows expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (!PyObject_CheckBuffer(args[0]) || !PyLong_CheckExact(args[1]))
+        Py_RETURN_NONE;
+    Py_ssize_t n_cols = PyLong_AsSsize_t(args[1]);
+    if (n_cols == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    if (view.ndim != 2 || view.itemsize != 8 || view.format == NULL
+            || strcmp(view.format, "d") != 0
+            || !PyBuffer_IsContiguous(&view, 'C')
+            || n_cols < 1 || n_cols > view.shape[1]
+            || n_cols > PY_SSIZE_T_MAX / (VALUE_MAX + 1))
+        goto hand_back;
+    /* the longest text of a row: each value and its comma, then the flag
+       and the newline */
+    Py_ssize_t row_max = (n_cols - 1) * (VALUE_MAX + 1) + 2;
+    if (view.shape[0] > (PY_SSIZE_T_MAX - 1) / row_max)
+        goto hand_back;
+    const double *x = view.buf;
+    Py_ssize_t n_rows = view.shape[0], width = view.shape[1];
+    char *end = buf = PyMem_Malloc(n_rows * row_max + 1);
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (const double *row = x; row < x + n_rows * width; row += width) {
+        double flag = row[n_cols - 1];
+        if (!(flag == 0.0 || flag == 1.0))
+            goto hand_back;
+        for (Py_ssize_t j = 0; j < n_cols - 1; j++) {
+            char *s = PyOS_double_to_string(row[j], 'g', 17, 0, NULL);
+            if (s == NULL)
+                goto done;
+            size_t len = strlen(s);
+            /* never true: a longer text would overrun buf */
+            if (len > VALUE_MAX) {
+                PyMem_Free(s);
+                goto hand_back;
+            }
+            memcpy(end, s, len);
+            PyMem_Free(s);
+            end += len;
+            *end++ = ',';
+        }
+        *end++ = flag == 0.0 ? '0' : '1';
+        *end++ = '\n';
+    }
+    text = PyUnicode_New(end - buf, 127);
+    if (text != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(text), buf, end - buf);
+    goto done;
+hand_back:
+    Py_INCREF(Py_None);
+    text = Py_None;
+done:
+    PyMem_Free(buf);
+    PyBuffer_Release(&view);
+    return text;
+}
+
 static PyMethodDef methods[] = {
     {"fused_tick", (PyCFunction)(void (*)(void))fused_tick, METH_FASTCALL,
      "fused_tick(y, u, m_L, derived, dt, n_sub)\n--\n\n"
@@ -192,12 +280,19 @@ static PyMethodDef methods[] = {
      "then the non-finite check and the cable offset.  Returns\n"
      "(state tuple, zeta) with the Python loop's bits, or None where that\n"
      "loop would raise or this module does not read the input."},
+    {"format_rows", (PyCFunction)(void (*)(void))format_rows, METH_FASTCALL,
+     "format_rows(block, n_cols)\n--\n\n"
+     "The trace text of a 2-D C-contiguous float64 block: per row, its\n"
+     "first n_cols - 1 values as \"%.17g,\" and value n_cols - 1, 0 or 1,\n"
+     "as \"%d\\n\".  Returns the str `%` gives, or None where the block\n"
+     "or a flag is outside that."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_dynamics",
-    "One control tick of slungsim.simloop.advance_tick, compiled.",
+    "One control tick of slungsim.simloop.advance_tick and the text of a\n"
+    "block of trace rows, compiled.",
     0, methods, NULL, NULL, NULL, NULL
 };
 

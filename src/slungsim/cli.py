@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                      load_config, load_sweep_spec)
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, format_rows
 from .metrics import (SWEPT, UNREPORTED, RunMetrics, compute_run_metrics,
                       critical_motion_mass, max_feasible_accel)
 from .simloop import LOG_WIDTH, TRACE_COLUMNS, SimConfig, SimLog, run
@@ -88,17 +88,25 @@ def write_trace(log: SimLog, path: str, params: VehicleParams):
     """Emit the trace CSV, whole or not at all; aborted runs get a
     trailing comment marker.
 
-    Rows go out 256 at a time: one `%` of `_TRACE_ROW`, repeated once
-    per row, formats a block's values as Python floats, so memory stays
-    bounded by one block.  The log's rows are already in file order, so
-    params is not needed; it stays in the signature for existing callers.
+    Rows go out 256 at a time, so memory stays bounded by one block.
+    The compiled format_rows gives a block's text where a compiler built
+    it; where it does not, or it hands the block back (a flag that is not
+    0 or 1, a block that is no C-contiguous float64 array), one `%` of
+    `_TRACE_ROW`, repeated once per row, formats the block's values as
+    Python floats.  The two give the same text.  The log's rows are
+    already in file order, so params is not needed; it stays in the
+    signature for existing callers.
     """
     n_cols = len(TRACE_COLUMNS)
     with _replacing(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, log.n_rows, _BLOCK_ROWS):
-            block = log.rows[k0:k0 + _BLOCK_ROWS, :n_cols]
-            fh.write(_TRACE_ROW * len(block) % tuple(block.ravel().tolist()))
+            block = log.rows[k0:k0 + _BLOCK_ROWS]
+            text = format_rows(block, n_cols) if format_rows else None
+            if text is None:
+                text = _TRACE_ROW * len(block) % tuple(
+                    block[:, :n_cols].ravel().tolist())
+            fh.write(text)
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
 

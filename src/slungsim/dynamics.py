@@ -35,18 +35,21 @@ depend on the load mass (L, L^2, the taut-cable floor^2, m_q, g, the inertia
 ratios and I_z) is computed once per vehicle into VehicleParams.derived;
 only M and mu are formed per evaluation.
 
-The model is written once, in Python.  _dynamics.c holds only
-fused_tick, a whole control tick of simloop.advance_tick (its RK4 steps of
-the same float operations in the same order, the non-finite check and the
-cable offset) on C arrays, so it returns the same bits.  It copies only
-the arithmetic and hands a tick back (returns None) where a guard fails
-in a stage, the final state is non-finite or slack, or an input is not
-read; a division by zero is handed back because it ends non-finite.
+The model is written once, in Python.  _dynamics.c holds two functions.
+fused_tick is a whole control tick of simloop.advance_tick (its RK4 steps
+of the same float operations in the same order, the non-finite check and
+the cable offset) on C arrays, so it returns the same bits.  It copies
+only the arithmetic and hands a tick back (returns None) where a guard
+fails in a stage, the final state is non-finite or slack, or an input is
+not read; a division by zero is handed back because it ends non-finite.
 advance_tick then runs that tick in Python, which raises its own
-exception.  Importing this module builds _dynamics.c once into this
-package's __pycache__ (see _load_kernel) and binds fused_tick to the
-compiled tick; where no C compiler works, fused_tick is None.  KERNEL
-says which runs a tick: "c" or "python".
+exception.  format_rows is the text cli.write_trace's `%` gives a block of
+trace rows, made by the function `%` calls (PyOS_double_to_string), and
+None for a block or flag `%` would format otherwise.  Importing this
+module builds _dynamics.c once into this package's __pycache__ (see
+_load_kernel) and binds fused_tick and format_rows to the compiled
+functions; where no C compiler works, both are None.  KERNEL says which
+runs a tick: "c" or "python".
 """
 
 from __future__ import annotations
@@ -347,6 +350,8 @@ def _load_kernel(cache_dir=None):
 
 
 _kernel = _load_kernel()
-# one whole control tick, compiled; None where no compiler works
+# one whole control tick and the text of a block of trace rows, compiled;
+# None where no compiler works
 fused_tick = _kernel.fused_tick if _kernel else None
+format_rows = _kernel.format_rows if _kernel else None
 KERNEL = "python" if fused_tick is None else "c"

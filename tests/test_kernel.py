@@ -1,19 +1,24 @@
-"""The compiled control tick against the Python loop it copies.
+"""The compiled control tick and trace formatter against the Python code
+they copy.
 
 dynamics.coupled_derivative_array is the one model, a Python function.
 dynamics.fused_tick, built from _dynamics.c wherever a C compiler works,
 runs a whole control tick; it must return the bits of n_sub rk4_step calls
 of that function, or None wherever that tick raises or its input is not
 read, so that simloop.advance_tick runs the Python loop and raises the
-Python exception.  dynamics._load_kernel builds _dynamics.c into a cache
-directory under a name tagged with the source and flags; a build removes
-the finished builds of other tags there, and nothing else.
+Python exception.  dynamics.format_rows, from the same build, must return
+the text cli.write_trace's `%` gives a block of rows, or None wherever
+that `%` writes or raises anything else.  dynamics._load_kernel builds
+_dynamics.c into a cache directory under a name tagged with the source
+and flags; a build removes the finished builds of other tags there, and
+nothing else.
 """
 
 import math
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sysconfig
 import warnings
@@ -22,12 +27,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slungsim import dynamics, simloop
+from slungsim import cli, dynamics, simloop
 from slungsim.controllers import PdGains
 from slungsim.dynamics import (GimbalLockError, TautCableError, VehicleParams,
                                cable_offset, coupled_derivative_array)
-from slungsim.simloop import SimConfig, advance_tick, rk4_step, run
+from slungsim.simloop import (LOG_WIDTH, TRACE_COLUMNS, SimConfig, SimLog,
+                              advance_tick, rk4_step, run)
 
 compiled = pytest.mark.skipif(dynamics.KERNEL != "c",
                               reason="no C compiler built the kernel")
@@ -102,7 +109,9 @@ def test_compiler_on_path_means_compiled_kernel():
 def test_kernel_names_what_runs():
     assert dynamics.KERNEL in ("c", "python")
     assert (dynamics.KERNEL == "python") == (dynamics.fused_tick is None)
+    assert (dynamics.fused_tick is None) == (dynamics.format_rows is None)
     assert simloop.fused_tick is dynamics.fused_tick
+    assert cli.format_rows is dynamics.format_rows
     assert simloop.coupled_derivative_array is coupled_derivative_array
 
 
@@ -290,6 +299,167 @@ def test_default_run_takes_the_compiled_tick(monkeypatch, controller):
     assert not run(cfg).failed
     assert len(results) == cfg.n_ticks
     assert None not in results
+
+
+N_COLS = len(TRACE_COLUMNS)
+# the golden config whose PD run aborts on gimbal lock at t = 0.14 s
+PD_ABORT = SimConfig(controller="PD", m_L=0.5,
+                     pd_gains=PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3))
+
+
+def percent_text(block, n_cols):
+    """The text of block through `%`: its first n_cols - 1 values as
+    "%.17g," and value n_cols - 1 as "%d\\n", row by row."""
+    row = "%.17g," * (n_cols - 1) + "%d\n"
+    return row * len(block) % tuple(block[:, :n_cols].ravel().tolist())
+
+
+def assert_formats_as_percent(block, n_cols=N_COLS):
+    text = dynamics.format_rows(block, n_cols)
+    assert text is not None
+    # line lists: pytest names the first line that differs, where a diff
+    # of a whole log's text takes about a minute
+    assert text.split("\n") == percent_text(block, n_cols).split("\n")
+
+
+def trace_outcome(rows, path):
+    """The bytes write_trace writes for a log of rows, or the type and
+    message of what it raises."""
+    try:
+        cli.write_trace(SimLog(rows=rows), str(path), VehicleParams())
+    except Exception as exc:
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+def test_percent_text_is_the_trace_row():
+    assert "%.17g," * (N_COLS - 1) + "%d\n" == cli._TRACE_ROW
+
+
+@compiled
+@pytest.mark.parametrize("cfg", [
+    SimConfig(controller="PD", m_L=0.3, duration=5.0),
+    SimConfig(controller="SMC", m_L=0.3, duration=5.0),
+    SimConfig(controller="MPC", m_L=0.3, duration=5.0),
+    PD_ABORT], ids=["PD", "SMC", "MPC", "pd-abort"])
+def test_format_rows_equals_percent_on_logs(cfg):
+    log = run(cfg)
+    assert log.failed == (cfg is PD_ABORT)
+    # whole logs, and the 256-row blocks write_trace passes, full width
+    assert_formats_as_percent(log.rows)
+    for k0 in range(0, log.n_rows, 256):
+        assert_formats_as_percent(log.rows[k0:k0 + 256])
+
+
+NEGATIVE_NAN = struct.unpack("d", struct.pack("Q", 0xFFF8000000000000))[0]
+# zeros, the smallest and largest subnormals, the extremes, non-finites
+# and the edges of %g's fixed and exponent notations
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1e308,
+               -1e308, math.inf, -math.inf, math.nan, NEGATIVE_NAN,
+               0.1 + 0.2, 1e-5, -1.2345678901234567e-5, 1e16, 1e17)
+
+
+@compiled
+def test_format_rows_equals_percent_on_edge_values():
+    n = len(EDGE_VALUES)
+    block = np.zeros((n, 4))
+    block[:, 0] = EDGE_VALUES
+    block[:, 1] = EDGE_VALUES[::-1]
+    block[:, 2] = [-0.0, 1.0] * (n // 2)
+    assert np.signbit(block[EDGE_VALUES.index(NEGATIVE_NAN), 0])
+    assert_formats_as_percent(block, 3)
+    assert_formats_as_percent(block, 4)
+    assert_formats_as_percent(block[:, 2:].copy(), 1)   # the flags alone
+    assert dynamics.format_rows(block[:0], 3) == ""
+
+
+@compiled
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60),
+       flags=st.lists(st.booleans(), min_size=30, max_size=30))
+def test_format_rows_equals_percent_on_any_double(bits, flags):
+    # raw 64-bit patterns draw every exponent range, subnormals and nans
+    values = [struct.unpack("d", struct.pack("Q", b))[0] for b in bits]
+    block = np.zeros((30, 3))
+    block[:, :2] = np.resize(values, (30, 2))
+    block[:, 2] = flags
+    assert_formats_as_percent(block, 3)
+
+
+def flagged(value):
+    rows = np.zeros((3, LOG_WIDTH))
+    rows[1, N_COLS - 1] = value
+    return rows
+
+
+# logs whose blocks format_rows hands back, and whether write_trace then
+# writes (True) or raises (False)
+HANDED_BACK = {
+    "float32": (np.ones((3, LOG_WIDTH), np.float32), True),
+    "non-contiguous": (np.ones((3, 2 * LOG_WIDTH))[:, ::2], True),
+    "fortran order": (np.asfortranarray(np.ones((3, LOG_WIDTH))), True),
+    "1-d": (np.ones(LOG_WIDTH), False),
+    "3-d": (np.ones((3, LOG_WIDTH, 2)), False),
+    # a view whose base goes on past it, so a read past the view finds
+    # zeros there, valid flags
+    "above the width": (np.zeros((4, N_COLS - 1))[:3], False),
+    "flag 0.5": (flagged(0.5), True),
+    "flag 2": (flagged(2.0), True),
+    "flag nan": (flagged(math.nan), False),
+    "flag inf": (flagged(math.inf), False),
+    "flag -inf": (flagged(-math.inf), False),
+}
+
+
+@compiled
+@pytest.mark.parametrize("case", HANDED_BACK)
+def test_format_rows_hands_off_to_percent(case, tmp_path, monkeypatch):
+    rows, writes = HANDED_BACK[case]
+    assert dynamics.format_rows(rows, N_COLS) is None
+    fast = trace_outcome(rows, tmp_path / "fast.csv")
+    monkeypatch.setattr(cli, "format_rows", None)
+    assert isinstance(fast, bytes) == writes
+    assert fast == trace_outcome(rows, tmp_path / "slow.csv")
+
+
+@compiled
+def test_format_rows_checks_its_arguments():
+    rows = np.zeros((2, LOG_WIDTH))
+    with pytest.raises(TypeError):
+        dynamics.format_rows(rows)
+    for block, n_cols in ((rows.tolist(), N_COLS), (rows, float(N_COLS)),
+                          (rows, np.int64(N_COLS)), (rows, 0),
+                          (rows, -1), (rows, 2**70)):
+        assert dynamics.format_rows(block, n_cols) is None
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(controller="MPC", duration=5.0),
+                                 PD_ABORT], ids=["MPC", "pd-abort"])
+def test_trace_bytes_do_not_depend_on_the_formatter(cfg, tmp_path,
+                                                    monkeypatch):
+    # where no compiler works, write_trace's `%` writes the same file
+    log = run(cfg)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    cli.write_trace(log, str(fast), cfg.params)
+    monkeypatch.setattr(cli, "format_rows", None)
+    cli.write_trace(log, str(slow), cfg.params)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert fast.read_bytes().count(b"\n") == log.n_rows + 1 + log.failed
+
+
+@compiled
+def test_default_trace_takes_the_formatter(tmp_path, monkeypatch):
+    # a write that silently went back to `%` fails here
+    results = []
+
+    def recording(*args):
+        results.append(dynamics.format_rows(*args))
+        return results[-1]
+    monkeypatch.setattr(cli, "format_rows", recording)
+    log = run(SimConfig(duration=5.0))            # 501 rows: two blocks
+    cli.write_trace(log, str(tmp_path / "trace.csv"), VehicleParams())
+    assert len(results) == 2 and None not in results
 
 
 @compiled
