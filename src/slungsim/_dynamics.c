@@ -3,24 +3,22 @@
 
    fused_tick runs the n_sub RK4 steps of
    slungsim.dynamics.coupled_derivative_array, the non-finite check and
-   the cable offset, on C arrays.
-
-   slungsim.dynamics builds this file once with -O2 -ffp-contract=off -fPIC
-   and no flag that lets the compiler reassociate, fuse or widen float
-   arithmetic, so each expression below rounds exactly as the Python
-   expression it copies: the same operations, in the same order, with the
-   same association.  Only the arithmetic is copied.  fused_tick hands a
+   the cable offset, on C arrays.  The model is not written here:
+   slungsim.dynamics translates that function into derivative() below,
+   each operation parenthesised in its syntax tree's order, and builds
+   the result with -O2 -ffp-contract=off -fPIC and no flag that lets the
+   compiler reassociate, fuse or widen float arithmetic.  So each
+   operation rounds as Python's does, there and in the RK4 update and
+   cable test, which copy rk4_step and cable_offset.  fused_tick hands a
    tick back (returns None) where a guard fails in a stage, the final
    state is non-finite or slack, or an input is not read; advance_tick
    then runs its Python loop from the same state, which raises its own
    exception with its own message.  A division by zero is handed back
-   because it ends non-finite: under IEEE 754 its quotient is an inf or a
-   NaN, and add, subtract, multiply and divide keep a non-finite operand
-   non-finite except as a divisor (x / inf is 0).  The one divisor here
-   formed from a quotient is the Cramer determinant, inf or NaN where M is
-   0, and then mu and U1 / M are non-finite too.  So every zero divisor a
-   guard-passing stage reaches (M, zeta, z^2 zeta, L, z^2, the determinant,
-   I_z) leaves a rate non-finite, and RK4 adds every rate into the state.
+   because it ends non-finite: its IEEE 754 quotient is an inf or a NaN,
+   which add, subtract, multiply and divide keep non-finite except as a
+   divisor (x / inf is 0), and the model's one divisor formed from a
+   quotient, its Cramer determinant, is inf or NaN only where mu and
+   U1 / M are too (M = 0).  So it leaves a rate, and the state, non-finite.
 
    Only lists and tuples of exact floats, of lengths 16 and 4, an exact
    float m_L, a params.derived tuple of 11 exact floats, an exact float
@@ -40,8 +38,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-
-#define HALF_PI (Py_MATH_PI / 2.0)
 
 /* Copy the values of the n entries of seq to out; 0 if seq is not an
    exact list or tuple of n exact floats. */
@@ -75,67 +71,8 @@ new_floats(const double *v)
     return out;
 }
 
-/* Fill value with the 16 rates of the Python function, the pass-through
-   rates (0-2, 6-8, 12 and 13) read from y; 0 where a guard fails. */
-static int
-derivative(const double *y, const double *u, double m_L, const double *d,
-           double *value)
-{
-    double phi = y[6], theta = y[7], pr = y[9], qr = y[10], rr = y[11];
-    double r = y[12], s = y[13], vr = y[14], vs = y[15];
-    double U1 = u[0], U2 = u[1], U3 = u[2], U4 = u[3];
-    if (fabs(phi) >= HALF_PI || fabs(theta) >= HALF_PI)
-        return 0;
-    /* cx = (I_y - I_z)/I_x and lx = l/I_x; cy, ly and cz likewise */
-    double L = d[0], LL = d[1], floor2 = d[2], m_q = d[3], g = d[4];
-    double cx = d[5], lx = d[6], cy = d[7], ly = d[8], cz = d[9], I_z = d[10];
-    double M = m_q + m_L;
-    double mu = m_L / M;
-    double Lr = LL - r * r;
-    double Ls = LL - s * s;
-    double zsq = Lr - s * s;
-    if (zsq <= floor2)
-        return 0;
-    double zeta = sqrt(zsq);
-    double z2 = zeta * zeta;
-
-    double cphi = cos(phi);
-    double U1_M = U1 / M;
-    double rvr_svs = r * vr + s * vs;
-    double B = Ls * vr * vr + Lr * vs * vs + 2.0 * r * s * vr * vs;
-
-    double b1 = cphi * sin(theta) * U1_M;
-    double b2 = -sin(phi) * U1_M;
-    double b3 = (cphi * cos(theta) * U1_M - mu * (vr * vr + vs * vs) / zeta
-                 - mu * rvr_svs * rvr_svs / (z2 * zeta)
-                 - g * (m_L * zeta / L + m_q) / M);
-
-    double common = B / z2 + g * zeta + zeta * b3;
-    double c1 = r * common + z2 * b1;
-    double c2 = s * common + z2 * b2;
-    double rs = r * s;
-    double kdet = (m_q / M) * LL * z2;
-    double r_dd = (rs * c2 - Lr * c1) / kdet;
-    double s_dd = (rs * c1 - Ls * c2) / kdet;
-
-    value[0] = y[3];
-    value[1] = y[4];
-    value[2] = y[5];
-    value[3] = b1 - mu * r_dd;
-    value[4] = b2 - mu * s_dd;
-    value[5] = b3 - mu * (r * r_dd + s * s_dd) / zeta;
-    value[6] = pr;
-    value[7] = qr;
-    value[8] = rr;
-    value[9] = cx * qr * rr + lx * U2;
-    value[10] = cy * pr * rr + ly * U3;
-    value[11] = cz * qr * pr + U4 / I_z;
-    value[12] = vr;
-    value[13] = vs;
-    value[14] = r_dd;
-    value[15] = s_dd;
-    return 1;
-}
+/* derivative(), 0 where it raises: put here by dynamics._kernel_source */
+@derivative@
 
 /* stage = y + c * k, element by element, as rk4_step forms it */
 static void
@@ -291,8 +228,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_dynamics",
-    "One control tick of slungsim.simloop.advance_tick and the text of a\n"
-    "block of trace rows, compiled.",
+    "One control tick of slungsim.simloop.advance_tick, its model translated\n"
+    "from Python, and the text of a block of trace rows, compiled.",
     0, methods, NULL, NULL, NULL, NULL
 };
 

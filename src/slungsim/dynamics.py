@@ -35,26 +35,21 @@ depend on the load mass (L, L^2, the taut-cable floor^2, m_q, g, the inertia
 ratios and I_z) is computed once per vehicle into VehicleParams.derived;
 only M and mu are formed per evaluation.
 
-The model is written once, in Python.  _dynamics.c holds two functions.
-fused_tick is a whole control tick of simloop.advance_tick (its RK4 steps
-of the same float operations in the same order, the non-finite check and
-the cable offset) on C arrays, so it returns the same bits.  It copies
-only the arithmetic and hands a tick back (returns None) where a guard
-fails in a stage, the final state is non-finite or slack, or an input is
-not read; a division by zero is handed back because it ends non-finite.
-advance_tick then runs that tick in Python, which raises its own
-exception.  format_rows is the text cli.write_trace's `%` gives a block of
-trace rows, made by the function `%` calls (PyOS_double_to_string), and
-None for a block or flag `%` would format otherwise.  Importing this
-module builds _dynamics.c once into this package's __pycache__ (see
-_load_kernel) and binds fused_tick and format_rows to the compiled
-functions; where no C compiler works, both are None.  KERNEL says which
-runs a tick: "c" or "python".
+The model is written once, in Python.  _dynamics.c holds fused_tick, a
+whole control tick of simloop.advance_tick on C arrays (see there for when
+it hands a tick back), whose model _kernel_source translates from
+coupled_derivative_array, and format_rows, the text of a block of trace
+rows for cli.write_trace.  Importing this module builds both once into
+this package's __pycache__ (see _load_kernel) and binds their names, None
+where no C compiler works.  KERNEL says which runs a tick: "c" or
+"python".
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import inspect
 import math
 import os
 import re
@@ -167,11 +162,12 @@ def coupled_derivative_array(y, u, m_L: float, params: VehicleParams):
 
     y and u are any 16- and 4-float sequences (lists on the run path,
     arrays from tests and checks).  This is the one implementation of the
-    coupled physics, which _dynamics.c's fused_tick copies operation for
-    operation: the attitude guard, the taut-cable floor, the coupled
-    translational/load solve and the rotational rows are all inline, so an
-    evaluation is scalar float arithmetic with no allocation beyond the
-    returned list.
+    coupled physics, scalar float arithmetic with no allocation beyond the
+    returned list, and _kernel_source translates it into C, refusing (so
+    KERNEL is "python") anything but: unpacking y, u and params.derived,
+    `name = expr`, `if test: raise ...` (one <= or >=, or an `or` of
+    them) and a final `return [16 rates]`, where an expression is + - * /,
+    unary -, floats, module-level floats, math.sqrt, sin and cos, and abs.
 
     Unknowns a = (x_dd, y_dd, z_dd, r_dd, s_dd).  With M = m_q + m_L and
     mu = m_L / M the relations are (yaw = 0 in the translational rows):
@@ -291,10 +287,77 @@ def pendulum_energy(r: float, s: float, vr: float, vs: float, m_L: float,
 # fixed, so the compiled tick rounds as Python does: no FMA contraction,
 # no fast-math
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+# the operators, calls and unpacked sequences (C array, length) translated
+_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+          ast.LtE: "<=", ast.GtE: ">="}
+_C_CALLS = {"math.sqrt": "sqrt", "math.sin": "sin", "math.cos": "cos",
+            "abs": "fabs"}
+_C_ARRAYS = {"y": ("y", 16), "u": ("u", 4), "params.derived": ("d", 11)}
 
 
-def _compile(source: str, path: str) -> None:
-    """Build the extension at path through a temporary file beside it."""
+def _kernel_source() -> str:
+    """_dynamics.c, its @derivative@ line replaced by the model in C, each
+    operation parenthesised in tree order; ImportError for other Python."""
+    tree = ast.parse(inspect.getsource(coupled_derivative_array)).body[0]
+    local = {"m_L"} | {n.id for n in ast.walk(tree) if isinstance(
+        n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    reads, loads, lines = set(), [], []
+
+    def c(node, test=False):
+        # `or` only in a test: Python's `or` of floats is a float, not 0/1
+        match node, test:
+            case ast.BoolOp(op=ast.Or(), values=tests), True:
+                return "(" + " || ".join(c(t, True) for t in tests) + ")"
+            case ast.Compare(left=a, ops=[ast.LtE() | ast.GtE() as o],
+                             comparators=[b]), True:
+                return f"({c(a)} {_C_OPS[type(o)]} {c(b)})"
+            case ast.BinOp(left=a, op=o, right=b), False if type(o) in _C_OPS:
+                return f"({c(a)} {_C_OPS[type(o)]} {c(b)})"
+            case ast.UnaryOp(op=ast.USub(), operand=a), False:
+                return f"(- {c(a)})"
+            case ast.Call(func=f, args=[a], keywords=[]), False if (
+                    ast.unparse(f) in _C_CALLS):
+                return f"{_C_CALLS[ast.unparse(f)]}({c(a)})"
+            case ast.Name(id=name), False if name in local:
+                reads.add(name)
+                return name
+        value = (node.value if isinstance(node, ast.Constant) else
+                 globals().get(getattr(node, "id", "")))
+        if not test and type(value) is float and math.isfinite(value):
+            return repr(value)
+        raise ImportError(f"no C for {ast.unparse(node)!r}")
+
+    for st in tree.body[1 if ast.get_docstring(tree) else 0:]:
+        match st:
+            case ast.Assign(targets=[ast.Tuple(elts=names)], value=seq) if (
+                    _C_ARRAYS.get(ast.unparse(seq), (0, 0))[1] == len(names)
+                    and all(isinstance(e, ast.Name) for e in names)):
+                array = _C_ARRAYS[ast.unparse(seq)][0]
+                loads += [(e.id, f"{array}[{i}]") for i, e in enumerate(names)]
+            case ast.Assign(targets=[ast.Name(id=name)], value=expr):
+                lines.append(f"double {name} = {c(expr)};")
+            case ast.If(test=cond, body=[ast.Raise()], orelse=[]):
+                lines.append(f"if {c(cond, True)}\n        return 0;")
+            case ast.Return(value=ast.List(elts=rates)) if (
+                    st is tree.body[-1] and len(rates) == COUPLED_DIM):
+                lines += [f"value[{i}] = {c(v)};" for i, v in enumerate(rates)]
+                lines.append("return 1;")
+            case _:
+                raise ImportError(f"no C for {ast.unparse(st)!r}")
+    if lines[-1:] != ["return 1;"]:
+        raise ImportError("the model must end in return [...]")
+    # an unpacked name the C does not read would be an unused local
+    lines[:0] = [f"double {n} = {a};" for n, a in loads if n in reads]
+    with open(os.path.join(_HERE, "_dynamics.c")) as fh:
+        return fh.read().replace("@derivative@", (
+            "static int\nderivative(const double *y, const double *u, double"
+            " m_L, const double *d,\n           double *value)\n{\n"
+            + "".join(f"    {x}\n" for x in lines) + "}"))
+
+
+def _compile(text: str, path: str) -> None:
+    """Build C text into the extension at path via a temporary file."""
     import shlex
     import subprocess
     import sysconfig
@@ -305,9 +368,9 @@ def _compile(source: str, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         subprocess.run([*shlex.split(ldshared), *_C_FLAGS, "-I",
-                        sysconfig.get_path("include"), source, "-o", tmp],
-                       check=True, timeout=60, capture_output=True,
-                       stdin=subprocess.DEVNULL)
+                        sysconfig.get_path("include"), "-x", "c", "-", "-o",
+                        tmp], input=text.encode(), check=True, timeout=60,
+                       capture_output=True)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
         raise OSError(f"building {path} failed: {exc}") from exc
@@ -319,22 +382,22 @@ def _compile(source: str, path: str) -> None:
 def _load_kernel(cache_dir=None):
     """The compiled _dynamics module, or None where none builds.
 
-    The extension lives in cache_dir (this package's __pycache__) under a
-    name tagged with the CRC-32 of _dynamics.c and _C_FLAGS, so it is
-    built on the first import after an edit and loaded on every other.
-    A build removes the finished builds of other tags beside it, but no
-    *.tmp file, which another process may still be writing.
+    It lives in cache_dir (this package's __pycache__) under a name tagged
+    with the CRC-32 of _dynamics.c, this file (model and translator) and
+    _C_FLAGS, so it is built on the first import after an edit and loaded
+    on every other.  A build removes the finished builds of other tags
+    beside it, but no *.tmp file, which another process may be writing.
     """
-    here = os.path.dirname(os.path.abspath(__file__))
-    source = os.path.join(here, "_dynamics.c")
-    cache_dir = cache_dir or os.path.join(here, "__pycache__")
+    cache_dir = cache_dir or os.path.join(_HERE, "__pycache__")
     try:
-        with open(source, "rb") as fh:
-            tag = zlib.crc32(fh.read() + " ".join(_C_FLAGS).encode())
+        with open(os.path.join(_HERE, "_dynamics.c"), "rb") as c_text, \
+                open(__file__, "rb") as py_text:
+            tag = zlib.crc32(c_text.read() + py_text.read()
+                             + " ".join(_C_FLAGS).encode())
         path = os.path.join(cache_dir,
                             f"_dynamics.{tag:08x}{EXTENSION_SUFFIXES[0]}")
         if not os.path.exists(path):
-            _compile(source, path)
+            _compile(_kernel_source(), path)
             build = re.compile(r"_dynamics\.[0-9a-f]{8}"
                                + re.escape(EXTENSION_SUFFIXES[0]))
             for name in os.listdir(cache_dir):

@@ -1,25 +1,31 @@
 """The compiled control tick and trace formatter against the Python code
-they copy.
+they come from.
 
-dynamics.coupled_derivative_array is the one model, a Python function.
-dynamics.fused_tick, built from _dynamics.c wherever a C compiler works,
-runs a whole control tick; it must return the bits of n_sub rk4_step calls
-of that function, or None wherever that tick raises or its input is not
-read, so that simloop.advance_tick runs the Python loop and raises the
-Python exception.  dynamics.format_rows, from the same build, must return
-the text cli.write_trace's `%` gives a block of rows, or None wherever
-that `%` writes or raises anything else.  dynamics._load_kernel builds
-_dynamics.c into a cache directory under a name tagged with the source
-and flags; a build removes the finished builds of other tags there, and
-nothing else.
+dynamics.coupled_derivative_array is the one model, a Python function,
+and dynamics._kernel_source translates it into C for _dynamics.c, or
+refuses it.  dynamics.fused_tick, built from that text wherever a C
+compiler works, runs a whole control tick; it must return the bits of
+n_sub rk4_step calls of that function, edited or not, or None wherever
+that tick raises or its input is not read, so that simloop.advance_tick
+runs the Python loop and raises the Python exception.
+dynamics.format_rows, from the same build, must return the text
+cli.write_trace's `%` gives a block of rows, or None wherever that `%`
+writes or raises anything else.  dynamics._load_kernel builds into a
+cache directory under a name tagged with _dynamics.c, dynamics.py and the
+flags; a build removes the finished builds of other tags there, and
+nothing else, and a refused model builds nothing.  Scratch builds go to
+a copy of dynamics.py in a temporary directory, never to the package's
+own cache.
 """
 
+import importlib.util
 import math
 import os
 import shlex
 import shutil
 import struct
 import subprocess
+import sys
 import sysconfig
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -115,12 +121,12 @@ def test_kernel_names_what_runs():
     assert simloop.coupled_derivative_array is coupled_derivative_array
 
 
-def reference_tick(y, u, m_L, p, dt, n_sub):
-    """A tick through the Python loop: n_sub rk4_step calls of
-    coupled_derivative_array, the non-finite check and the cable offset,
-    as one flat list of the 16 state floats and zeta."""
+def reference_tick(y, u, m_L, p, dt, n_sub, model=coupled_derivative_array):
+    """A tick through the Python loop: n_sub rk4_step calls of model,
+    the non-finite check and the cable offset, as one flat list of the 16
+    state floats and zeta."""
     def f(v, w):
-        return coupled_derivative_array(v, w, m_L, p)
+        return model(v, w, m_L, p)
     for _ in range(n_sub):
         y = rk4_step(f, y, u, dt)
     if not all(map(math.isfinite, y)):
@@ -464,15 +470,16 @@ def test_default_trace_takes_the_formatter(tmp_path, monkeypatch):
 
 @compiled
 def test_source_builds_without_warnings(tmp_path):
-    # a temporary or variable left unused by an edit fails here; a
+    # the text the loader builds, its translated model included; a
+    # temporary or variable left unused by an edit fails here; a
     # METH_FASTCALL function does not use its module argument
-    source = os.path.join(os.path.dirname(dynamics.__file__), "_dynamics.c")
     build = subprocess.run(
         [*shlex.split(sysconfig.get_config_var("LDSHARED")),
          *dynamics._C_FLAGS, "-Wall", "-Wextra", "-Wno-unused-parameter",
-         "-Werror", "-I", sysconfig.get_path("include"), source,
+         "-Werror", "-I", sysconfig.get_path("include"), "-x", "c", "-",
          "-o", str(tmp_path / f"_dynamics{EXTENSION_SUFFIXES[0]}")],
-        capture_output=True, text=True, timeout=60, stdin=subprocess.DEVNULL)
+        input=dynamics._kernel_source(), capture_output=True, text=True,
+        timeout=60)
     assert build.returncode == 0, build.stderr
 
 
@@ -527,3 +534,86 @@ def test_failing_compiler_leaves_python(tmp_path, monkeypatch, compiler):
         assert dynamics._load_kernel(cache_dir=str(cache)) is None
     assert caught == []
     assert list(cache.iterdir()) == []
+
+
+def scratch_dynamics(tmp_path, monkeypatch, old="", new=""):
+    """A copy of slungsim.dynamics imported from tmp_path, its text with
+    old replaced by new; importing it builds its kernel, if it can, into
+    tmp_path's __pycache__."""
+    here = os.path.dirname(dynamics.__file__)
+    with open(os.path.join(here, "dynamics.py")) as fh:
+        text = fh.read()
+    assert not old or text.count(old) == 1
+    (tmp_path / "dynamics.py").write_text(text.replace(old, new))
+    shutil.copy(os.path.join(here, "_dynamics.c"), tmp_path)
+    spec = importlib.util.spec_from_file_location(
+        "scratch_dynamics", tmp_path / "dynamics.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up while it builds VehicleParams
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def kernel_builds(directory):
+    return sorted(p.name for p in directory.glob("_dynamics.*"))
+
+
+# edits to the model that the translator refuses: (old text, new text)
+REFUSED = {
+    "power": ("z2 = zeta * zeta\n\n", "z2 = zeta ** 2.0\n\n"),
+    "floor division": ("rs = r * s", "rs = r // s"),
+    "modulo": ("rs = r * s", "rs = r % s"),
+    "other call": ("cphi = math.cos(phi)", "cphi = math.tan(phi)"),
+    "chained comparison": ("if zsq <= floor2:", "if 0.0 <= zsq <= floor2:"),
+    "if without raise": ("raise _slack_error(r, s, L)\n    zeta",
+                         "zsq = floor2\n    zeta"),
+    "int module name": ("mu = m_L / M\n", "mu = m_L / M / COUPLED_DIM\n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_model_builds_nothing(tmp_path, monkeypatch, case):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scratch = scratch_dynamics(tmp_path, monkeypatch, *REFUSED[case])
+        with pytest.raises(ImportError, match="^no C for "):
+            scratch._kernel_source()
+        cache = tmp_path / "cache"
+        assert scratch._load_kernel(cache_dir=str(cache)) is None
+    assert caught == []
+    assert scratch.KERNEL == "python" and scratch.fused_tick is None
+    assert kernel_builds(tmp_path / "__pycache__") == []
+    assert not cache.exists()
+
+
+@compiled
+def test_model_edit_moves_the_compiled_tick(tmp_path, monkeypatch):
+    # Newton's laws' gravity term in the z row, in place of the model's
+    scratch = scratch_dynamics(tmp_path, monkeypatch,
+                               "- g * (m_L * zeta / L + m_q) / M)", "- g)")
+    assert scratch.KERNEL == "c"
+    assert kernel_builds(tmp_path / "__pycache__") != []
+    moved = set()
+    for y, u, m_L, p in random_cases(200, seed=11):
+        args = (y, u, m_L, p, 1e-3, 10)
+        want = outcome(reference_tick, *args, scratch.coupled_derivative_array)
+        got = fused_outcome(scratch.fused_tick, *args)
+        assert got == (None if isinstance(want, tuple) else want), args
+        if isinstance(want, list):
+            moved.update(i for i, (a, b) in enumerate(zip(
+                want, fused_outcome(dynamics.fused_tick, *args))) if a != b)
+    # the translational and load entries and zeta move, the attitude not
+    assert moved == {*range(6), 12, 13, 14, 15, 16}
+
+
+@compiled
+def test_edit_to_dynamics_py_rebuilds(tmp_path, monkeypatch):
+    scratch = scratch_dynamics(tmp_path, monkeypatch)
+    first = kernel_builds(tmp_path / "__pycache__")
+    assert scratch.KERNEL == "c" and len(first) == 1
+    with open(tmp_path / "dynamics.py", "a") as fh:
+        fh.write("# an edit that moves no arithmetic\n")
+    assert scratch._load_kernel() is not None
+    second = kernel_builds(tmp_path / "__pycache__")
+    assert len(second) == 1 and second != first

@@ -1,5 +1,6 @@
 """Closed-loop harness: integrator oracles, determinism, abort handling."""
 
+import functools
 import math
 import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass
@@ -7,7 +8,7 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass
 import numpy as np
 import pytest
 
-from slungsim import simloop
+from slungsim import dynamics, simloop
 from slungsim.dynamics import (TautCableError, VehicleParams,
                                coupled_derivative_array)
 from slungsim.simloop import (LOG_WIDTH, MAX_MPC_HORIZON, MAX_SUBSTEPS,
@@ -393,6 +394,41 @@ class TestScalarPhysics:
                                                                0.0, 0.0])
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             advance_tick([0.0] * 16, None, 0.3, VehicleParams(), 1.0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _logged_states(controller):
+    """(state, input) every 2.5 s along a 75 s run at 0.3 kg: 30 pairs."""
+    rows = run(SimConfig(controller=controller, m_L=0.3)).rows[125::250]
+    return [([*r[1:15].tolist(), *r[27:29].tolist()], r[16:20].tolist())
+            for r in rows]
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+@pytest.mark.parametrize("controller", ["PD", "SMC", "MPC"])
+def test_observed_order_of_accuracy_is_four(monkeypatch, controller, path):
+    # 0.04 s at 1, 2, 4 and 8 steps against 64: each halving of the step
+    # cuts a fourth-order method's error by 2^4, a second-order one's by 2^2
+    if path == "compiled" and dynamics.KERNEL != "c":
+        pytest.skip("no C compiler built the kernel")
+    states = _logged_states(controller)
+    assert len(states) == 30
+    monkeypatch.setattr(simloop, "fused_tick", None)
+    p = VehicleParams()
+
+    def end(y, u, n):
+        if path == "python":
+            return advance_tick(y, u, 0.3, p, 0.04 / n, n)[0]
+        out = dynamics.fused_tick(y, u, 0.3, p.derived, 0.04 / n, n)
+        assert out is not None
+        return out[0]
+
+    for y, u in states:
+        ref = end(y, u, 64)
+        err = [max(abs(a - b) for a, b in zip(end(y, u, n), ref))
+               for n in (1, 2, 4, 8)]
+        orders = [math.log2(a / b) for a, b in zip(err, err[1:])]
+        assert all(3.5 <= k <= 4.5 for k in orders), (orders, y, u)
 
 
 class TestRun:
