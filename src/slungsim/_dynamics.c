@@ -30,9 +30,11 @@
    format_rows writes what slungsim.cli.write_trace's `%` of "%.17g,"
    per value and "%d\n" per flag writes, through PyOS_double_to_string,
    the function `%` calls, so the text is the same by construction.  It
-   hands a block back (returns None) where the block is not a 2-D
-   C-contiguous float64 buffer or a flag is not 0 or 1; `%` then writes
-   what it writes, or raises what it raises.
+   formats every column of the block it is given, a view included, the
+   last one as the flag.  It hands a block back (returns None) where the
+   block is not a 2-D float64 buffer whose values in a row are adjacent,
+   or a flag is not 0 or 1; `%` then writes what it writes, or raises
+   what it raises.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -137,45 +139,37 @@ fused_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 #define VALUE_MAX 24
 
 static PyObject *
-format_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+format_rows(PyObject *module, PyObject *block)
 {
     Py_buffer view;
     PyObject *text = NULL;
     char *buf = NULL;
 
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError,
-                     "format_rows expected 2 arguments, got %zd", nargs);
-        return NULL;
-    }
-    if (!PyObject_CheckBuffer(args[0]) || !PyLong_CheckExact(args[1]))
+    if (!PyObject_CheckBuffer(block))
         Py_RETURN_NONE;
-    Py_ssize_t n_cols = PyLong_AsSsize_t(args[1]);
-    if (n_cols == -1 && PyErr_Occurred())
-        PyErr_Clear();
-    if (PyObject_GetBuffer(args[0], &view, PyBUF_RECORDS_RO) < 0) {
+    if (PyObject_GetBuffer(block, &view, PyBUF_RECORDS_RO) < 0) {
         PyErr_Clear();
         Py_RETURN_NONE;
     }
     if (view.ndim != 2 || view.itemsize != 8 || view.format == NULL
-            || strcmp(view.format, "d") != 0
-            || !PyBuffer_IsContiguous(&view, 'C')
-            || n_cols < 1 || n_cols > view.shape[1]
-            || n_cols > PY_SSIZE_T_MAX / (VALUE_MAX + 1))
+            || strcmp(view.format, "d") != 0 || view.strides[1] != 8
+            || view.shape[1] < 1
+            || view.shape[1] > PY_SSIZE_T_MAX / (VALUE_MAX + 1))
         goto hand_back;
+    Py_ssize_t n_rows = view.shape[0], n_cols = view.shape[1];
     /* the longest text of a row: each value and its comma, then the flag
        and the newline */
     Py_ssize_t row_max = (n_cols - 1) * (VALUE_MAX + 1) + 2;
-    if (view.shape[0] > (PY_SSIZE_T_MAX - 1) / row_max)
+    if (n_rows > (PY_SSIZE_T_MAX - 1) / row_max)
         goto hand_back;
-    const double *x = view.buf;
-    Py_ssize_t n_rows = view.shape[0], width = view.shape[1];
     char *end = buf = PyMem_Malloc(n_rows * row_max + 1);
     if (buf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (const double *row = x; row < x + n_rows * width; row += width) {
+    for (Py_ssize_t i = 0; i < n_rows; i++) {
+        const double *row = (const double *)
+            ((const char *)view.buf + i * view.strides[0]);
         double flag = row[n_cols - 1];
         if (!(flag == 0.0 || flag == 1.0))
             goto hand_back;
@@ -217,12 +211,12 @@ static PyMethodDef methods[] = {
      "then the non-finite check and the cable offset.  Returns\n"
      "(state tuple, zeta) with the Python loop's bits, or None where that\n"
      "loop would raise or this module does not read the input."},
-    {"format_rows", (PyCFunction)(void (*)(void))format_rows, METH_FASTCALL,
-     "format_rows(block, n_cols)\n--\n\n"
-     "The trace text of a 2-D C-contiguous float64 block: per row, its\n"
-     "first n_cols - 1 values as \"%.17g,\" and value n_cols - 1, 0 or 1,\n"
-     "as \"%d\\n\".  Returns the str `%` gives, or None where the block\n"
-     "or a flag is outside that."},
+    {"format_rows", format_rows, METH_O,
+     "format_rows(block)\n--\n\n"
+     "The trace text of a 2-D float64 block whose values in a row are\n"
+     "adjacent: per row, each value but the last as \"%.17g,\" and the\n"
+     "last, 0 or 1, as \"%d\\n\".  Returns the str `%` gives, or None\n"
+     "where the block or a flag is outside that."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -27,7 +27,7 @@ from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
 from .dynamics import VehicleParams, format_rows
 from .metrics import (SWEPT, UNREPORTED, RunMetrics, compute_run_metrics,
                       critical_motion_mass, max_feasible_accel)
-from .simloop import LOG_WIDTH, TRACE_COLUMNS, SimConfig, SimLog, run
+from .simloop import TRACE_COLUMNS, SimConfig, SimLog, run
 from .trajectory import TRAJECTORIES
 
 EXIT_OK = 0
@@ -88,24 +88,24 @@ def write_trace(log: SimLog, path: str, params: VehicleParams):
     """Emit the trace CSV, whole or not at all; aborted runs get a
     trailing comment marker.
 
-    Rows go out 256 at a time, so memory stays bounded by one block.
-    The compiled format_rows gives a block's text where a compiler built
-    it; where it does not, or it hands the block back (a flag that is not
-    0 or 1, a block that is no C-contiguous float64 array), one `%` of
-    `_TRACE_ROW`, repeated once per row, formats the block's values as
-    Python floats.  The two give the same text.  The log's rows are
-    already in file order, so params is not needed; it stays in the
-    signature for existing callers.
+    Rows go out 256 at a time, each block a view of the log's first 27
+    columns (the trace's), so memory stays bounded by one block.  The
+    compiled format_rows gives a block's text where a compiler built it;
+    where it does not, or it hands the block back (a flag that is not 0
+    or 1), one `%` of `_TRACE_ROW`, repeated once per row, formats the
+    block's values as Python floats.  The two give the same text.  The
+    log's rows are already in file order, so params is not needed; it
+    stays in the signature for existing callers.
     """
-    n_cols = len(TRACE_COLUMNS)
     with _replacing(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, log.n_rows, _BLOCK_ROWS):
-            block = log.rows[k0:k0 + _BLOCK_ROWS]
-            text = format_rows(block, n_cols) if format_rows else None
+            block = log.rows[k0:k0 + _BLOCK_ROWS, :len(TRACE_COLUMNS)]
+            # a log narrower than the trace goes to `%`, which refuses it
+            text = (format_rows(block) if format_rows
+                    and block.shape[1] == len(TRACE_COLUMNS) else None)
             if text is None:
-                text = _TRACE_ROW * len(block) % tuple(
-                    block[:, :n_cols].ravel().tolist())
+                text = _TRACE_ROW * len(block) % tuple(block.ravel().tolist())
             fh.write(text)
         if log.failed:
             fh.write(f"# aborted: {log.failure_reason}\n")
@@ -121,22 +121,20 @@ def read_trace(path: str) -> SimLog:
     A trace is a header naming `TRACE_COLUMNS`, then data rows of 27
     comma-separated numbers in UTF-8. Blank lines are skipped and ``#``
     lines are comments; the last ``# aborted: <reason>`` marker sets
-    `failed` and `failure_reason`. The file carries no load velocities,
-    so the log's load_r_dot and load_s_dot columns are zero. The file is
-    read once: numpy's C reader converts the rows as they are streamed
-    from it, so a field must be a number as numpy reads it (ASCII digits,
-    no ``_`` separators). Every value must be finite, ``sat_flag`` 0 or
-    1, and ``t`` must rise from row to row. Anything else raises
-    TraceError naming the file and, for a row, the line of the first row
-    refused.
+    `failed` and `failure_reason`. The log's rows are the file's 27
+    columns: it has no load velocities, so its `load` raises IndexError.
+    The file is read once: numpy's C reader converts the rows as they are
+    streamed from it, so a field must be a number as numpy reads it
+    (ASCII digits, no ``_`` separators). Every value must be finite,
+    ``sat_flag`` 0 or 1, and ``t`` must rise from row to row. Anything
+    else raises TraceError naming the file and, for a row, the line of
+    the first row refused.
     """
     n_cols = len(TRACE_COLUMNS)
-    pad = ",0" * (LOG_WIDTH - n_cols)
     linenos = []
     aborted = []
 
     def data_lines(fh):
-        # pad each row with zeros for the load velocities a trace lacks
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -150,7 +148,7 @@ def read_trace(path: str) -> SimLog:
                 raise TraceError(f"{path}:{lineno}: expected {n_cols} "
                                  f"fields, got {n_fields}")
             linenos.append(lineno)
-            yield line + pad
+            yield line
 
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -174,13 +172,12 @@ def read_trace(path: str) -> SimLog:
                                  "non-numeric field") from None
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    trace = rows[:, :n_cols]
     # write_trace emits only finite values, a 0/1 saturation flag and a
     # rising time column (the metrics divide by its first step)
-    finite = np.isfinite(trace).all(axis=1)
-    flag_ok = (trace[:, -1] == 0.0) | (trace[:, -1] == 1.0)
-    rising = np.ones(len(trace), dtype=bool)
-    rising[1:] = trace[1:, 0] > trace[:-1, 0]
+    finite = np.isfinite(rows).all(axis=1)
+    flag_ok = (rows[:, -1] == 0.0) | (rows[:, -1] == 1.0)
+    rising = np.ones(len(rows), dtype=bool)
+    rising[1:] = rows[1:, 0] > rows[:-1, 0]
     bad = ~(finite & flag_ok & rising)
     if bad.any():
         k = int(np.argmax(bad))

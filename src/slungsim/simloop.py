@@ -31,7 +31,7 @@ per tick by packing the row's floats into a byte view of the array.  Its
 first 27 columns are the trace file's columns in file order
 (TRACE_COLUMNS, with load_zeta from the taut-cable geometry of the logged
 state); the last two are the load velocities r_dot and s_dot, which the
-file does not carry.
+file does not carry, so a log read back from it has only the 27.
 """
 
 from __future__ import annotations
@@ -155,17 +155,18 @@ class SimConfig:
         object.__setattr__(self, "mpc_horizon", int(self.mpc_horizon))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimLog:
-    """Uniformly sampled closed-loop trace.
+    """Uniformly sampled closed-loop trace; logs compare by identity.
 
-    rows is (n, LOG_WIDTH): row k holds the state at t[k] and the inputs
-    applied over [t[k], t[k+1]); the final row's inputs are what the
-    controller would apply next.  The named columns are views of rows, so
-    an edit through one edits the log, except load, whose r, s, r_dot,
+    A run's rows are (n, LOG_WIDTH): row k holds the state at t[k] and the
+    inputs applied over [t[k], t[k+1]); the final row's inputs are what
+    the controller would apply next.  The named columns are views of rows,
+    so an edit through one edits the log, except load, whose r, s, r_dot,
     s_dot are not adjacent and come back as a copy.  err is reference
     minus actual position; sat is 0.0 or 1.0.  A log has at least one row.
-    A log that cli.read_trace reads back has zero load velocities.
+    A log that cli.read_trace reads back is (n, 27), the trace columns
+    only, so its load raises IndexError.
     """
 
     rows: np.ndarray

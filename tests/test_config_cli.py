@@ -295,19 +295,30 @@ class TestTraceRoundTrip:
         assert np.array_equal(c["sat_flag"].astype(int), log.sat)
 
     def test_read_back_as_a_simlog(self, tmp_path, short_log):
-        """read_trace gives the log type a run gives, with zero load
-        velocities; to_log() is that same object."""
+        """read_trace gives the log type a run gives, on the trace
+        columns; to_log() is that same object."""
         cfg, log = short_log
-        assert log.load[:, 2:].any()
         path = str(tmp_path / "trace.csv")
         write_trace(log, path, cfg.params)
         back = read_trace(path)
         assert type(back) is SimLog
         assert back.to_log() is back
-        assert back.rows.shape == log.rows.shape
-        assert not back.load[:, 2:].any()
+        trace_rows = log.rows[:, :len(TRACE_COLUMNS)]
+        assert back.rows.tobytes() == trace_rows.tobytes()
         assert (back.failed, back.failure_reason) == (False, "")
         assert list(back.columns) == list(TRACE_COLUMNS)
+
+    def test_read_back_has_no_load_velocities(self, tmp_path, short_log):
+        """A read-back log has the file's columns only: its load raises
+        rather than give velocities the file does not hold."""
+        cfg, log = short_log
+        assert log.load[:, 2:].any()
+        path = str(tmp_path / "trace.csv")
+        write_trace(log, path, cfg.params)
+        back = read_trace(path)
+        assert back.rows.shape == (log.n_rows, len(TRACE_COLUMNS))
+        with pytest.raises(IndexError):
+            back.load
 
     def test_duplicate_run_byte_identical(self, tmp_path):
         cfg = SimConfig(controller="PD", m_L=0.15, duration=2.0)
@@ -339,8 +350,8 @@ class TestTraceRoundTrip:
         assert back.failed == aborted
         assert back.failure_reason == log.failure_reason
         n = len(TRACE_COLUMNS)
-        assert back.rows[:, :n].tobytes() == log.rows[:, :n].tobytes()
-        assert not back.rows[:, n:].any()
+        assert back.rows.shape == (log.n_rows, n)
+        assert back.rows.tobytes() == log.rows[:, :n].tobytes()
 
         log.err[1, 0] = 0.125
         write_trace(log, path, cfg.params)
@@ -376,7 +387,7 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "trace.csv")
         write_trace(log, path, VehicleParams())
         tr = read_trace(path)
-        assert tr.rows.tobytes() == rows.tobytes()
+        assert tr.rows.tobytes() == rows[:, :n].tobytes()
         assert (tr.failed, tr.failure_reason) == (failed, reason)
 
     def test_blank_and_whitespace_lines_skipped(self, tmp_path):
@@ -385,7 +396,7 @@ class TestTraceRoundTrip:
         path.write_text(HEADER + "0," + mid + "0\n \t \n\n"
                         + "0.01," + mid + "1\n   \n", encoding="utf-8")
         tr = read_trace(str(path))
-        assert tr.rows.shape == (2, LOG_WIDTH)
+        assert tr.rows.shape == (2, len(TRACE_COLUMNS))
         assert tr.columns["t"].tolist() == [0.0, 0.01]
         assert tr.columns["sat_flag"].tolist() == [0.0, 1.0]
 
@@ -404,7 +415,7 @@ class TestTraceRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr.rows.tobytes() == rows.tobytes()
+        assert tr.rows.tobytes() == rows[:, :n].tobytes()
         assert peak <= 3 * tr.rows.nbytes, (peak, tr.rows.nbytes)
 
     @pytest.mark.parametrize("n_rows, failed", [
@@ -429,7 +440,7 @@ class TestTraceRoundTrip:
                 + (f"# aborted: {reason}\n" if failed else ""))
         assert path.read_bytes() == want.encode()
         tr = read_trace(str(path))
-        assert tr.rows.tobytes() == rows.tobytes()
+        assert tr.rows.tobytes() == rows[:, :n].tobytes()
         assert (tr.failed, tr.failure_reason) == (failed, reason)
 
 
@@ -544,7 +555,7 @@ class TestTraceLineAttribution:
             with pytest.raises(TraceError, match=r":6: non-numeric field$"):
                 read_trace(path)
         else:
-            assert read_trace(path).rows.shape == (5, LOG_WIDTH)
+            assert read_trace(path).rows.shape == (5, len(TRACE_COLUMNS))
         assert opened == [path]
 
 
@@ -1229,7 +1240,7 @@ def test_controller_arithmetic_errors_end_in_exit_codes(tmp_path,
     assert "ZeroDivisionError in the SMC controller at t=0.010" in err
     assert "Traceback" not in err
     trace = read_trace(str(out / "trace.csv"))
-    assert trace.failed and trace.rows.shape == (1, LOG_WIDTH)
+    assert trace.failed and trace.rows.shape == (1, len(TRACE_COLUMNS))
     assert trace.failure_reason.startswith("ZeroDivisionError in the SMC "
                                            "controller at t=0.010")
 

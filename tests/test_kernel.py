@@ -313,19 +313,19 @@ PD_ABORT = SimConfig(controller="PD", m_L=0.5,
                      pd_gains=PdGains(Kpp=5e4, Kpt=5e4, Kdp=1e-3, Kdt=1e-3))
 
 
-def percent_text(block, n_cols):
-    """The text of block through `%`: its first n_cols - 1 values as
-    "%.17g," and value n_cols - 1 as "%d\\n", row by row."""
-    row = "%.17g," * (n_cols - 1) + "%d\n"
-    return row * len(block) % tuple(block[:, :n_cols].ravel().tolist())
+def percent_text(block):
+    """The text of block through `%`: each value but the last as
+    "%.17g," and the last as "%d\\n", row by row."""
+    row = "%.17g," * (block.shape[1] - 1) + "%d\n"
+    return row * len(block) % tuple(block.ravel().tolist())
 
 
-def assert_formats_as_percent(block, n_cols=N_COLS):
-    text = dynamics.format_rows(block, n_cols)
+def assert_formats_as_percent(block):
+    text = dynamics.format_rows(block)
     assert text is not None
     # line lists: pytest names the first line that differs, where a diff
     # of a whole log's text takes about a minute
-    assert text.split("\n") == percent_text(block, n_cols).split("\n")
+    assert text.split("\n") == percent_text(block).split("\n")
 
 
 def trace_outcome(rows, path):
@@ -351,10 +351,23 @@ def test_percent_text_is_the_trace_row():
 def test_format_rows_equals_percent_on_logs(cfg):
     log = run(cfg)
     assert log.failed == (cfg is PD_ABORT)
-    # whole logs, and the 256-row blocks write_trace passes, full width
-    assert_formats_as_percent(log.rows)
+    # whole logs, and the 256-row blocks write_trace passes, as views of
+    # the trace columns
+    assert_formats_as_percent(log.rows[:, :N_COLS])
     for k0 in range(0, log.n_rows, 256):
-        assert_formats_as_percent(log.rows[k0:k0 + 256])
+        assert_formats_as_percent(log.rows[k0:k0 + 256, :N_COLS])
+
+
+@compiled
+def test_format_rows_formats_a_view_in_place():
+    # column slices of a run's log, and its rows reversed (a negative row
+    # stride), are formatted as they are, not handed back for a copy
+    log = run(SimConfig(controller="SMC", m_L=0.3, duration=3.0))
+    assert log.rows.shape[1] == LOG_WIDTH
+    for view in (log.rows[:, :N_COLS], log.rows[:, N_COLS - 3:N_COLS],
+                 log.rows[::-1, :N_COLS]):
+        assert not view.flags.c_contiguous
+        assert dynamics.format_rows(view) == percent_text(view.copy())
 
 
 NEGATIVE_NAN = struct.unpack("d", struct.pack("Q", 0xFFF8000000000000))[0]
@@ -374,10 +387,10 @@ def test_format_rows_equals_percent_on_edge_values():
     block[:, 1] = EDGE_VALUES[::-1]
     block[:, 2] = [-0.0, 1.0] * (n // 2)
     assert np.signbit(block[EDGE_VALUES.index(NEGATIVE_NAN), 0])
-    assert_formats_as_percent(block, 3)
-    assert_formats_as_percent(block, 4)
-    assert_formats_as_percent(block[:, 2:].copy(), 1)   # the flags alone
-    assert dynamics.format_rows(block[:0], 3) == ""
+    assert_formats_as_percent(block[:, :3])
+    assert_formats_as_percent(block)
+    assert_formats_as_percent(block[:, 2:3])    # the flags alone
+    assert dynamics.format_rows(block[:0, :3]) == ""
 
 
 @compiled
@@ -390,26 +403,24 @@ def test_format_rows_equals_percent_on_any_double(bits, flags):
     block = np.zeros((30, 3))
     block[:, :2] = np.resize(values, (30, 2))
     block[:, 2] = flags
-    assert_formats_as_percent(block, 3)
+    assert_formats_as_percent(block)
 
 
 def flagged(value):
-    rows = np.zeros((3, LOG_WIDTH))
+    rows = np.zeros((3, N_COLS))
     rows[1, N_COLS - 1] = value
     return rows
 
 
-# logs whose blocks format_rows hands back, and whether write_trace then
-# writes (True) or raises (False)
+# logs of the trace's width whose blocks format_rows hands back, and
+# whether write_trace then writes (True) or raises (False)
 HANDED_BACK = {
-    "float32": (np.ones((3, LOG_WIDTH), np.float32), True),
-    "non-contiguous": (np.ones((3, 2 * LOG_WIDTH))[:, ::2], True),
-    "fortran order": (np.asfortranarray(np.ones((3, LOG_WIDTH))), True),
-    "1-d": (np.ones(LOG_WIDTH), False),
-    "3-d": (np.ones((3, LOG_WIDTH, 2)), False),
-    # a view whose base goes on past it, so a read past the view finds
-    # zeros there, valid flags
-    "above the width": (np.zeros((4, N_COLS - 1))[:3], False),
+    "float32": (np.ones((3, N_COLS), np.float32), True),
+    "non-contiguous": (np.ones((3, 2 * N_COLS))[:, ::2], True),
+    "reversed columns": (np.ones((3, N_COLS))[:, ::-1], True),
+    "fortran order": (np.asfortranarray(np.ones((3, N_COLS))), True),
+    "1-d": (np.ones(N_COLS), False),
+    "3-d": (np.ones((3, N_COLS, 2)), False),
     "flag 0.5": (flagged(0.5), True),
     "flag 2": (flagged(2.0), True),
     "flag nan": (flagged(math.nan), False),
@@ -422,22 +433,32 @@ HANDED_BACK = {
 @pytest.mark.parametrize("case", HANDED_BACK)
 def test_format_rows_hands_off_to_percent(case, tmp_path, monkeypatch):
     rows, writes = HANDED_BACK[case]
-    assert dynamics.format_rows(rows, N_COLS) is None
+    assert dynamics.format_rows(rows) is None
     fast = trace_outcome(rows, tmp_path / "fast.csv")
     monkeypatch.setattr(cli, "format_rows", None)
     assert isinstance(fast, bytes) == writes
     assert fast == trace_outcome(rows, tmp_path / "slow.csv")
 
 
+def test_narrow_log_is_refused(tmp_path, monkeypatch):
+    # a view whose base goes on past it: write_trace gives a log with
+    # fewer columns than the trace to `%`, which raises, whichever
+    # formatter it has
+    rows = np.zeros((4, N_COLS - 1))[:3]
+    fast = trace_outcome(rows, tmp_path / "fast.csv")
+    monkeypatch.setattr(cli, "format_rows", None)
+    assert fast == trace_outcome(rows, tmp_path / "slow.csv")
+    assert fast[0] is TypeError
+    assert not list(tmp_path.iterdir())
+
+
 @compiled
 def test_format_rows_checks_its_arguments():
-    rows = np.zeros((2, LOG_WIDTH))
+    rows = np.zeros((2, N_COLS))
     with pytest.raises(TypeError):
-        dynamics.format_rows(rows)
-    for block, n_cols in ((rows.tolist(), N_COLS), (rows, float(N_COLS)),
-                          (rows, np.int64(N_COLS)), (rows, 0),
-                          (rows, -1), (rows, 2**70)):
-        assert dynamics.format_rows(block, n_cols) is None
+        dynamics.format_rows(rows, N_COLS)
+    for block in (rows.tolist(), rows[:, :0], b"\0" * 8 * N_COLS):
+        assert dynamics.format_rows(block) is None
 
 
 @pytest.mark.parametrize("cfg", [SimConfig(controller="MPC", duration=5.0),
@@ -459,8 +480,10 @@ def test_default_trace_takes_the_formatter(tmp_path, monkeypatch):
     # a write that silently went back to `%` fails here
     results = []
 
-    def recording(*args):
-        results.append(dynamics.format_rows(*args))
+    def recording(block):
+        # a view of the log's rows, not a copy of them
+        assert np.shares_memory(block, log.rows)
+        results.append(dynamics.format_rows(block))
         return results[-1]
     monkeypatch.setattr(cli, "format_rows", recording)
     log = run(SimConfig(duration=5.0))            # 501 rows: two blocks

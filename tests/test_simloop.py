@@ -495,6 +495,13 @@ class TestRun:
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.sat, b.sat)
 
+    def test_logs_compare_by_identity(self):
+        # a generated __eq__ would compare the rows arrays and raise
+        cfg = SimConfig(controller="PD", duration=0.05)
+        a, b = run(cfg), run(cfg)
+        assert a == a
+        assert a != b
+
     @pytest.mark.parametrize("name", ["PD", "SMC", "MPC"])
     def test_hover_equilibrium_hold(self, name):
         cfg = SimConfig(controller=name, m_L=0.0, duration=10.0,
