@@ -28,13 +28,22 @@
    numpy scalars, for one, warn where Python floats raise.
 
    format_rows writes what slungsim.cli.write_trace's `%` of "%.17g,"
-   per value and "%d\n" per flag writes, through PyOS_double_to_string,
-   the function `%` calls, so the text is the same by construction.  It
-   formats every column of the block it is given, a view included, the
-   last one as the flag.  It hands a block back (returns None) where the
-   block is not a 2-D float64 buffer whose values in a row are adjacent,
-   or a flag is not 0 or 1; `%` then writes what it writes, or raises
-   what it raises.
+   per value and "%d\n" per flag writes.  "%.17g" is the value's decimal
+   correctly rounded to 17 significant digits, ties to even, as the dtoa
+   behind `%` rounds it, in format_float_short's %g layout: exponent
+   notation where the decimal exponent is below -4 or above 16, trailing
+   zeros stripped, no point where no digit follows it.  A double has one
+   such decimal, so any exact computation of it gives `%`'s bytes.
+   exact_g17 computes it with integer arithmetic for +-0 and each normal
+   value whose 17 digits are x 10^q with q in [0, 55], that is
+   2^-129 (about 1.5e-39) <= |x| < 1e17; subnormals, infinities, NaNs
+   and the values outside that range go to PyOS_double_to_string, the
+   function `%` calls, as does every value where the compiler has no
+   unsigned __int128.  format_rows formats every column of the block it
+   is given, a view included, the last one as the flag.  It hands a block
+   back (returns None) where the block is not a 2-D float64 buffer whose
+   values in a row are adjacent, or a flag is not 0 or 1; `%` then
+   writes what it writes, or raises what it raises.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -134,9 +143,103 @@ fused_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return state == NULL ? NULL : Py_BuildValue("(Nd)", state, sqrt(zsq));
 }
 
-/* The longest text of PyOS_double_to_string(x, 'g', 17, 0, NULL): a sign,
-   17 digits, a point and a four-character exponent */
+/* The longest text of "%.17g": a sign, 17 digits, a point and a
+   five-character exponent (e-100).  exact_g17 writes at most 23: a sign,
+   "0.000" and 17 digits, or a sign, 17 digits, a point and e-dd. */
 #define VALUE_MAX 24
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+
+/* 5^q << z, its top bit at bit 127, as high and low words, and
+   z - q - 64: less e, the right shift that takes the high 128 bits of
+   m (5^q << z) to the integer part of m 2^e 10^q; set by PyInit__dynamics */
+static struct { uint64_t hi, lo; int shift; } pow5[56];
+
+/* x's "%.17g" text written at s and its end, or NULL, with nothing
+   written, for x outside the fast range.  A normal x is m 2^e with
+   2^52 <= m < 2^53.  k = ((e + 52) 78913) >> 18 (an arithmetic shift,
+   as compilers with __int128 make it) is floor(log10 2^(e + 52)) for
+   |e + 52| <= 1200, so x 10^q, q = 16 - k, lies in [1e16, 2e17), and for
+   q in [0, 55] it is m 5^q 2^(e + q) exactly, a 53 x 128-bit product as
+   5^55 < 2^128.  Its integer part n and exact rest give the 17 digits,
+   rounded half to even; x 10^q >= 1e17 takes q - 1 once, and a round up
+   to 1e17 reads 1e16 a decade up. */
+static char *
+exact_g17(double x, char *s)
+{
+    uint64_t bits, n;
+    memcpy(&bits, &x, sizeof bits);
+    if (x == 0.0) {
+        if (bits >> 63)
+            *s++ = '-';
+        *s++ = '0';
+        return s;
+    }
+    int biased = (bits >> 52) & 0x7ff, e = biased - 1075;
+    if (biased == 0 || biased == 0x7ff)
+        return NULL;
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52), lo;
+    int q = 16 - (((e + 52) * 78913) >> 18), sh;
+    if (q < 0 || q > 55)
+        return NULL;
+    u128 hi;
+    for (;;) {
+        u128 low = (u128)m * pow5[q].lo;
+        hi = (u128)m * pow5[q].hi + (low >> 64);
+        lo = (uint64_t)low;
+        sh = pow5[q].shift - e;                 /* in [56, 63] */
+        n = (uint64_t)(hi >> sh);
+        if (n < TEN17)
+            break;
+        if (q-- == 0)
+            return NULL;
+    }
+    uint64_t rest = (uint64_t)hi & ((1ULL << sh) - 1), half = 1ULL << (sh - 1);
+    n += rest > half || (rest == half && (lo != 0 || (n & 1)));
+    int exp10 = 16 - q;
+    if (n == TEN17) {
+        n = TEN16;
+        exp10++;
+    }
+
+    char d[17];
+    int nd = 17;
+    for (int i = 16; i >= 0; i--, n /= 10)
+        d[i] = '0' + n % 10;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (bits >> 63)
+        *s++ = '-';
+    int sci = exp10 < -4 || exp10 > 16, point = sci ? 1 : exp10 + 1;
+    if (point <= 0) {
+        memcpy(s, "0.000", 2 - point);
+        memcpy(s + 2 - point, d, nd);
+        return s + 2 - point + nd;
+    }
+    memcpy(s, d, point);
+    s += point;
+    if (nd > point) {
+        *s++ = '.';
+        memcpy(s, d + point, nd - point);
+        s += nd - point;
+    }
+    if (sci) {
+        int a = exp10 < 0 ? -exp10 : exp10;
+        *s++ = 'e';
+        *s++ = exp10 < 0 ? '-' : '+';
+        *s++ = '0' + a / 10;
+        *s++ = '0' + a % 10;
+    }
+    return s;
+}
+#else
+/* no 128-bit integers: every value goes to PyOS_double_to_string */
+#define exact_g17(x, s) NULL
+#endif
 
 static PyObject *
 format_rows(PyObject *module, PyObject *block)
@@ -174,18 +277,22 @@ format_rows(PyObject *module, PyObject *block)
         if (!(flag == 0.0 || flag == 1.0))
             goto hand_back;
         for (Py_ssize_t j = 0; j < n_cols - 1; j++) {
-            char *s = PyOS_double_to_string(row[j], 'g', 17, 0, NULL);
-            if (s == NULL)
-                goto done;
-            size_t len = strlen(s);
-            /* never true: a longer text would overrun buf */
-            if (len > VALUE_MAX) {
+            char *next = exact_g17(row[j], end);
+            if (next == NULL) {
+                char *s = PyOS_double_to_string(row[j], 'g', 17, 0, NULL);
+                if (s == NULL)
+                    goto done;
+                size_t len = strlen(s);
+                /* never true: a longer text would overrun buf */
+                if (len > VALUE_MAX) {
+                    PyMem_Free(s);
+                    goto hand_back;
+                }
+                memcpy(end, s, len);
                 PyMem_Free(s);
-                goto hand_back;
+                next = end + len;
             }
-            memcpy(end, s, len);
-            PyMem_Free(s);
-            end += len;
+            end = next;
             *end++ = ',';
         }
         *end++ = flag == 0.0 ? '0' : '1';
@@ -215,8 +322,9 @@ static PyMethodDef methods[] = {
      "format_rows(block)\n--\n\n"
      "The trace text of a 2-D float64 block whose values in a row are\n"
      "adjacent: per row, each value but the last as \"%.17g,\" and the\n"
-     "last, 0 or 1, as \"%d\\n\".  Returns the str `%` gives, or None\n"
-     "where the block or a flag is outside that."},
+     "last, 0 or 1, as \"%d\\n\".  Each value's 17 digits are computed\n"
+     "exactly, so the str is the one `%` gives; None where the block or a\n"
+     "flag is outside that."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -230,5 +338,16 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__dynamics(void)
 {
+#ifdef __SIZEOF_INT128__
+    u128 p = 1;
+    for (int q = 0; q < 56; q++, p *= 5) {
+        int z = 0;
+        while (!((p << z) >> 127))
+            z++;
+        pow5[q].hi = (uint64_t)((p << z) >> 64);
+        pow5[q].lo = (uint64_t)(p << z);
+        pow5[q].shift = z - q - 64;
+    }
+#endif
     return PyModuleDef_Init(&module_def);
 }

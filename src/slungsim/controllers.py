@@ -161,13 +161,23 @@ def _switch(S: float, boundary_layer: float) -> float:
     return 0.0
 
 
+def _thrust_constants(params: VehicleParams):
+    """_position_output's params-derived constants, set once per
+    controller (params is frozen): (DEMAND_CEILING*U1_max, U1_max, hover
+    thrust m_q*g, m_q, tilt prescale m_q/hover)."""
+    hover = params.m_q * params.g
+    return (DEMAND_CEILING * params.U1_max, params.U1_max, hover,
+            params.m_q, params.m_q / hover)
+
+
 def _position_output(a_cx: float, a_cy: float, U1_raw: float,
-                     params: VehicleParams, starve: bool):
+                     thrust: tuple, starve: bool):
     """Saturate the thrust demand and extract the tilt command.
 
     Returns (phi_d, theta_d, U1_applied, saturated).  `_limit` conditions
     the demand to [U1_FLOOR, DEMAND_CEILING*U1_max] and then applies at
-    most U1_max; a NaN demand raises FloatingPointError.
+    most U1_max; a NaN demand raises FloatingPointError.  thrust is
+    _thrust_constants(params).
 
     The tilt extraction runs against the nominal hover thrust, so the
     horizontal loop gain stays independent of whatever load the thrust
@@ -181,15 +191,13 @@ def _position_output(a_cx: float, a_cy: float, U1_raw: float,
     (the PD one) winds its demand up against the ceiling even for loads
     it could statically carry, so PD passes starve=False.
     """
-    U1_dem, clip_dem = _limit(U1_raw, U1_FLOOR,
-                              DEMAND_CEILING * params.U1_max)
-    U1_applied, clip_max = _limit(U1_dem, -math.inf, params.U1_max)
-    hover = params.m_q * params.g
-    pre = params.m_q / hover
+    ceiling, U1_max, hover, m_q, pre = thrust
+    U1_dem, clip_dem = _limit(U1_raw, U1_FLOOR, ceiling)
+    U1_applied, clip_max = _limit(U1_dem, -math.inf, U1_max)
     if starve:
         pre *= U1_applied / U1_dem
     phi_d, theta_d, clamped = desired_angles(pre * a_cx, pre * a_cy,
-                                             hover, params.m_q)
+                                             hover, m_q)
     return phi_d, theta_d, U1_applied, clip_dem or clip_max or clamped
 
 
@@ -199,9 +207,10 @@ class PdController:
     def __init__(self, gains: PdGains, params: VehicleParams):
         self.gains = gains
         self.params = params
-        # torque scales, set once: params is frozen
+        # torque scales and thrust constants, set once: params is frozen
         self._I_x_l = params.I_x / params.l
         self._I_y_l = params.I_y / params.l
+        self._thrust = _thrust_constants(params)
 
     def step(self, s, ref: ReferencePoint):
         g = self.gains
@@ -213,7 +222,7 @@ class PdController:
         a_cz = raz + g.Kdz * (rvz - vz) + g.Kpz * (rz - z)
         U1_raw = p.m_q * (a_cz + p.g) / (math.cos(phi) * math.cos(theta))
         phi_d, theta_d, U1, saturated = _position_output(
-            a_cx, a_cy, U1_raw, p, starve=False)
+            a_cx, a_cy, U1_raw, self._thrust, starve=False)
 
         U2 = self._I_x_l * (g.Kpp * (phi_d - phi) - g.Kdp * p_rate)
         U3 = self._I_y_l * (g.Kpt * (theta_d - theta) - g.Kdt * q_rate)
@@ -244,13 +253,14 @@ class SmcController:
         self.dt = dt
         self._prev_phi_d = None
         self._prev_theta_d = None
-        # torque scales and gyroscopic cross-term ratios, set once: params
-        # is frozen
+        # torque scales, gyroscopic cross-term ratios and thrust constants,
+        # set once: params is frozen
         self._I_x_l = params.I_x / params.l
         self._I_y_l = params.I_y / params.l
         self._cross = ((params.I_y - params.I_z) / params.I_x,
                        (params.I_z - params.I_x) / params.I_y,
                        (params.I_x - params.I_y) / params.I_z)
+        self._thrust = _thrust_constants(params)
 
     def step(self, s, ref: ReferencePoint):
         g = self.gains
@@ -276,7 +286,7 @@ class SmcController:
         U1_raw = (p.m_q / (math.cos(phi) * math.cos(theta))
                   * (p.g + raz + l_z * ed_z + k_z * _switch(S_z, bl)))
         phi_d, theta_d, U1, saturated = _position_output(
-            a_cx, a_cy, U1_raw, p, starve=True)
+            a_cx, a_cy, U1_raw, self._thrust, starve=True)
 
         # attitude loop with differenced command-rate feedforward
         if self._prev_phi_d is None:

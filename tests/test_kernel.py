@@ -10,7 +10,10 @@ that tick raises or its input is not read, so that simloop.advance_tick
 runs the Python loop and raises the Python exception.
 dynamics.format_rows, from the same build, must return the text
 cli.write_trace's `%` gives a block of rows, or None wherever that `%`
-writes or raises anything else.  dynamics._load_kernel builds into a
+writes or raises anything else; it computes the digits of most values
+exactly and passes the rest to PyOS_double_to_string, so it is checked
+where each path runs, on exact ties, at decade edges and in a build
+without unsigned __int128.  dynamics._load_kernel builds into a
 cache directory under a name tagged with _dynamics.c, dynamics.py and the
 flags; a build removes the finished builds of other tags there, and
 nothing else, and a refused model builds nothing.  Scratch builds go to
@@ -28,7 +31,8 @@ import subprocess
 import sys
 import sysconfig
 import warnings
-from importlib.machinery import EXTENSION_SUFFIXES
+from decimal import Decimal
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import SimpleNamespace
 
 import numpy as np
@@ -406,6 +410,99 @@ def test_format_rows_equals_percent_on_any_double(bits, flags):
     assert_formats_as_percent(block)
 
 
+# the ends of the range _dynamics.c's exact_g17 formats: its least value
+# (17 digits x 10^55, decimal exponent -39) and the first value above it
+FAST_LOW, FAST_HIGH = 2.0 ** -129, 1e17
+
+
+def value_block(values):
+    """The values, their negations beside them and a flag column."""
+    block = np.zeros((len(values), 3))
+    block[:, 0] = values
+    block[:, 1] = np.negative(values)
+    return block
+
+
+def neighbours(value, n=1):
+    """value and the n doubles on either side of it."""
+    below = above = value
+    out = [value]
+    for _ in range(n):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def is_tie(value):
+    """Whether value is halfway between two 17-digit decimals: it is n 2^-j
+    (n odd, j > 0), so its exact decimal has the digits of n 5^j, the last
+    a 5, and there are 18 of them."""
+    n, d = value.as_integer_ratio()
+    j = d.bit_length() - 1
+    return j > 0 and 10**17 <= abs(n) * 5**j < 10**18
+
+
+@compiled
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2**52 - 1),
+                          st.integers(math.frexp(FAST_LOW)[1] - 1,
+                                      math.frexp(FAST_HIGH)[1] - 1)),
+                min_size=1, max_size=60))
+def test_format_rows_equals_percent_in_the_fast_range(draws):
+    # a sign, a 52-bit fraction and a binary exponent of the fast range,
+    # where the raw patterns of the test above seldom land
+    values = [struct.unpack("d", struct.pack(
+        "Q", sign << 63 | (exp + 1023) << 52 | frac))[0]
+        for sign, frac, exp in draws]
+    assert_formats_as_percent(value_block(values))
+
+
+@compiled
+def test_format_rows_rounds_ties_to_even():
+    # k 2^-j (k odd) and the quarter-integers m 2^-2 (m odd, just under
+    # 2^53), kept where they are halfway between two 17-digit decimals
+    ties = [v for v in (
+        *(math.ldexp(k, -j) for k in range(1, 2000, 2) for j in range(90)),
+        *(math.ldexp(m, -2) for m in range(2**53 - 2001, 2**53, 2)))
+        if is_tie(v)]
+    assert len(ties) > 1500
+    assert FAST_LOW <= min(ties) and max(ties) < FAST_HIGH
+    assert_formats_as_percent(value_block(ties))
+
+
+@compiled
+@pytest.mark.parametrize("values", [
+    # each power of ten from either side of the range, 1 ulp about it
+    [v for e in range(-39, 18) for v in neighbours(float(f"1e{e}"))],
+    # where %g goes from exponent to fixed notation and back
+    [v for x in (1e-5, 1e-4, 1e16, 1e17) for v in neighbours(x, 3)],
+    [0.0, -0.0],
+    # the last values inside, and the first outside, each end
+    [*neighbours(FAST_LOW, 3), *neighbours(FAST_HIGH, 3),
+     math.nextafter(FAST_LOW, 0.0), math.nextafter(FAST_HIGH, 0.0)],
+], ids=["powers of ten", "notation switches", "zeros", "range ends"])
+def test_format_rows_equals_percent_at_decade_edges(values):
+    assert_formats_as_percent(value_block(values))
+
+
+@compiled
+def test_format_rows_carries_into_the_next_decade():
+    # the doubles just below each power of ten of the range; those whose
+    # 17 digits round up to 100000000000000000 read as the next decade
+    values, carried = [], 0
+    for e in range(-38, 17):
+        power = Decimal(f"1e{e}")
+        x = float(power)
+        x = x if Decimal(x) < power else math.nextafter(x, 0.0)
+        for _ in range(3):
+            values.append(x)
+            carried += Decimal("%.17g" % x) == power
+            x = math.nextafter(x, 0.0)
+    assert carried
+    assert_formats_as_percent(value_block(values))
+
+
 def flagged(value):
     rows = np.zeros((3, N_COLS))
     rows[1, N_COLS - 1] = value
@@ -491,19 +588,43 @@ def test_default_trace_takes_the_formatter(tmp_path, monkeypatch):
     assert len(results) == 2 and None not in results
 
 
+def build_without_warnings(directory, *flags):
+    """Build the text the loader builds, with its flags, flags and every
+    warning an error, into directory; the extension's path."""
+    path = directory / f"_dynamics{EXTENSION_SUFFIXES[0]}"
+    build = subprocess.run(
+        [*shlex.split(sysconfig.get_config_var("LDSHARED")),
+         *dynamics._C_FLAGS, "-Wall", "-Wextra", "-Wno-unused-parameter",
+         "-Werror", *flags, "-I", sysconfig.get_path("include"), "-x", "c",
+         "-", "-o", str(path)],
+        input=dynamics._kernel_source(), capture_output=True, text=True,
+        timeout=60)
+    assert build.returncode == 0, build.stderr
+    return path
+
+
 @compiled
 def test_source_builds_without_warnings(tmp_path):
     # the text the loader builds, its translated model included; a
     # temporary or variable left unused by an edit fails here; a
     # METH_FASTCALL function does not use its module argument
-    build = subprocess.run(
-        [*shlex.split(sysconfig.get_config_var("LDSHARED")),
-         *dynamics._C_FLAGS, "-Wall", "-Wextra", "-Wno-unused-parameter",
-         "-Werror", "-I", sysconfig.get_path("include"), "-x", "c", "-",
-         "-o", str(tmp_path / f"_dynamics{EXTENSION_SUFFIXES[0]}")],
-        input=dynamics._kernel_source(), capture_output=True, text=True,
-        timeout=60)
-    assert build.returncode == 0, build.stderr
+    build_without_warnings(tmp_path)
+
+
+@compiled
+def test_kernel_builds_without_128_bit_integers(tmp_path):
+    # a compiler with no unsigned __int128 builds the tick, and a
+    # format_rows that sends every value to PyOS_double_to_string
+    path = build_without_warnings(tmp_path, "-U__SIZEOF_INT128__")
+    loader = ExtensionFileLoader("slungsim._dynamics", str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    block = run(SimConfig(controller="MPC", duration=5.0)).rows[:, :N_COLS]
+    assert module.format_rows(block) == percent_text(block)
+    args = (*next(random_cases(2, seed=2)), 1e-3, 10)
+    assert fused_outcome(module.fused_tick, *args) == outcome(reference_tick,
+                                                              *args)
 
 
 @compiled
