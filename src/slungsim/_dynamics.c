@@ -1,5 +1,6 @@
 /* The compiled code of slungsim: one control tick of
-   slungsim.simloop.advance_tick, and the text of a block of trace rows.
+   slungsim.simloop.advance_tick, the text of a block of trace rows, and
+   the values of a block of trace lines.
 
    fused_tick runs the n_sub RK4 steps of
    slungsim.dynamics.coupled_derivative_array, the non-finite check and
@@ -44,6 +45,25 @@
    back (returns None) where the block is not a 2-D float64 buffer whose
    values in a row are adjacent, or a flag is not 0 or 1; `%` then
    writes what it writes, or raises what it raises.
+
+   parse_rows reads what slungsim.cli.read_trace's blocks of lines hold
+   where write_trace wrote them: each line exactly n_cols fields, one ','
+   between fields and a '\n' after the last, each field -?, digits with
+   at most one '.' among them (at least one digit), then an optional
+   [eE][+-]?digits.  A value is the decimal w 10^e, w its significant
+   digits.  For w < 10^19 and |e| <= 27, exact_value rounds it to the
+   nearest double, ties to even, with one exact 128-bit product or one
+   128 / 64-bit quotient and its remainder (Clinger's observation that a
+   short significand and small exponent need no bignum); there is one
+   such double, the one float() and numpy's reader give, so the bits are
+   theirs.  0 is +-0.0 whatever e is; more digits, a larger |e|, and
+   every nonzero value where the compiler has no unsigned __int128 go to
+   PyOS_string_to_double, the function float() and numpy's reader call,
+   which gives +-inf above the finite range.  It hands the whole block
+   back (returns None) where a line is not an ASCII str or breaks the
+   grammar: a blank line, a comment, a space, a '+' sign, inf, nan, '_',
+   another field count or no final '\n'; read_trace then reads the file
+   again with numpy, which refuses or accepts it as it does.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -311,6 +331,154 @@ done:
     return text;
 }
 
+#ifdef __SIZEOF_INT128__
+/* 5^k for k in [0, EXACT_EXP10], set by PyInit__dynamics; 5^27 < 2^63 */
+#define EXACT_EXP10 27
+static uint64_t five[EXACT_EXP10 + 1];
+
+/* w 10^e correctly rounded, written to *out, for 0 < w < 2^64; 0, with
+   nothing written, for |e| > 27.  For e >= 0, n = w 5^e < 2^127 exactly
+   and w 10^e = n 2^e.  For e < 0, w 2^s has its top bit at bit 63, n and
+   rest are the quotient and remainder of w 2^(s + 64) by 5^-e, and
+   w 10^e = (n + rest / 5^-e) 2^(e - s - 64); n has at least 65 bits, so
+   its bits below the top 53 and a sticky bit for rest != 0 round it half
+   to even.  Every such value lies in [1e-27, 2^64 1e27], normal. */
+static int
+exact_value(uint64_t w, Py_ssize_t e, double *out)
+{
+    if (e < -EXACT_EXP10 || e > EXACT_EXP10)
+        return 0;
+    u128 n;
+    int bin = (int)e, sticky = 0;
+    if (e >= 0)
+        n = (u128)w * five[e];
+    else {
+        int s = __builtin_clzll(w);
+        u128 num = (u128)(w << s) << 64;
+        n = num / five[-e];
+        sticky = num != n * five[-e];
+        bin -= s + 64;
+    }
+    uint64_t hi = (uint64_t)(n >> 64);
+    int len = hi ? 128 - __builtin_clzll(hi)
+                 : 64 - __builtin_clzll((uint64_t)n);
+    if (len <= 53) {
+        *out = ldexp((double)(uint64_t)n, bin);
+        return 1;
+    }
+    int sh = len - 53;
+    uint64_t m = (uint64_t)(n >> sh);
+    u128 rest = n & (((u128)1 << sh) - 1), half = (u128)1 << (sh - 1);
+    m += rest > half || (rest == half && (sticky || (m & 1)));
+    *out = ldexp((double)m, bin + sh);      /* m = 2^53 is exact too */
+    return 1;
+}
+#else
+/* no 128-bit integers: every nonzero field goes to PyOS_string_to_double */
+#define exact_value(w, e, out) 0
+#endif
+
+/* The end of the field at s, the character after it, with its value
+   written to *out; NULL where the field is not -?, digits with at most
+   one '.' among them, at least one digit, then an optional exponent
+   [eE][+-]?digits, or where PyOS_string_to_double fails, its exception
+   then set.  s is NUL-terminated, and NUL ends every part of a field. */
+static const char *
+parse_field(const char *s, double *out)
+{
+    const char *p = s + (*s == '-');
+    uint64_t w = 0;                 /* the first 19 significant digits */
+    Py_ssize_t n_digits = 0, n_sig = 0, e = 0, x = 0;
+    for (int point = 0;; p++) {
+        if (*p == '.' && !point)
+            point = 1;
+        else if ('0' <= *p && *p <= '9') {
+            n_digits++;
+            e -= point;
+            n_sig += n_sig || *p != '0';
+            if (n_sig <= 19)
+                w = w * 10 + (uint64_t)(*p - '0');
+        }
+        else
+            break;
+    }
+    if (n_digits == 0)
+        return NULL;
+    if (*p == 'e' || *p == 'E') {
+        int negative = p[1] == '-';
+        p += 1 + (p[1] == '-' || p[1] == '+');
+        if (*p < '0' || *p > '9')
+            return NULL;
+        /* a larger exponent is outside the exact range all the same */
+        for (; '0' <= *p && *p <= '9'; p++)
+            if (x < 100000)
+                x = x * 10 + (*p - '0');
+        e += negative ? -x : x;
+    }
+    if (n_sig == 0)
+        *out = 0.0;
+    else if (n_sig > 19 || !exact_value(w, e, out)) {
+        char *end;
+        *out = PyOS_string_to_double(s, &end, NULL);
+        /* end != p never: the grammar is a part of Python's */
+        return (*out == -1.0 && PyErr_Occurred()) || end != p ? NULL : p;
+    }
+    if (*s == '-')
+        *out = -*out;
+    return p;
+}
+
+static PyObject *
+parse_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "parse_rows expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *lines = args[0];
+    if (!PyList_CheckExact(lines) || !PyLong_CheckExact(args[1]))
+        Py_RETURN_NONE;
+    Py_ssize_t n_lines = PyList_GET_SIZE(lines);
+    Py_ssize_t n_cols = PyLong_AsSsize_t(args[1]);
+    if (n_cols == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    if (n_cols < 1 || n_lines > PY_SSIZE_T_MAX / 8 / n_cols)
+        Py_RETURN_NONE;
+    PyObject *values = PyBytes_FromStringAndSize(NULL, n_lines * n_cols * 8);
+    if (values == NULL)
+        return NULL;
+    char *out = PyBytes_AS_STRING(values);
+    for (Py_ssize_t i = 0; i < n_lines; i++) {
+        PyObject *line = PyList_GET_ITEM(lines, i);
+        Py_ssize_t len;
+        if (!PyUnicode_CheckExact(line) || !PyUnicode_IS_ASCII(line))
+            goto hand_back;
+        const char *p = PyUnicode_AsUTF8AndSize(line, &len);
+        if (p == NULL)
+            goto hand_back;
+        const char *end = p + len;
+        for (Py_ssize_t j = 0; j < n_cols; j++, out += 8) {
+            double x;
+            p = parse_field(p, &x);
+            if (p == NULL)
+                goto hand_back;
+            if (*p++ != (j < n_cols - 1 ? ',' : '\n'))
+                goto hand_back;
+            memcpy(out, &x, 8);
+        }
+        if (p != end)
+            goto hand_back;
+    }
+    return values;
+hand_back:
+    /* or raise what PyOS_string_to_double raised */
+    Py_DECREF(values);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"fused_tick", (PyCFunction)(void (*)(void))fused_tick, METH_FASTCALL,
      "fused_tick(y, u, m_L, derived, dt, n_sub)\n--\n\n"
@@ -325,6 +493,12 @@ static PyMethodDef methods[] = {
      "last, 0 or 1, as \"%d\\n\".  Each value's 17 digits are computed\n"
      "exactly, so the str is the one `%` gives; None where the block or a\n"
      "flag is outside that."},
+    {"parse_rows", (PyCFunction)(void (*)(void))parse_rows, METH_FASTCALL,
+     "parse_rows(lines, n_cols)\n--\n\n"
+     "The float64 values, as bytes in row order, of a list of str lines\n"
+     "that each hold n_cols numbers, one ',' between them, and end in\n"
+     "'\\n'.  Each value is the one float() gives its text; None where a\n"
+     "line or a field is outside that."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -348,6 +522,9 @@ PyInit__dynamics(void)
         pow5[q].lo = (uint64_t)(p << z);
         pow5[q].shift = z - q - 64;
     }
+    five[0] = 1;
+    for (int k = 1; k <= EXACT_EXP10; k++)
+        five[k] = five[k - 1] * 5;
 #endif
     return PyModuleDef_Init(&module_def);
 }

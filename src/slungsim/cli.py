@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import (DEFAULT_SWEEP_MASSES, ConfigError, SweepSpec,
                      load_config, load_sweep_spec)
-from .dynamics import VehicleParams, format_rows
+from .dynamics import VehicleParams, format_rows, parse_rows
 from .metrics import (SWEPT, UNREPORTED, RunMetrics, compute_run_metrics,
                       critical_motion_mass, max_feasible_accel)
 from .simloop import TRACE_COLUMNS, SimConfig, SimLog, run
@@ -115,6 +115,32 @@ class TraceError(ValueError):
     """Malformed trace file; the message names the file."""
 
 
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_READ_CHARS = 1 << 16
+
+
+def _parsed_rows(fh):
+    """The rows of fh through parse_rows, in blocks of whole lines of
+    about 64 KiB each appended to one buffer; None where parse_rows is
+    None, or hands a block back, or the header is not write_trace's, or
+    there are no rows, or the text is not UTF-8."""
+    if parse_rows is None:
+        return None
+    values = bytearray()
+    try:
+        if fh.readline() != _TRACE_HEADER:
+            return None
+        while lines := fh.readlines(_READ_CHARS):
+            block = parse_rows(lines, len(TRACE_COLUMNS))
+            if block is None:
+                return None
+            values += block
+    except UnicodeDecodeError:
+        return None
+    return (np.frombuffer(values).reshape(-1, len(TRACE_COLUMNS)) if values
+            else None)
+
+
 def read_trace(path: str) -> SimLog:
     """Parse a trace file written by `write_trace` into a SimLog.
 
@@ -123,12 +149,17 @@ def read_trace(path: str) -> SimLog:
     lines are comments; the last ``# aborted: <reason>`` marker sets
     `failed` and `failure_reason`. The log's rows are the file's 27
     columns: it has no load velocities, so its `load` raises IndexError.
-    The file is read once: numpy's C reader converts the rows as they are
-    streamed from it, so a field must be a number as numpy reads it
-    (ASCII digits, no ``_`` separators). Every value must be finite,
-    ``sat_flag`` 0 or 1, and ``t`` must rise from row to row. Anything
-    else raises TraceError naming the file and, for a row, the line of
-    the first row refused.
+    The file is opened once. Where a compiler built parse_rows, it
+    converts a file as write_trace writes it: its exact header, then
+    lines of 27 plain decimal numbers, read in 64 KiB blocks of lines.
+    Any other file (a comment, a blank line, a space, ``inf``, a wrong
+    field count), or any file where parse_rows is None, is read again
+    from its start by numpy's C reader, which converts the rows as they
+    are streamed from it, so a field must be a number as numpy reads it
+    (ASCII digits, no ``_`` separators). Both give each value float()'s
+    bits. Every value must be finite, ``sat_flag`` 0 or 1, and ``t``
+    must rise from row to row. Anything else raises TraceError naming
+    the file and, for a row, the line of the first row refused.
     """
     n_cols = len(TRACE_COLUMNS)
     linenos = []
@@ -152,24 +183,30 @@ def read_trace(path: str) -> SimLog:
 
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
-                raise TraceError(f"{path}: unexpected trace header")
-            lines = data_lines(fh)
-            # peek first: np.loadtxt warns on an input with no lines
-            first = next(lines, None)
-            if first is None:
-                raise TraceError(f"{path}: no data rows")
-            try:
-                rows = np.loadtxt(itertools.chain((first,), lines),
-                                  delimiter=",", ndmin=2, comments=None)
-            except (TraceError, UnicodeDecodeError):
-                # raised by the line generator; both are ValueErrors too
-                raise
-            except ValueError:
-                # numpy converts a row before it pulls the next one, so
-                # the refused row is the last line the generator yielded
-                raise TraceError(f"{path}:{linenos[-1]}: "
-                                 "non-numeric field") from None
+            rows = _parsed_rows(fh)
+            if rows is not None:
+                # no line was blank or a comment: row k is line k + 2
+                linenos = range(2, len(rows) + 2)
+            else:
+                fh.seek(0)
+                if tuple(fh.readline().strip().split(",")) != TRACE_COLUMNS:
+                    raise TraceError(f"{path}: unexpected trace header")
+                lines = data_lines(fh)
+                # peek first: np.loadtxt warns on an input with no lines
+                first = next(lines, None)
+                if first is None:
+                    raise TraceError(f"{path}: no data rows")
+                try:
+                    rows = np.loadtxt(itertools.chain((first,), lines),
+                                      delimiter=",", ndmin=2, comments=None)
+                except (TraceError, UnicodeDecodeError):
+                    # raised by the line generator; both are ValueErrors too
+                    raise
+                except ValueError:
+                    # numpy converts a row before it pulls the next one, so
+                    # the refused row is the last line the generator yielded
+                    raise TraceError(f"{path}:{linenos[-1]}: "
+                                     "non-numeric field") from None
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: not UTF-8 text ({exc.reason})") from None
     # write_trace emits only finite values, a 0/1 saturation flag and a

@@ -38,8 +38,9 @@ only M and mu are formed per evaluation.
 The model is written once, in Python.  _dynamics.c holds fused_tick, a
 whole control tick of simloop.advance_tick on C arrays (see there for when
 it hands a tick back), whose model _kernel_source translates from
-coupled_derivative_array, and format_rows, the text of a block of trace
-rows for cli.write_trace.  Importing this module builds both once into
+coupled_derivative_array, format_rows, the text of a block of trace rows
+for cli.write_trace, and parse_rows, the values of a block of trace lines
+for cli.read_trace.  Importing this module builds all three once into
 this package's __pycache__ (see _load_kernel) and binds their names, None
 where no C compiler works.  KERNEL says which runs a tick: "c" or
 "python".
@@ -413,8 +414,9 @@ def _load_kernel(cache_dir=None):
 
 
 _kernel = _load_kernel()
-# one whole control tick and the text of a block of trace rows, compiled;
-# None where no compiler works
+# one whole control tick, the text of a block of trace rows and the values
+# of a block of trace lines, compiled; None where no compiler works
 fused_tick = _kernel.fused_tick if _kernel else None
 format_rows = _kernel.format_rows if _kernel else None
+parse_rows = _kernel.parse_rows if _kernel else None
 KERNEL = "python" if fused_tick is None else "c"

@@ -1,5 +1,5 @@
-"""The compiled control tick and trace formatter against the Python code
-they come from.
+"""The compiled control tick, trace formatter and trace parser against the
+Python code they come from.
 
 dynamics.coupled_derivative_array is the one model, a Python function,
 and dynamics._kernel_source translates it into C for _dynamics.c, or
@@ -13,12 +13,18 @@ cli.write_trace's `%` gives a block of rows, or None wherever that `%`
 writes or raises anything else; it computes the digits of most values
 exactly and passes the rest to PyOS_double_to_string, so it is checked
 where each path runs, on exact ties, at decade edges and in a build
-without unsigned __int128.  dynamics._load_kernel builds into a
-cache directory under a name tagged with _dynamics.c, dynamics.py and the
-flags; a build removes the finished builds of other tags there, and
-nothing else, and a refused model builds nothing.  Scratch builds go to
-a copy of dynamics.py in a temporary directory, never to the package's
-own cache.
+without unsigned __int128.  dynamics.parse_rows must give the bits
+float() gives each field of a block of trace lines, or None wherever the
+line or field is outside its grammar, so that cli.read_trace reads the
+file with numpy and gives what numpy gives; it computes values of at most
+19 digits and |e| <= 27 exactly and passes the rest to
+PyOS_string_to_double, so it is checked on ties, near ties and each side
+of those limits, and against numpy's reader on odd traces.
+dynamics._load_kernel builds into a cache directory under a name tagged
+with _dynamics.c, dynamics.py and the flags; a build removes the
+finished builds of other tags there, and nothing else, and a refused
+model builds nothing.  Scratch builds go to a copy of dynamics.py in a
+temporary directory, never to the package's own cache.
 """
 
 import importlib.util
@@ -32,6 +38,7 @@ import sys
 import sysconfig
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import SimpleNamespace
 
@@ -588,6 +595,213 @@ def test_default_trace_takes_the_formatter(tmp_path, monkeypatch):
     assert len(results) == 2 and None not in results
 
 
+def read_outcome(path):
+    """What read_trace gives path: its rows' bytes, failed and reason, or
+    its TraceError's message."""
+    try:
+        log = cli.read_trace(str(path))
+    except cli.TraceError as exc:
+        return str(exc)
+    return log.rows.tobytes(), log.failed, log.failure_reason
+
+
+@pytest.fixture(scope="module")
+def mpc_lines(tmp_path_factory):
+    """The lines of a 1 s MPC trace, its header first."""
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    cli.write_trace(run(SimConfig(controller="MPC", duration=1.0)),
+                    str(path), VehicleParams())
+    return path.read_text().splitlines(keepends=True)
+
+
+def with_field(lineno, text, col=5):
+    """An edit that sets field col of file line lineno to text."""
+    def edit(lines):
+        fields = lines[lineno - 1].rstrip("\n").split(",")
+        fields[col] = text
+        lines[lineno - 1] = ",".join(fields) + "\n"
+        return "".join(lines)
+    return edit
+
+
+# edits of a trace that parse_rows hands back, or takes as it is
+ODD_TRACES = {
+    "byte order mark": lambda lines: "\ufeff" + "".join(lines),
+    "crlf": lambda lines: "".join(lines).replace("\n", "\r\n"),
+    "blank lines": lambda lines: "".join(
+        lines[:3] + ["\n"] + lines[3:7] + [" \t\n"] + lines[7:]),
+    "comment": lambda lines: "".join(lines[:4] + ["# note\n"] + lines[4:]),
+    "aborted": lambda lines: "".join(
+        lines + ["# aborted: TautCableError at t=0.050: injected\n"]),
+    "header spaces": lambda lines: "".join(
+        [lines[0].replace("\n", " \n")] + lines[1:]),
+    "header only": lambda lines: lines[0],
+    "no final newline": lambda lines: "".join(lines)[:-1],
+    "space-padded": with_field(3, " 0.5 "),
+    "plus": with_field(3, "+1"),
+    "no integer part": with_field(3, ".5"),
+    "no fraction": with_field(3, "5."),
+    "capital exponent": with_field(3, "1E5"),
+    "inf": with_field(4, "inf"),
+    "nan": with_field(4, "nan"),
+    "underscore": with_field(4, "1_0"),
+    "20 digits": with_field(3, "-1.2345678901234567891"),
+    "25 digits": with_field(3, "1234567890123456789012345e-30"),
+    "overflow": with_field(3, "1e400"),
+    "underflow": with_field(3, "1e-400"),
+    "minus zero": with_field(3, "-0"),
+    "26 fields": lambda lines: "".join(
+        lines[:4] + [lines[4].rsplit(",", 1)[0] + "\n"] + lines[5:]),
+    "28 fields": lambda lines: "".join(
+        lines[:4] + [lines[4].replace("\n", ",0\n")] + lines[5:]),
+    "non-numeric last line": lambda lines: with_field(len(lines), "x")(
+        lines),
+}
+
+
+@pytest.mark.parametrize("case", ODD_TRACES)
+def test_read_trace_does_not_depend_on_the_parser(case, mpc_lines, tmp_path,
+                                                  monkeypatch):
+    # the same rows, or the same message, where no compiler works
+    path = tmp_path / "trace.csv"
+    path.write_bytes(ODD_TRACES[case](list(mpc_lines)).encode())
+    fast = read_outcome(path)
+    monkeypatch.setattr(cli, "parse_rows", None)
+    assert fast == read_outcome(path)
+
+
+@compiled
+def test_default_trace_takes_the_parser(tmp_path, monkeypatch):
+    # a read that silently went back to numpy's reader fails here
+    results = []
+
+    def recording(lines, n_cols):
+        results.append(dynamics.parse_rows(lines, n_cols))
+        return results[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.loadtxt read the trace")
+    monkeypatch.setattr(cli, "parse_rows", recording)
+    monkeypatch.setattr(cli.np, "loadtxt", refused)
+    log = run(SimConfig())                      # 75 s
+    path = str(tmp_path / "trace.csv")
+    cli.write_trace(log, path, VehicleParams())
+    assert cli.read_trace(path).rows.tobytes() == \
+        log.rows[:, :N_COLS].tobytes()
+    assert len(results) > 1 and None not in results
+
+
+@compiled
+def test_parse_rows_checks_its_arguments():
+    line = "0," * (N_COLS - 1) + "1\n"
+    with pytest.raises(TypeError):
+        dynamics.parse_rows([line])
+    assert dynamics.parse_rows([], N_COLS) == b""
+    assert dynamics.parse_rows([line], N_COLS) == \
+        struct.pack(f"{N_COLS}d", *[0.0] * (N_COLS - 1), 1.0)
+    for lines, n_cols in (((line,), N_COLS), ([line.encode()], N_COLS),
+                          ([line], float(N_COLS)), ([line], 0),
+                          ([line], 2**70), ([line], N_COLS - 1),
+                          (["\u0661" + line], N_COLS)):
+        assert dynamics.parse_rows(lines, n_cols) is None
+
+
+def decimal_exponent(text):
+    """e of text read as w 10^e, w its digits with the point dropped."""
+    mantissa, _, exponent = text.lower().partition("e")
+    return int(exponent or 0) - len(mantissa.partition(".")[2])
+
+
+def assert_parses_as_float(texts):
+    values = dynamics.parse_rows([t + "\n" for t in texts], 1)
+    assert values is not None
+    got = struct.unpack(f"{len(texts)}d", values)
+    # hex texts: pytest names the first value that differs
+    assert [(t, x.hex()) for t, x in zip(texts, got)] == \
+        [(t, float(t).hex()) for t in texts]
+
+
+@compiled
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2**52 - 1),
+                          st.integers(-29, 89)), min_size=1, max_size=60))
+def test_parse_rows_equals_float_in_the_exact_range(draws):
+    # 2^-29 <= |x| < 2^90: each text's e lies in [-27, 27], where
+    # parse_rows computes the value itself
+    values = [struct.unpack("d", struct.pack(
+        "Q", sign << 63 | (exp + 1023) << 52 | frac))[0]
+        for sign, frac, exp in draws]
+    texts = [t for x in values for t in ("%.17g" % x, repr(x), "%.19g" % x)]
+    assert all(abs(decimal_exponent(t)) <= 27 for t in texts)
+    assert_parses_as_float(texts)
+
+
+def tie_texts():
+    """Decimals of at most 19 digits halfway between adjacent doubles,
+    (2M + 1) 2^(b - 1) for 2^52 <= M < 2^53: integers for b >= 1, and
+    with one to three decimals for b <= 0; each also negated and in
+    exponent form."""
+    texts = []
+    for b in range(-2, 11):
+        for k in range(40):
+            odd = 2 * (2**52 + k * 0x1234567891 % 2**52) + 1
+            tie = Decimal(odd) * Decimal(2) ** (b - 1)
+            digits, exponent = tie.as_tuple()[1:]
+            assert len(digits) <= 19
+            w = "".join(map(str, digits))
+            texts += [str(tie), f"-{tie}", f"{w}e{exponent}"]
+    return texts
+
+
+@compiled
+def test_parse_rows_rounds_ties_to_even():
+    texts = tie_texts()
+    assert_parses_as_float(texts)
+    # some round towards zero and some away, as their evens lie
+    down = sum(abs(Decimal(float(t))) < abs(Decimal(t)) for t in texts)
+    assert 0 < down < len(texts)
+
+
+def near_tie_texts(e):
+    """The 19-digit decimals w 10^e just below and just above the halfway
+    points between adjacent doubles of [10^(e + 18), 10^(e + 19))."""
+    texts = []
+    for k in range(300):
+        x = 10.0 ** (e + 18) * (1 + k / 37)
+        ties = Fraction(x) + Fraction(math.ulp(x)) / 2
+        scaled = ties / Fraction(10) ** e
+        texts += [f"{math.floor(scaled)}e{e}", f"{math.ceil(scaled)}e{e}"]
+    return texts
+
+
+@compiled
+@pytest.mark.parametrize("e", [-27, -26, -25, -1, 0, 1, 27])
+def test_parse_rows_rounds_near_ties(e):
+    # within a 19th digit of a halfway point; at e = -27 the quotient
+    # parse_rows forms can end in exactly half with a nonzero remainder
+    texts = near_tie_texts(e)
+    assert all(len(t.partition("e")[0]) == 19 for t in texts)
+    assert_parses_as_float(texts)
+
+
+# 1, 10^19 - 1 (the largest 19-digit significand), the first 19 digits of
+# 2^64 - 1, and 20-digit ones: 2^64 - 1 and 10^19
+EDGE_SIGNIFICANDS = ("1", "9999999999999999999", "1844674407370955161",
+                     "18446744073709551615", "10000000000000000000")
+
+
+@compiled
+def test_parse_rows_equals_float_at_the_range_edges():
+    # each side of |e| = 27, the range parse_rows computes itself, and of
+    # the 19 significant digits it keeps; leading zeros do not count
+    texts = [f"{sign}{lead}{w}e{e}" for sign in ("", "-")
+             for lead in ("", "000", "0.000") for w in EDGE_SIGNIFICANDS
+             for e in range(-30, 31)]
+    texts += ["0", "-0", "0.000", "-0e999", "0e-999", "1e-27", "1e27",
+              "0.000000000000000000000000001", "1" + "0" * 27 + ".0"]
+    assert_parses_as_float(texts)
+
+
 def build_without_warnings(directory, *flags):
     """Build the text the loader builds, with its flags, flags and every
     warning an error, into directory; the extension's path."""
@@ -625,6 +839,23 @@ def test_kernel_builds_without_128_bit_integers(tmp_path):
     args = (*next(random_cases(2, seed=2)), 1e-3, 10)
     assert fused_outcome(module.fused_tick, *args) == outcome(reference_tick,
                                                               *args)
+
+
+@compiled
+def test_parser_builds_without_128_bit_integers(tmp_path, monkeypatch):
+    # a parse_rows that sends every nonzero value to PyOS_string_to_double
+    path = build_without_warnings(tmp_path, "-U__SIZEOF_INT128__")
+    loader = ExtensionFileLoader("slungsim._dynamics", str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    trace = tmp_path / "trace.csv"
+    cli.write_trace(run(SimConfig(controller="MPC", duration=5.0)),
+                    str(trace), VehicleParams())
+    values = module.parse_rows(trace.read_text().splitlines(True)[1:],
+                               N_COLS)
+    monkeypatch.setattr(cli, "parse_rows", None)
+    assert values == cli.read_trace(str(trace)).rows.tobytes()
 
 
 @compiled
